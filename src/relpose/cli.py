@@ -31,6 +31,8 @@ def _write_manifest(out_dir, command, cfg: RunConfig, seed):
 
 
 def _r(value):
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -87,7 +89,9 @@ def cmd_offline(cfg: RunConfig, out_dir):
                       [("objective_initial", result.initial_objective),
                        ("objective_final", result.final_objective),
                        ("iterations", result.iterations),
-                       ("converged", result.converged)])
+                       ("evaluations", result.evaluations),
+                       ("converged", result.converged),
+                       ("stop_reason", result.stop_reason)])
         print(f"offline: ate_rmse pre={pre.ate_rmse:.6g} "
               f"post={post.ate_rmse:.6g}, objective "
               f"{result.initial_objective:.6g} -> {result.final_objective:.6g}")

@@ -31,8 +31,8 @@ class PoseEdge:
     def __post_init__(self):
         if self.src == self.dst:
             raise ValueError("edge endpoints must differ")
-        if self.conf_rot <= 0 or self.conf_trans <= 0:
-            raise ValueError("confidences must be positive")
+        if not (0 < self.conf_rot < math.inf and 0 < self.conf_trans < math.inf):
+            raise ValueError("confidences must be positive and finite")
         t = np.array(self.rel_translation, dtype=float)
         t.setflags(write=False)
         object.__setattr__(self, "rel_translation", t)
@@ -149,14 +149,10 @@ def fuse_candidates(candidates, k=None, log_weights=False):
     q_sum = (w_rot[:, None] * signs[:, None] * qs).sum(axis=0)
     if np.linalg.norm(q_sum) < 1e-9:
         # antipodal equal-weight degeneracy: fall back to the anchor rotation
-        fuse_candidates.degenerate_rotation_count += 1
         q = retained[anchor_idx].proposed.rotation
     else:
         q = UnitQuaternion(*q_sum)
     return Pose(q, t)
-
-
-fuse_candidates.degenerate_rotation_count = 0
 
 
 def rank_references(edges_into_j, k=None):
@@ -189,8 +185,9 @@ def parse_edge(line: str) -> PoseEdge:
     if len(parts) != 11:
         raise ValueError(f"expected 11 fields per edge line, got {len(parts)}")
     src, dst = int(parts[0]), int(parts[1])
-    qw, qx, qy, qz = (float(v) for v in parts[2:6])
-    tx, ty, tz = (float(v) for v in parts[6:9])
+    qw, qx, qy, qz, tx, ty, tz = (float(v) for v in parts[2:9])
+    if not all(map(math.isfinite, (qw, qx, qy, qz, tx, ty, tz))):
+        raise ValueError("non-finite rotation or translation in edge line")
     cr, ct = float(parts[9]), float(parts[10])
     return PoseEdge(src, dst, UnitQuaternion(qw, qx, qy, qz),
                     np.array([tx, ty, tz]), cr, ct)

@@ -4,15 +4,21 @@ Pose-only optimization over relative-pose edges: each edge contributes
 c_rot * Huber(rotation residual) + c_trans * Huber(translation residual),
 with the first pose held fixed.  Rotations are locally parameterized by
 axis-angle increments composed onto the initialization; the objective and
-its analytic gradient are evaluated vectorized over all edges, and the
-solve runs L-BFGS with a sufficient-decrease line search.
+its analytic gradient are evaluated vectorized over all edges.
+
+The solve is Levenberg-Marquardt on the dense normal equations, in the
+style of g2o (Kuemmerle et al., ICRA 2011): Huber enters as IRLS weights
+on the per-edge residuals, each iteration assembles J^T W J over the
+6(N-1) free parameters and solves the damped system with
+numpy.linalg.solve, and a step is accepted only if the exact objective
+does not increase.  With all-pair edges every block of J^T W J is
+nonzero, so the system is dense.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .geom import (Pose, UnitQuaternion, pose_relative, quat_geodesic_deg,
                    quat_multiply)
@@ -47,13 +53,31 @@ class RefinementProblem:
             raise ValueError(f"unknown rot_residual {self.rot_residual!r}")
 
 
+# Levenberg-Marquardt damping: each iteration solves
+# (H + lam * diag(max(diag H, _DIAG_FLOOR))) dx = -g.  The floor keeps the
+# system solvable when no edge constrains a parameter (an isolated node).
+_LAMBDA_INIT = 1e-3
+_LAMBDA_UP = 10.0      # after a rejected step
+_LAMBDA_DOWN = 0.1     # after an accepted step
+_LAMBDA_MIN = 1e-12
+_DIAG_FLOOR = 1e-9
+# Converged when an accepted step lowers the objective by at most _FTOL
+# relative (the ftol L-BFGS used), or when a step is rejected although the
+# model predicted a relative decrease of at most _ROUNDING: a decrease that
+# small is lost in the rounding error of the objective's sum over edges.
+_FTOL = 1e-15
+_ROUNDING = 1e-12
+
+
 @dataclass(frozen=True)
 class RefinementResult:
     poses: dict
     initial_objective: float
     final_objective: float
-    iterations: int
-    converged: bool
+    iterations: int        # accepted steps
+    converged: bool        # stop_reason is "grad_tol" or "ftol"
+    stop_reason: str       # "grad_tol" | "ftol" | "max_iters" | "trivial"
+    evaluations: int       # objective-and-gradient evaluations
 
 
 def huber(r, delta):
@@ -106,6 +130,16 @@ def _right_jacobian(w):
     return np.eye(3) - a[..., None, None] * K + b[..., None, None] * K2
 
 
+def _huber_weights(c, e, delta, direction):
+    """Per-edge 3x3 IRLS weights of a Huber-penalized 3-vector residual:
+    c * min(1, delta / e) * I.  Beyond the knee, where the loss is linear in
+    e, the weight keeps no curvature along the residual's unit direction."""
+    w = c * delta / np.maximum(e, delta)
+    radial = np.where(e > delta, w, 0.0)
+    return (w[:, None, None] * np.eye(3)
+            - radial[:, None, None] * direction[:, :, None] * direction[:, None, :])
+
+
 def _vee_trace(M):
     """d tr(M Exp(eps)) / d eps at eps = 0."""
     return np.stack([M[..., 1, 2] - M[..., 2, 1],
@@ -124,8 +158,8 @@ class _Workspace:
         self.free = np.array([k for k in range(len(self.ids)) if k != self.fixed_idx])
         self.R0 = np.array([problem.poses[i].rotation.to_matrix() for i in self.ids])
         self.t0 = np.array([problem.poses[i].translation for i in self.ids])
-        self.ei = np.array([index[e.src] for e in problem.edges])
-        self.ej = np.array([index[e.dst] for e in problem.edges])
+        self.ei = np.array([index[e.src] for e in problem.edges], dtype=int)
+        self.ej = np.array([index[e.dst] for e in problem.edges], dtype=int)
         self.Rhat = np.array([e.rel_rotation.to_matrix() for e in problem.edges])
         self.that = np.array([e.rel_translation for e in problem.edges])
         self.cR = np.array([e.conf_rot for e in problem.edges])
@@ -213,6 +247,86 @@ class _Workspace:
         grad = np.concatenate([grad_w, grad_t[self.free]], axis=1).ravel()
         return total, grad
 
+    def normal_matrix(self, x):
+        """Gauss-Newton matrix J^T W J at x over the free parameters, in the
+        order of x.
+
+        Residuals are the translation R_i^T (t_j - t_i) - that and the
+        rotation Log(Rhat^T R_i^T R_j), each weighted by _huber_weights
+        (for chordal rotation residuals, times d(e^2/2)/d(theta^2/2) =
+        2 sin(theta) / theta).  Jacobians are taken with respect to
+        world-frame increments R -> Exp(phi) R: the translation residual's
+        is R_i^T [[t_j - t_i]x, -I, 0, I] over (phi_i, t_i, phi_j, t_j) and
+        the rotation residual's is R_j^T [-I, I] over (phi_i, phi_j), its
+        inverse right Jacobian dropped (exact at zero residual).  Every
+        block is then a sum over edges of rotated 3x3 weights, and the
+        chain phi = Exp(w) Jr(w) dw to the parameters runs once per node.
+        """
+        prob = self.problem
+        n = len(self.ids)
+        w, t = self.unpack(x)
+        A = _exp_so3(w)
+        R = A @ self.R0
+        ei, ej = self.ei, self.ej
+        Ri, Rj = R[ei], R[ej]
+
+        d = t[ej] - t[ei]
+        r = np.einsum("nji,nj->ni", Ri, d) - self.that
+        eT = np.linalg.norm(r, axis=1)
+        r_world = np.einsum("nij,nj->ni", Ri, r)
+        WT = _huber_weights(self.cT, eT, prob.delta_trans,
+                            r_world / np.maximum(eT, prob.delta_trans)[:, None])
+
+        E = self.Rhat.transpose(0, 2, 1) @ (Ri.transpose(0, 2, 1) @ Rj)
+        tr = np.trace(E, axis1=1, axis2=2)
+        theta = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+        # rotation axis of E in the world frame, from vee(E - E^T) =
+        # 2 sin(theta) axis; 0 where it is undefined
+        axis = np.einsum("nij,nj->ni", Rj, _vee_trace(E.transpose(0, 2, 1)))
+        axis /= np.maximum(np.linalg.norm(axis, axis=1), 1e-300)[:, None]
+        if prob.rot_residual == "geodesic":
+            WR = _huber_weights(self.cR, theta, prob.delta_rot, axis)
+        else:
+            eR = np.sqrt(np.maximum(6.0 - 2.0 * tr, 0.0))
+            slope = 2.0 * np.sinc(theta / np.pi)     # 2 sin(theta) / theta
+            WR = _huber_weights(self.cR * slope, eR, prob.delta_rot, axis)
+
+        def blocks(index, M, count):
+            """Sums of the per-edge 3x3 blocks M by index, as (count, 3, 3)."""
+            idx = (index[:, None] * 9 + np.arange(9)).ravel()
+            return np.bincount(idx, M.ravel(),
+                               minlength=count * 9).reshape(count, 3, 3)
+
+        pair = ei * n + ej
+        k = np.arange(n)
+
+        def laplacian(W):
+            """Blocks of sum_e [-I, I]^T W_e [-I, I] on the (i, j) endpoints."""
+            S = blocks(pair, W, n * n).reshape(n, n, 3, 3)
+            S = S + S.transpose(1, 0, 3, 2)
+            out = -S
+            out[k, k] += S.sum(axis=1)
+            return out
+
+        skew_d = _skew(d)
+        X = -(skew_d @ WT)                    # [d]x^T W_T
+        H = np.empty((n, n, 6, 6))
+        H[:, :, :3, :3] = laplacian(WR)
+        H[k, k, :3, :3] += blocks(ei, X @ skew_d, n)
+        H[:, :, 3:, 3:] = laplacian(WT)
+        Xp = blocks(pair, X, n * n).reshape(n, n, 3, 3)
+        Xp[k, k] -= Xp.sum(axis=1)
+        H[:, :, :3, 3:] = Xp
+        H[:, :, 3:, :3] = Xp.transpose(1, 0, 3, 2)
+
+        T = np.zeros((n, 6, 6))
+        T[:, :3, :3] = A @ _right_jacobian(w)
+        T[:, 3:, 3:] = np.eye(3)
+        H = T.transpose(0, 2, 1)[:, None] @ H @ T[None, :]
+        free = self.free
+        m = len(free)
+        return H[np.ix_(free, free)].transpose(0, 2, 1, 3).reshape(6 * m, 6 * m)
+
     def to_poses(self, x):
         w, t = self.unpack(x)
         out = {}
@@ -243,29 +357,51 @@ def gradient(problem: RefinementProblem, x=None):
 
 
 def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> RefinementResult:
+    """Levenberg-Marquardt on the dense normal equations (module docstring).
+
+    Stops at "grad_tol" when the largest gradient component is below
+    grad_tol, at "ftol" when the objective stops decreasing (see _FTOL),
+    or at "max_iters" after max_iters accepted steps.  A problem without
+    edges has nothing to refine and stops at "trivial".
+    """
+    if not problem.edges:
+        return RefinementResult(dict(problem.poses), 0.0, 0.0, 0, False,
+                                "trivial", 0)
     ws = _Workspace(problem)
-    x0 = ws.initial_params()
-    f0, _ = ws.objective_and_gradient(x0)
-    if not problem.edges or len(ws.free) == 0:
-        return RefinementResult(dict(problem.poses), f0, f0, 0, True)
-
-    best = {"x": x0, "f": f0}
-
-    def fun(x):
-        f, g = ws.objective_and_gradient(x)
-        if f < best["f"]:
-            best["f"], best["x"] = f, x.copy()
-        return f, g
-
-    res = minimize(fun, x0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iters, "gtol": grad_tol,
-                            "ftol": 1e-15})
-    # the line search may end on a trial point; keep the best accepted one
-    x_final, f_final = best["x"], best["f"]
-    _, g_final = ws.objective_and_gradient(x_final)
-    converged = bool(np.max(np.abs(g_final)) < grad_tol or res.success)
-    return RefinementResult(ws.to_poses(x_final), f0, f_final,
-                            int(res.nit), converged)
+    x = ws.initial_params()
+    f0, g = ws.objective_and_gradient(x)
+    f, evaluations, iterations, lam = f0, 1, 0, _LAMBDA_INIT
+    stop = None
+    while True:
+        if np.max(np.abs(g)) < grad_tol:
+            stop = "grad_tol"
+            break
+        if iterations == max_iters:
+            stop = "max_iters"
+            break
+        H = ws.normal_matrix(x)
+        damping = np.maximum(np.diag(H), _DIAG_FLOOR)
+        while True:
+            dx = np.linalg.solve(H + np.diag(lam * damping), -g)
+            f_new, g_new = ws.objective_and_gradient(x + dx)
+            evaluations += 1
+            if f_new <= f:
+                break
+            predicted = -(g @ dx) - 0.5 * (dx @ H @ dx)
+            if predicted <= _ROUNDING * max(abs(f), 1.0):
+                stop = "ftol"
+                break
+            lam *= _LAMBDA_UP
+        if stop is not None:
+            break
+        f_old, x, f, g = f, x + dx, f_new, g_new
+        iterations += 1
+        lam = max(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
+        if f_old - f <= _FTOL * max(abs(f_old), abs(f), 1.0):
+            stop = "ftol"
+            break
+    return RefinementResult(ws.to_poses(x), f0, f, iterations,
+                            stop in ("grad_tol", "ftol"), stop, evaluations)
 
 
 # --- problem dump/load: node-pose block plus the edge text format ---

@@ -144,6 +144,10 @@ class TestOfflineCommand:
                      "--refine"]) == 0
         text = open(os.path.join(out, "report.txt")).read()
         assert "objective_initial" in text and "objective_final" in text
+        fields = dict(line.split() for line in text.splitlines())
+        assert fields["stop_reason"] in ("grad_tol", "ftol", "max_iters")
+        assert int(fields["evaluations"]) > int(fields["iterations"])
+        assert fields["converged"] == str(int(fields["stop_reason"] != "max_iters"))
 
     def test_k_flag(self, cfg_file, tmp_path):
         o1 = str(tmp_path / "k1")

@@ -29,6 +29,12 @@ class TestPoseEdge:
         with pytest.raises(ValueError):
             edge(1, 2, cr=0.0)
 
+    @pytest.mark.parametrize("cr, ct", [(math.nan, 1.0), (1.0, math.nan),
+                                        (math.inf, 1.0), (1.0, math.inf)])
+    def test_rejects_non_finite_confidence(self, cr, ct):
+        with pytest.raises(ValueError):
+            edge(1, 2, cr=cr, ct=ct)
+
 
 class TestEdgeStore:
     def test_one_edge_per_pair(self):
@@ -190,6 +196,14 @@ class TestEdgeTextFormat:
     def test_parse_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_edge("1 2 3")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", range(2, 11))
+    def test_parse_rejects_non_finite(self, field, value):
+        parts = format_edge(edge(1, 2, t=(0.5, 0, 0))).split()
+        parts[field] = value
+        with pytest.raises(ValueError):
+            parse_edge(" ".join(parts))
 
     def test_format_is_single_line(self):
         line = format_edge(edge(1, 2))

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from relpose.geom import (Pose, UnitQuaternion, pose_relative,
-                          quat_geodesic_deg)
-from relpose.posegraph import PoseEdge
-from relpose.refine import (RefinementProblem, dump_problem, edge_residuals,
-                            gradient, huber, load_problem, objective, solve)
+                          quat_geodesic_deg, quat_inverse, quat_multiply)
+from relpose.oracle import OracleConfig, generate_scene
+from relpose.posegraph import PoseEdge, format_edge
+from relpose.refine import (RefinementProblem, _Workspace, dump_problem,
+                            edge_residuals, gradient, huber, load_problem,
+                            objective, solve)
+from relpose.runner import all_pair_edges, offline_trajectory
 from conftest import random_pose, random_quat
 
 
@@ -38,9 +41,15 @@ def random_problem(rng, n=6, noise=0.05, **kwargs):
 
 
 def _mul(a, b):
-    from relpose.geom import quat_multiply
     q = quat_multiply(a, b)
     return (q.w, q.x, q.y, q.z)
+
+
+def oracle_problem(frames, seed=0):
+    """Fused full-context trajectory refined over all pair edges, as
+    `relpose offline --refine` sets it up."""
+    scene = generate_scene(OracleConfig(family="random-walk", frames=frames), seed)
+    return RefinementProblem(offline_trajectory(scene), all_pair_edges(scene))
 
 
 class TestHuber:
@@ -186,6 +195,91 @@ class TestSolve:
         assert result.final_objective < 1e-10
 
 
+class TestNormalMatrix:
+    @pytest.mark.parametrize("rot_residual", ["geodesic", "chordal"])
+    def test_is_the_hessian_at_zero_residual(self, rng, rot_residual):
+        # with every residual zero, J^T W J is the exact Hessian; evaluate it
+        # away from x = 0 so the chain through Exp(w) Jr(w) is exercised
+        truth = {i: random_pose(rng) for i in range(5)}
+        edges = perfect_edges(truth, chain_pairs(list(range(5))) + [(0, 3), (4, 1)],
+                              conf=2.0)
+        init = {i: Pose(quat_multiply(UnitQuaternion.from_rotvec(
+                            rng.normal(scale=0.3, size=3)), truth[i].rotation),
+                        truth[i].translation + rng.normal(size=3))
+                for i in range(5)}
+        init[0] = truth[0]
+        ws = _Workspace(RefinementProblem(init, edges, rot_residual=rot_residual))
+        x = np.concatenate([np.concatenate([
+            quat_multiply(truth[i].rotation,
+                          quat_inverse(init[i].rotation)).to_rotvec(),
+            truth[i].translation - init[i].translation]) for i in range(1, 5)])
+        assert ws.objective_and_gradient(x)[0] < 1e-20
+        H = ws.normal_matrix(x)
+        h = 1e-6
+        fd = np.empty_like(H)
+        for k in range(len(x)):
+            step = np.zeros_like(x)
+            step[k] = h
+            fd[:, k] = (ws.objective_and_gradient(x + step)[1]
+                        - ws.objective_and_gradient(x - step)[1]) / (2 * h)
+        assert np.abs(H - fd).max() < 1e-6 * np.abs(fd).max()
+
+    def test_translation_block_is_the_huber_hessian(self, rng):
+        # translation residuals are linear in the translations, so on those
+        # parameters J^T W J is the exact Hessian, inside the Huber knee and
+        # beyond it, where the weight keeps no curvature along the residual
+        prob = random_problem(rng, n=6, noise=0.08)
+        e_t = [edge_residuals(prob.poses[e.src], prob.poses[e.dst], e)[1]
+               for e in prob.edges]
+        assert min(e_t) < prob.delta_trans < max(e_t)
+        ws = _Workspace(prob)
+        x = ws.initial_params()
+        trans = np.array([6 * k + c for k in range(len(ws.free)) for c in (3, 4, 5)])
+        H = ws.normal_matrix(x)[np.ix_(trans, trans)]
+        h = 1e-6
+        fd = np.empty_like(H)
+        for col, k in enumerate(trans):
+            step = np.zeros_like(x)
+            step[k] = h
+            fd[:, col] = (ws.objective_and_gradient(x + step)[1][trans]
+                          - ws.objective_and_gradient(x - step)[1][trans]) / (2 * h)
+        assert np.abs(H - fd).max() < 1e-6 * np.abs(fd).max()
+
+
+class TestLevenbergMarquardt:
+    def test_oracle_all_pair_problem_converges(self):
+        result = solve(oracle_problem(30))
+        assert result.stop_reason != "max_iters"
+        assert result.converged
+        assert 1 <= result.iterations <= 30
+        assert result.evaluations >= result.iterations + 1
+
+    def test_iteration_limit_is_reported(self):
+        result = solve(oracle_problem(30), max_iters=1)
+        assert result.iterations == 1
+        assert result.stop_reason == "max_iters"
+        assert not result.converged
+        assert result.final_objective < result.initial_objective
+
+    def test_node_without_edges_is_left_unchanged(self, rng):
+        prob = random_problem(rng, n=5)
+        lonely = random_pose(rng)
+        poses = dict(prob.poses)
+        poses[9] = lonely
+        result = solve(RefinementProblem(poses, prob.edges))
+        assert result.converged
+        assert result.final_objective < result.initial_objective
+        assert result.poses[9].rotation == lonely.rotation
+        assert np.array_equal(result.poses[9].translation, lonely.translation)
+
+    def test_problem_without_edges_is_trivial(self, rng):
+        poses = {0: Pose.identity(), 1: random_pose(rng)}
+        result = solve(RefinementProblem(poses, []))
+        assert result.stop_reason == "trivial"
+        assert (result.iterations, result.evaluations) == (0, 0)
+        assert result.poses == poses
+
+
 class TestValidation:
     def test_edge_to_unknown_node(self, rng):
         poses = {0: Pose.identity(), 1: random_pose(rng)}
@@ -213,6 +307,17 @@ class TestProblemSerialization:
         assert loaded.rot_residual == "chordal"
         assert sorted(loaded.poses) == sorted(prob.poses)
         assert objective(loaded) == pytest.approx(objective(prob), rel=1e-12)
+
+    def test_load_rejects_non_finite_edge(self, rng, tmp_path):
+        prob = random_problem(rng, n=4)
+        path = tmp_path / "problem.txt"
+        dump_problem(prob, path)
+        line = format_edge(prob.edges[0])
+        parts = line.split()
+        parts[6] = "nan"
+        path.write_text(path.read_text().replace(line, " ".join(parts)))
+        with pytest.raises(ValueError):
+            load_problem(path)
 
     def test_byte_stable(self, rng, tmp_path):
         prob = random_problem(rng, n=4)
