@@ -5,6 +5,11 @@ Conventions, fixed repo-wide:
   - poses are camera-to-world: the rotation maps camera-frame vectors into
     the world frame and the translation is the camera center in the world.
 
+Scalar objects (UnitQuaternion, Pose) serve the per-edge paths; the
+batched section at the end works on (..., 4) wxyz arrays and (..., 3)
+vectors and is the one definition of the quaternion product, the
+exponential map, quaternion-to-matrix, skew and the SO(3) right Jacobian.
+
 Everything here is immutable after construction; no function mutates its
 arguments.
 """
@@ -28,8 +33,8 @@ class UnitQuaternion:
 
     def __post_init__(self):
         n = math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
-        if n < 1e-12:
-            raise ValueError("cannot normalize a near-zero quaternion")
+        if not 1e-12 <= n < math.inf:
+            raise ValueError("cannot normalize a near-zero or non-finite quaternion")
         object.__setattr__(self, "w", self.w / n)
         object.__setattr__(self, "x", self.x / n)
         object.__setattr__(self, "y", self.y / n)
@@ -45,20 +50,12 @@ class UnitQuaternion:
         n = np.linalg.norm(axis)
         if n < 1e-12:
             raise ValueError("axis must be nonzero")
-        axis = axis / n
-        half = 0.5 * angle_rad
-        s = math.sin(half)
-        return cls(math.cos(half), s * axis[0], s * axis[1], s * axis[2])
+        return cls.from_rotvec(axis * (angle_rad / n))
 
     @classmethod
     def from_rotvec(cls, rotvec):
         """Exponential map: rotation-vector (axis * angle) to quaternion."""
-        rotvec = np.asarray(rotvec, dtype=float)
-        angle = float(np.linalg.norm(rotvec))
-        if angle < 1e-12:
-            # first-order expansion keeps the map smooth through zero
-            return cls(1.0, 0.5 * rotvec[0], 0.5 * rotvec[1], 0.5 * rotvec[2])
-        return cls.from_axis_angle(rotvec, angle)
+        return cls(*quat_exp(rotvec).tolist())
 
     @classmethod
     def from_matrix(cls, R):
@@ -89,12 +86,7 @@ class UnitQuaternion:
         return UnitQuaternion(self.w, -self.x, -self.y, -self.z)
 
     def to_matrix(self):
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
+        return quat_to_matrix(self.as_array())
 
     def to_rotvec(self):
         """Log map: quaternion to rotation-vector (axis * angle)."""
@@ -108,6 +100,11 @@ class UnitQuaternion:
             axis = -axis
         return axis * angle
 
+
+# quat_multiply and quat_rotate keep scalar bodies, restating quat_product
+# and quat_to_matrix(q) @ v below: the stream calls them once per context
+# edge, where a scalar call takes about 3 us and the same operation as a
+# one-row array call, with its conversions, about 19 us.
 
 def quat_multiply(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     """Hamilton product a ⊗ b, renormalized."""
@@ -234,3 +231,70 @@ def umeyama_sim3(source, target, with_scale=True) -> Sim3Alignment:
         raise DegenerateInput("degenerate geometry produced non-positive scale")
     t = mu_d - scale * R @ mu_s
     return Sim3Alignment(scale, UnitQuaternion.from_matrix(R), t)
+
+
+# --- batched rotation algebra: (..., 4) wxyz arrays, (..., 3) vectors ---
+
+def quat_product(a, b):
+    """Hamilton product a ⊗ b of wxyz arrays (broadcast), not renormalized."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack([aw * bw - ax * bx - ay * by - az * bz,
+                     aw * bx + ax * bw + ay * bz - az * by,
+                     aw * by - ax * bz + ay * bw + az * bx,
+                     aw * bz + ax * by - ay * bx + az * bw], axis=-1)
+
+
+def quat_exp(v):
+    """Exponential map: rotation vectors (axis * angle) to unit quaternions.
+
+    Below 1e-12 rad the first-order expansion keeps it smooth through zero.
+    The angle is sqrt(v . v) taken as a matrix product, which rounds like
+    np.linalg.norm of one vector (np.linalg.norm along an axis does not
+    always), so a vector gives the same bits alone or inside a batch.
+    """
+    v = np.asarray(v, dtype=float)
+    angle = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+    half = 0.5 * angle
+    small = angle < 1e-12
+    s = np.where(small, 0.5, np.sin(half))
+    axis = v / np.where(small, 1.0, angle)[..., None]
+    return np.concatenate([np.cos(half)[..., None], s[..., None] * axis], axis=-1)
+
+
+def quat_to_matrix(q):
+    """Unit quaternions (..., 4) to rotation matrices (..., 3, 3)."""
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(np.shape(w) + (3, 3))
+
+
+def skew(v):
+    """Cross-product matrices [v]x of (..., 3) vectors."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def right_jacobian(w):
+    """Right Jacobian of SO(3): Exp(w + d) ~ Exp(w) Exp(Jr(w) d)."""
+    theta = np.linalg.norm(w, axis=-1)
+    K = skew(w)
+    K2 = K @ K
+    t2 = np.maximum(theta * theta, 1e-300)
+    t3 = np.maximum(theta * theta * theta, 1e-300)
+    a = np.where(theta < 1e-6, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / t2)
+    b = np.where(theta < 1e-6, 1.0 / 6.0 - t2 / 120.0, (theta - np.sin(theta)) / t3)
+    return np.eye(3) - a[..., None, None] * K + b[..., None, None] * K2

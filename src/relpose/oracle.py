@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .geom import Pose, UnitQuaternion, quat_multiply, quat_rotate
+from .geom import (Pose, UnitQuaternion, quat_exp, quat_multiply, quat_product,
+                   quat_rotate, quat_to_matrix)
 from .posegraph import PoseEdge
 from .stream import FrameToken
 from . import io as traj_io
@@ -108,24 +109,6 @@ def _laplace_from_uniform(u, scale):
     return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
 
 
-# --- batch quaternion helpers (arrays of wxyz rows) ---
-
-def _batch_quat_multiply(a, b):
-    w = a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1] - a[:, 2] * b[:, 2] - a[:, 3] * b[:, 3]
-    x = a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0] + a[:, 2] * b[:, 3] - a[:, 3] * b[:, 2]
-    y = a[:, 0] * b[:, 2] - a[:, 1] * b[:, 3] + a[:, 2] * b[:, 0] + a[:, 3] * b[:, 1]
-    z = a[:, 0] * b[:, 3] + a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1] + a[:, 3] * b[:, 0]
-    return np.stack([w, x, y, z], axis=1)
-
-
-def _batch_quat_from_rotvec(v):
-    angle = np.linalg.norm(v, axis=1)
-    half = 0.5 * angle
-    small = angle < 1e-12
-    k = np.where(small, 0.5, np.sin(half) / np.maximum(angle, 1e-300))
-    return np.concatenate([np.cos(half)[:, None], k[:, None] * v], axis=1)
-
-
 class SyntheticScene:
     """Ground-truth trajectory plus deterministic token and edge emitters."""
 
@@ -137,10 +120,9 @@ class SyntheticScene:
         self.poses = _generate_trajectory(config, rng)
         self.frame_ids = sorted(self.poses)
         # precomputed arrays for batch edge emission
-        n = len(self.frame_ids)
         self._quats = np.array([self.poses[i].rotation.as_array() for i in self.frame_ids])
         self._trans = np.array([self.poses[i].translation for i in self.frame_ids])
-        self._rots = np.array([self.poses[i].rotation.to_matrix() for i in self.frame_ids])
+        self._rots = quat_to_matrix(self._quats)
         self._index = {fid: k for k, fid in enumerate(self.frame_ids)}
         self._tokens = _generate_tokens(config, rng, self._trans, self._rots)
 
@@ -194,14 +176,14 @@ class SyntheticScene:
         b_t = np.maximum(cfg.base_trans_noise * growth, _EPS_SCALE)
 
         # true relative pose, expressed in the source frame
-        q_src = self._quats[si]
-        q_rel = _batch_quat_multiply(q_src * np.array([1.0, -1.0, -1.0, -1.0]), self._quats[[ji] * len(si)])
+        q_rel = quat_product(self._quats[si] * np.array([1.0, -1.0, -1.0, -1.0]),
+                             self._quats[ji])
         t_rel = np.einsum("nij,nj->ni", self._rots[si].transpose(0, 2, 1), d)
 
         rot_noise = _laplace_from_uniform(u[:, 0:3], b_r[:, None])
         trans_noise = _laplace_from_uniform(u[:, 3:6], b_t[:, None])
         if cfg.base_rot_noise > 0:
-            q_noisy = _batch_quat_multiply(q_rel, _batch_quat_from_rotvec(rot_noise))
+            q_noisy = quat_product(q_rel, quat_exp(rot_noise))
         else:
             q_noisy = q_rel
         t_noisy = t_rel + trans_noise if cfg.base_trans_noise > 0 else t_rel
@@ -272,10 +254,10 @@ def _generate_trajectory(cfg: OracleConfig, rng):
     else:  # random-walk
         q = UnitQuaternion.identity()
         pos = np.zeros(3)
+        turns = quat_exp(rng.normal(0.0, cfg.rot_step, (n, 3))).tolist()
         for k in range(n):
             poses[k + 1] = Pose(q, pos.copy())
-            dq = UnitQuaternion.from_rotvec(rng.normal(0.0, cfg.rot_step, 3))
-            q = quat_multiply(q, dq)
+            q = quat_multiply(q, UnitQuaternion(*turns[k]))
             pos = pos + quat_rotate(q, np.array([cfg.step, 0.0, 0.0]))
     return poses
 

@@ -54,38 +54,6 @@ class CandidatePose:
         return 0.5 * (self.conf_rot + self.conf_trans)
 
 
-class EdgeStore:
-    """At most one directed edge per ordered (src, dst) pair."""
-
-    def __init__(self, edges=()):
-        self._edges = {}
-        for e in edges:
-            self.insert(e)
-
-    def insert(self, edge: PoseEdge):
-        self._edges[(edge.src, edge.dst)] = edge
-
-    def get(self, src, dst):
-        return self._edges.get((src, dst))
-
-    def edges_into(self, dst, sources=None):
-        """All edges into dst, optionally restricted to a source set.
-
-        Sorted by src id so results are independent of insertion order.
-        """
-        if sources is None:
-            found = [e for (s, d), e in self._edges.items() if d == dst]
-        else:
-            found = [self._edges[(s, dst)] for s in sources if (s, dst) in self._edges]
-        return sorted(found, key=lambda e: e.src)
-
-    def __len__(self):
-        return len(self._edges)
-
-    def __iter__(self):
-        return iter(sorted(self._edges.values(), key=lambda e: (e.src, e.dst)))
-
-
 def compose_candidate(ref_pose: Pose, edge: PoseEdge) -> CandidatePose:
     """Propose an absolute pose for edge.dst from the reference's pose.
 
@@ -153,20 +121,6 @@ def fuse_candidates(candidates, k=None, log_weights=False):
     else:
         q = UnitQuaternion(*q_sum)
     return Pose(q, t)
-
-
-def rank_references(edges_into_j, k=None):
-    """Source ids of the top-k edges by averaged confidence.
-
-    Descending mean confidence; ties broken by ascending src id.
-    """
-    edges = list(edges_into_j)
-    if not edges:
-        raise ValueError("need at least one edge")
-    ranked = sorted(edges, key=lambda e: (-e.mean_conf, e.src))
-    if k is not None:
-        ranked = ranked[:k]
-    return [e.src for e in ranked]
 
 
 # --- line-oriented edge text format: src dst qw qx qy qz tx ty tz cR cT ---

@@ -4,7 +4,9 @@ Pose-only optimization over relative-pose edges: each edge contributes
 c_rot * Huber(rotation residual) + c_trans * Huber(translation residual),
 with the first pose held fixed.  Rotations are locally parameterized by
 axis-angle increments composed onto the initialization; the objective and
-its analytic gradient are evaluated vectorized over all edges.
+its analytic gradient are evaluated vectorized over all edges, with the
+exponential map, rotation matrices and right Jacobian from geom's batched
+section.
 
 The solve is Levenberg-Marquardt on the dense normal equations, in the
 style of g2o (Kuemmerle et al., ICRA 2011): Huber enters as IRLS weights
@@ -20,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (Pose, UnitQuaternion, pose_relative, quat_geodesic_deg,
-                   quat_multiply)
+from .geom import (Pose, UnitQuaternion, pose_relative, quat_exp,
+                   quat_geodesic_deg, quat_product, quat_to_matrix,
+                   right_jacobian, skew)
 from .posegraph import PoseEdge, parse_edge, format_edge
 
 
@@ -96,40 +99,6 @@ def edge_residuals(pose_i: Pose, pose_j: Pose, edge: PoseEdge):
     return e_r, e_t
 
 
-def _skew(v):
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
-
-
-def _exp_so3(w):
-    """Batch Rodrigues: (N,3) rotation vectors to (N,3,3) matrices."""
-    theta = np.linalg.norm(w, axis=-1)
-    K = _skew(w)
-    K2 = K @ K
-    t2 = np.maximum(theta * theta, 1e-300)
-    a = np.where(theta < 1e-8, 1.0 - t2 / 6.0, np.sin(theta) / np.sqrt(t2))
-    b = np.where(theta < 1e-8, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / t2)
-    return np.eye(3) + a[..., None, None] * K + b[..., None, None] * K2
-
-
-def _right_jacobian(w):
-    """Right Jacobian of SO(3): Exp(w + d) ~ Exp(w) Exp(Jr(w) d)."""
-    theta = np.linalg.norm(w, axis=-1)
-    K = _skew(w)
-    K2 = K @ K
-    t2 = np.maximum(theta * theta, 1e-300)
-    t3 = np.maximum(theta * theta * theta, 1e-300)
-    a = np.where(theta < 1e-6, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / t2)
-    b = np.where(theta < 1e-6, 1.0 / 6.0 - t2 / 120.0, (theta - np.sin(theta)) / t3)
-    return np.eye(3) - a[..., None, None] * K + b[..., None, None] * K2
-
-
 def _huber_weights(c, e, delta, direction):
     """Per-edge 3x3 IRLS weights of a Huber-penalized 3-vector residual:
     c * min(1, delta / e) * I.  Beyond the knee, where the loss is linear in
@@ -156,11 +125,12 @@ class _Workspace:
         index = {fid: k for k, fid in enumerate(self.ids)}
         self.fixed_idx = index[problem.fixed]
         self.free = np.array([k for k in range(len(self.ids)) if k != self.fixed_idx])
-        self.R0 = np.array([problem.poses[i].rotation.to_matrix() for i in self.ids])
+        self.q0 = np.array([problem.poses[i].rotation.as_array() for i in self.ids])
+        self.R0 = quat_to_matrix(self.q0)
         self.t0 = np.array([problem.poses[i].translation for i in self.ids])
         self.ei = np.array([index[e.src] for e in problem.edges], dtype=int)
         self.ej = np.array([index[e.dst] for e in problem.edges], dtype=int)
-        self.Rhat = np.array([e.rel_rotation.to_matrix() for e in problem.edges])
+        self.Rhat = quat_to_matrix([e.rel_rotation.as_array() for e in problem.edges])
         self.that = np.array([e.rel_translation for e in problem.edges])
         self.cR = np.array([e.conf_rot for e in problem.edges])
         self.cT = np.array([e.conf_trans for e in problem.edges])
@@ -180,7 +150,7 @@ class _Workspace:
     def objective_and_gradient(self, x):
         prob = self.problem
         w, t = self.unpack(x)
-        A = _exp_so3(w)
+        A = quat_to_matrix(quat_exp(w))
         R = A @ self.R0
         ei, ej = self.ei, self.ej
         Ri, Rj = R[ei], R[ej]
@@ -242,7 +212,7 @@ class _Workspace:
         np.add.at(grad_eps, ei, -g_tr[:, None] * _vee_trace(Mi))
 
         # chain local right-perturbation gradients through the parameters
-        Jr = _right_jacobian(w[self.free])
+        Jr = right_jacobian(w[self.free])
         grad_w = np.einsum("nji,nj->ni", Jr, grad_eps[self.free])
         grad = np.concatenate([grad_w, grad_t[self.free]], axis=1).ravel()
         return total, grad
@@ -265,7 +235,7 @@ class _Workspace:
         prob = self.problem
         n = len(self.ids)
         w, t = self.unpack(x)
-        A = _exp_so3(w)
+        A = quat_to_matrix(quat_exp(w))
         R = A @ self.R0
         ei, ej = self.ei, self.ej
         Ri, Rj = R[ei], R[ej]
@@ -308,7 +278,7 @@ class _Workspace:
             out[k, k] += S.sum(axis=1)
             return out
 
-        skew_d = _skew(d)
+        skew_d = skew(d)
         X = -(skew_d @ WT)                    # [d]x^T W_T
         H = np.empty((n, n, 6, 6))
         H[:, :, :3, :3] = laplacian(WR)
@@ -320,7 +290,7 @@ class _Workspace:
         H[:, :, 3:, :3] = Xp.transpose(1, 0, 3, 2)
 
         T = np.zeros((n, 6, 6))
-        T[:, :3, :3] = A @ _right_jacobian(w)
+        T[:, :3, :3] = A @ right_jacobian(w)
         T[:, 3:, 3:] = np.eye(3)
         H = T.transpose(0, 2, 1)[:, None] @ H @ T[None, :]
         free = self.free
@@ -329,14 +299,13 @@ class _Workspace:
 
     def to_poses(self, x):
         w, t = self.unpack(x)
+        q = quat_product(quat_exp(w), self.q0)
         out = {}
         for k, fid in enumerate(self.ids):
             if k == self.fixed_idx:
                 out[fid] = self.problem.poses[fid]  # gauge node, bitwise preserved
             else:
-                q = UnitQuaternion.from_rotvec(w[k])
-                q0 = self.problem.poses[fid].rotation
-                out[fid] = Pose(quat_multiply(q, q0), t[k])
+                out[fid] = Pose(UnitQuaternion(*q[k].tolist()), t[k])
         return out
 
 
@@ -449,9 +418,11 @@ def load_problem(path) -> RefinementProblem:
             if section == "nodes":
                 parts = line.split()
                 fid = int(parts[0])
-                qw, qx, qy, qz = (float(v) for v in parts[1:5])
-                t = np.array([float(v) for v in parts[5:8]])
-                poses[fid] = Pose(UnitQuaternion(qw, qx, qy, qz), t)
+                qw, qx, qy, qz, tx, ty, tz = (float(v) for v in parts[1:8])
+                if not all(map(math.isfinite, (qw, qx, qy, qz, tx, ty, tz))):
+                    raise ValueError("non-finite rotation or translation in node line")
+                poses[fid] = Pose(UnitQuaternion(qw, qx, qy, qz),
+                                  np.array([tx, ty, tz]))
             elif section == "edges":
                 edges.append(parse_edge(line))
     return RefinementProblem(poses, tuple(edges), delta_rot, delta_trans,

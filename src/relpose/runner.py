@@ -17,7 +17,7 @@ def _bridge_from_state(state, token_fn, length):
     return [(fid, state.trajectory[fid], token_fn(fid)) for fid in ids]
 
 
-def stream_scene(scene, config, k="config", forced_reset_at=None,
+def stream_scene(scene, config, forced_reset_at=None,
                  bridge_len=5, allow_reset=True):
     """Run one causal streaming pass over a synthetic scene.
 
@@ -31,7 +31,7 @@ def stream_scene(scene, config, k="config", forced_reset_at=None,
         token = scene.emit_token(fid)
         ctx = state.context_ids
         edges = scene.emit_edges(ctx, fid) if ctx else []
-        events.extend(process_frame(state, token, edges, k))
+        events.extend(process_frame(state, token, edges))
         want_reset = (state.reset_pending and allow_reset) or fid == forced_reset_at
         if want_reset:
             bridge = _bridge_from_state(state, scene.emit_token, bridge_len)

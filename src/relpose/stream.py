@@ -207,7 +207,6 @@ class StreamState:
         self.trajectory = {}            # frame id -> Pose, accepted frames only
         self.frames_since_admit = 0
         self.segment_index = 0
-        self.segment_scale = 1.0
         self.segment_accepted = 0
         self.reset_pending = False
         self._last_frame_id = None
@@ -217,15 +216,13 @@ class StreamState:
         return self.bank.ids()
 
 
-def process_frame(state: StreamState, token: FrameToken, edges, k="config"):
+def process_frame(state: StreamState, token: FrameToken, edges):
     """Advance the stream by one frame; returns the emitted events.
 
     Edges must cover exactly the active context.  Raises
     NonMonotoneFrameId / MissingContextEdges on malformed input.
     """
     cfg = state.config
-    if k == "config":
-        k = cfg.k
     frame_id = token.id
     if state._last_frame_id is not None and frame_id <= state._last_frame_id:
         raise NonMonotoneFrameId(
@@ -263,7 +260,7 @@ def process_frame(state: StreamState, token: FrameToken, edges, k="config"):
         return events
 
     candidates = [compose_candidate(state.trajectory[e.src], e) for e in edges]
-    pose = fuse_candidates(candidates, k=k, log_weights=cfg.log_weights)
+    pose = fuse_candidates(candidates, k=cfg.k, log_weights=cfg.log_weights)
     state.trajectory[frame_id] = pose
     events.append(StreamEvent("Accepted", frame_id, {"score": score}))
 

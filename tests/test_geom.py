@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial.transform import Rotation
+
 from relpose.geom import (DegenerateInput, Pose, Sim3Alignment, UnitQuaternion,
-                          pose_compose, pose_inverse, pose_relative,
-                          quat_geodesic_deg, quat_multiply, quat_rotate,
+                          pose_compose, pose_inverse, pose_relative, quat_exp,
+                          quat_geodesic_deg, quat_multiply, quat_product,
+                          quat_rotate, quat_to_matrix, right_jacobian, skew,
                           umeyama_sim3)
 from conftest import random_pose, random_quat
 
@@ -24,6 +27,13 @@ class TestUnitQuaternion:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             UnitQuaternion(0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("components", [
+        (math.nan, 0.0, 0.0, 0.0), (math.inf, 0.0, 0.0, 0.0),
+        (1.0, -math.inf, 0.0, 0.0), (1.0, 0.0, 0.0, math.nan)])
+    def test_non_finite_rejected(self, components):
+        with pytest.raises(ValueError):
+            UnitQuaternion(*components)
 
     @given(quats)
     def test_normalization_idempotent(self, q):
@@ -95,6 +105,60 @@ class TestQuatOps:
             v = rng.normal(size=3)
             assert np.allclose(quat_rotate(q, v), q.to_matrix() @ v, atol=1e-9)
             assert abs(np.linalg.norm(quat_rotate(q, v)) - np.linalg.norm(v)) < 1e-9
+
+
+def random_rotvecs(rng, n):
+    """Rotation vectors with angles below pi, a few below the 1e-12 branch."""
+    v = rng.normal(size=(n, 3))
+    v *= rng.uniform(0.0, np.pi - 1e-3, size=(n, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+    v[:5] *= 1e-13
+    return v
+
+
+class TestBatchedRotations:
+    def test_product_matches_scalar(self, rng):
+        a = [random_quat(rng) for _ in range(200)]
+        b = [random_quat(rng) for _ in range(200)]
+        out = quat_product([q.as_array() for q in a], [q.as_array() for q in b])
+        expect = [quat_multiply(p, q).as_array() for p, q in zip(a, b)]
+        # the scalar product renormalizes, which may move each component ~1 ulp
+        assert np.allclose(out, expect, rtol=0, atol=1e-15)
+        # one row broadcasts against many
+        assert np.array_equal(quat_product(a[0].as_array(), out[:3]),
+                              quat_product(np.tile(a[0].as_array(), (3, 1)), out[:3]))
+
+    def test_to_matrix_matches_scipy(self, rng):
+        q = np.array([random_quat(rng).as_array() for _ in range(200)])
+        expect = Rotation.from_quat(q[:, [1, 2, 3, 0]]).as_matrix()
+        assert np.allclose(quat_to_matrix(q), expect, rtol=0, atol=1e-14)
+        assert quat_to_matrix(q[0]).shape == (3, 3)
+
+    def test_exp_matches_scipy(self, rng):
+        v = random_rotvecs(rng, 200)
+        expect = Rotation.from_rotvec(v).as_quat()[:, [3, 0, 1, 2]]
+        assert np.allclose(quat_exp(v), expect, rtol=0, atol=1e-15)
+        assert np.array_equal(quat_exp(v[7]), quat_exp(v)[7])
+
+    def test_cross_product_matrix(self, rng):
+        a, b = rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
+        assert np.allclose((skew(a) @ b[:, :, None])[:, :, 0], np.cross(a, b),
+                           rtol=0, atol=1e-14)
+
+    def test_jacobian_matches_finite_differences(self, rng):
+        # Exp(w + d) ~ Exp(w) Exp(Jr(w) d): column k of Jr is the central
+        # difference of Log(Exp(w)^T Exp(w + h e_k)) in h
+        w = random_rotvecs(rng, 100)
+        w[5:10] *= 1e-7          # the series branch below 1e-6 rad
+        h = 1e-6
+        base_T = Rotation.from_rotvec(w).inv()
+        fd = np.empty((len(w), 3, 3))
+        for k in range(3):
+            step = np.zeros(3)
+            step[k] = h
+            plus = (base_T * Rotation.from_rotvec(w + step)).as_rotvec()
+            minus = (base_T * Rotation.from_rotvec(w - step)).as_rotvec()
+            fd[:, :, k] = (plus - minus) / (2 * h)
+        assert np.allclose(right_jacobian(w), fd, rtol=0, atol=1e-8)
 
 
 class TestGeodesic:

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from relpose.geom import Pose, UnitQuaternion, quat_geodesic_deg
-from relpose.posegraph import (CandidatePose, EdgeStore, EmptyCandidates,
-                               PoseEdge, compose_candidate, dump_edges,
-                               format_edge, fuse_candidates, load_edges,
-                               parse_edge, rank_references)
+from relpose.posegraph import (CandidatePose, EmptyCandidates, PoseEdge,
+                               compose_candidate, dump_edges, format_edge,
+                               fuse_candidates, load_edges, parse_edge)
 from conftest import random_pose, random_quat
 
 
@@ -34,23 +33,6 @@ class TestPoseEdge:
     def test_rejects_non_finite_confidence(self, cr, ct):
         with pytest.raises(ValueError):
             edge(1, 2, cr=cr, ct=ct)
-
-
-class TestEdgeStore:
-    def test_one_edge_per_pair(self):
-        store = EdgeStore([edge(1, 2, ct=1.0), edge(1, 2, ct=5.0)])
-        assert len(store) == 1
-        assert store.get(1, 2).conf_trans == 5.0
-
-    def test_query_order_independent(self):
-        e1, e2, e3 = edge(1, 3), edge(2, 3), edge(1, 2)
-        a = EdgeStore([e1, e2, e3]).edges_into(3)
-        b = EdgeStore([e3, e2, e1]).edges_into(3)
-        assert [x.src for x in a] == [x.src for x in b] == [1, 2]
-
-    def test_source_restriction(self):
-        store = EdgeStore([edge(1, 3), edge(2, 3)])
-        assert [e.src for e in store.edges_into(3, sources=[2])] == [2]
 
 
 class TestComposeCandidate:
@@ -143,27 +125,22 @@ class TestFusion:
         fused = fuse_candidates([far, near], k=1)
         assert np.allclose(fused.translation, 0)
 
+    def test_top_k_tie_break_by_reference_id(self):
+        # equal mean confidence: the lower reference id is retained,
+        # whatever the input order
+        low = candidate(Pose(UnitQuaternion.identity(), np.array([1.0, 0, 0])),
+                        2.0, 2.0, 3)
+        high = candidate(Pose(UnitQuaternion.identity(), np.array([2.0, 0, 0])),
+                         1.0, 3.0, 7)
+        for cands in ([low, high], [high, low]):
+            assert np.allclose(fuse_candidates(cands, k=1).translation, [1, 0, 0])
+
     def test_equal_conf_k_all_is_plain_mean(self, rng):
         poses = [random_pose(rng, scale=0.1) for _ in range(5)]
         cands = [candidate(p, 1.0, 1.0, i) for i, p in enumerate(poses)]
         fused = fuse_candidates(cands)
         mean_t = np.mean([p.translation for p in poses], axis=0)
         assert np.allclose(fused.translation, mean_t, atol=1e-12)
-
-
-class TestRankReferences:
-    def test_sorted_by_mean_confidence(self):
-        edges = [edge(10, 99, cr=3, ct=3), edge(11, 99, cr=1, ct=1),
-                 edge(12, 99, cr=2, ct=2)]
-        assert rank_references(edges, k=2) == [10, 12]
-
-    def test_tie_break_by_frame_id(self):
-        edges = [edge(7, 99), edge(3, 99), edge(5, 99)]
-        assert rank_references(edges) == [3, 5, 7]
-
-    def test_k_beyond_count(self):
-        edges = [edge(1, 9), edge(2, 9)]
-        assert rank_references(edges, k=10) == [1, 2]
 
 
 class TestEdgeTextFormat:

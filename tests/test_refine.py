@@ -319,6 +319,19 @@ class TestProblemSerialization:
         with pytest.raises(ValueError):
             load_problem(path)
 
+    @pytest.mark.parametrize("field, value", [(5, "nan"), (1, "inf")])
+    def test_load_rejects_non_finite_node(self, rng, tmp_path, field, value):
+        path = tmp_path / "problem.txt"
+        dump_problem(random_problem(rng, n=4), path)
+        lines = path.read_text().splitlines()
+        node = lines.index("nodes") + 2
+        parts = lines[node].split()
+        parts[field] = value
+        lines[node] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="node line"):
+            load_problem(path)
+
     def test_byte_stable(self, rng, tmp_path):
         prob = random_problem(rng, n=4)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
