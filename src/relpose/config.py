@@ -10,8 +10,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-import yaml
-
 from .oracle import OracleConfig
 from .stream import StreamConfig
 
@@ -87,6 +85,7 @@ def config_from_dict(data) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
+    import yaml  # only YAML files need it; importing it costs about 1 MB
     with open(path) as f:
         data = yaml.safe_load(f)
     if data is not None and not isinstance(data, dict):

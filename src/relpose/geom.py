@@ -5,10 +5,11 @@ Conventions, fixed repo-wide:
   - poses are camera-to-world: the rotation maps camera-frame vectors into
     the world frame and the translation is the camera center in the world.
 
-Scalar objects (UnitQuaternion, Pose) serve the per-edge paths; the
+Scalar objects (UnitQuaternion, Pose) serve the per-pose paths; the
 batched section at the end works on (..., 4) wxyz arrays and (..., 3)
-vectors and is the one definition of the quaternion product, the
-exponential map, quaternion-to-matrix, skew and the SO(3) right Jacobian.
+vectors and is the one definition of the quaternion product,
+normalization, vector rotation, the exponential map, quaternion-to-matrix,
+skew and the SO(3) right Jacobian.
 
 Everything here is immutable after construction; no function mutates its
 arguments.
@@ -24,7 +25,7 @@ class DegenerateInput(ValueError):
     """Raised when an alignment problem is under-determined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitQuaternion:
     w: float
     x: float
@@ -43,6 +44,17 @@ class UnitQuaternion:
     @staticmethod
     def identity():
         return UnitQuaternion(1.0, 0.0, 0.0, 0.0)
+
+    @classmethod
+    def from_unit(cls, w, x, y, z):
+        """Wrap components that are already normalized, such as a row of
+        a quat_normalize result, without dividing by their norm again:
+        a second normalization moves the last bit of about a third of
+        unit quaternions."""
+        q = object.__new__(cls)
+        for name, value in zip("wxyz", (w, x, y, z)):
+            object.__setattr__(q, name, value)
+        return q
 
     @classmethod
     def from_axis_angle(cls, axis, angle_rad):
@@ -102,9 +114,10 @@ class UnitQuaternion:
 
 
 # quat_multiply and quat_rotate keep scalar bodies, restating quat_product
-# and quat_to_matrix(q) @ v below: the stream calls them once per context
-# edge, where a scalar call takes about 3 us and the same operation as a
-# one-row array call, with its conversions, about 19 us.
+# and quat_apply below: they serve one pose at a time (trajectory
+# generation, pose algebra, metrics), where a scalar call takes about 3 us
+# and the same operation as a one-row array call, with its conversions,
+# about 19 us.
 
 def quat_multiply(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     """Hamilton product a ⊗ b, renormalized."""
@@ -148,7 +161,7 @@ def quat_geodesic_deg(a: UnitQuaternion, b: UnitQuaternion) -> float:
     return math.degrees(angle)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     rotation: UnitQuaternion
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -157,6 +170,8 @@ class Pose:
         t = np.array(self.translation, dtype=float)
         if t.shape != (3,):
             raise ValueError("translation must be a 3-vector")
+        if not all(map(math.isfinite, t.tolist())):
+            raise ValueError("translation must be finite")
         t.setflags(write=False)
         object.__setattr__(self, "translation", t)
 
@@ -245,6 +260,36 @@ def quat_product(a, b):
                      aw * bx + ax * bw + ay * bz - az * by,
                      aw * by - ax * bz + ay * bw + az * bx,
                      aw * bz + ax * by - ay * bx + az * bw], axis=-1)
+
+
+def quat_normalize(q):
+    """Unit quaternions from (..., 4) arrays, by the same expression as
+    UnitQuaternion's normalization, so a row normalizes to the same bits
+    in a batch as alone.  Raises ValueError on a near-zero or non-finite
+    row."""
+    q = np.asarray(q, dtype=float)
+    sq = q * q
+    n = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3])
+    # min/max propagate NaN, which fails both comparisons
+    if not (n.min(initial=1.0) >= 1e-12 and n.max(initial=1.0) < math.inf):
+        raise ValueError("cannot normalize a near-zero or non-finite quaternion")
+    return q / n[..., None]
+
+
+def quat_apply(q, v):
+    """Rotate (..., 3) vectors by (..., 4) unit quaternions (broadcast),
+    q v q*, by the same expression as quat_rotate."""
+    q = np.asarray(q, dtype=float)
+    v = np.asarray(v, dtype=float)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    # t = 2 (u x v), v' = v + w t + u x t
+    tx = 2.0 * (y * v2 - z * v1)
+    ty = 2.0 * (z * v0 - x * v2)
+    tz = 2.0 * (x * v1 - y * v0)
+    return np.stack([v0 + w * tx + (y * tz - z * ty),
+                     v1 + w * ty + (z * tx - x * tz),
+                     v2 + w * tz + (x * ty - y * tx)], axis=-1)
 
 
 def quat_exp(v):

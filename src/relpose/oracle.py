@@ -18,7 +18,7 @@ import numpy as np
 
 from .geom import (Pose, UnitQuaternion, quat_exp, quat_multiply, quat_product,
                    quat_rotate, quat_to_matrix)
-from .posegraph import PoseEdge
+from .posegraph import EdgeBatch, PoseEdge
 from .stream import FrameToken
 from . import io as traj_io
 
@@ -82,13 +82,14 @@ _M3 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix(z):
-    with np.errstate(over="ignore"):
-        z = (z + _M1).astype(np.uint64)
-        z ^= z >> np.uint64(30)
-        z = (z * _M2).astype(np.uint64)
-        z ^= z >> np.uint64(27)
-        z = (z * _M3).astype(np.uint64)
-        z ^= z >> np.uint64(31)
+    """splitmix64 finalizer; wraps around, so call it under
+    np.errstate(over="ignore")."""
+    z = z + _M1
+    z ^= z >> np.uint64(30)
+    z = z * _M2
+    z ^= z >> np.uint64(27)
+    z = z * _M3
+    z ^= z >> np.uint64(31)
     return z
 
 
@@ -153,16 +154,16 @@ class SyntheticScene:
             raise ValueError("edge endpoints must differ")
         return self.emit_edges([i], j)[0]
 
-    def emit_edges(self, sources, j) -> list:
-        """Noisy confidence-carrying edges src -> j for each src."""
+    def emit_edges(self, sources, j) -> EdgeBatch:
+        """Noisy confidence-carrying edges src -> j, one row per src in the
+        order given."""
         self._check(j)
         sources = list(sources)
-        for s in sources:
-            self._check(s)
-            if s == j:
-                raise ValueError("edge endpoints must differ")
+        try:
+            si = np.array([self._index[s] for s in sources], dtype=np.int64)
+        except KeyError as unknown:
+            raise UnknownFrame(unknown.args[0]) from None
         cfg = self.config
-        si = np.array([self._index[s] for s in sources])
         ji = self._index[j]
 
         gaps = np.abs(ji - si)
@@ -197,11 +198,7 @@ class SyntheticScene:
             conf_r = conf_r * np.exp(cfg.conf_jitter * g1)
             conf_t = conf_t * np.exp(cfg.conf_jitter * g2)
 
-        edges = []
-        for k, s in enumerate(sources):
-            edges.append(PoseEdge(s, j, UnitQuaternion(*q_noisy[k]),
-                                  t_noisy[k], float(conf_r[k]), float(conf_t[k])))
-        return edges
+        return EdgeBatch(sources, j, q_noisy, t_noisy, conf_r, conf_t)
 
     def emit_token(self, i) -> FrameToken:
         self._check(i)
@@ -349,20 +346,29 @@ class DistractorStream:
         tok = source.emit_token(entry.scene_frame)
         return FrameToken(stream_id, tok.features)
 
-    def edges(self, context_stream_ids, stream_id) -> list:
+    def edges(self, context_stream_ids, stream_id) -> EdgeBatch:
+        """Context edges into stream_id, one row per context id in the
+        order given, emitted with one emit_edges call per (scene,
+        destination frame)."""
         entry = self._by_id[stream_id]
-        edges = []
-        for src in context_stream_ids:
+        groups = {}      # (scene, dst frame) -> [(row, src frame)]
+        for row, src in enumerate(context_stream_ids):
             src_entry = self._by_id[src]
+            a, b = src_entry.scene_frame, entry.scene_frame
             if entry.kind == "clean" and src_entry.kind == "clean":
-                e = self.scene.emit_edge(src_entry.scene_frame, entry.scene_frame)
+                scene = self.scene
             else:
                 # cross-scene pair: geometry is unrelated to the clean
                 # trajectory and the oracle knows it is unreliable
-                a, b = src_entry.scene_frame, entry.scene_frame
+                scene = self._noisy_other
                 if a == b:
                     b = a % len(self.other.frame_ids) + 1
-                e = self._noisy_other.emit_edge(a, b)
-            edges.append(PoseEdge(src, stream_id, e.rel_rotation,
-                                  e.rel_translation, e.conf_rot, e.conf_trans))
-        return edges
+            groups.setdefault((scene, b), []).append((row, a))
+        if not groups:
+            return EdgeBatch.of([])
+        rows, parts = [], []
+        for (scene, b), members in groups.items():
+            rows += [row for row, _ in members]
+            parts.append(scene.emit_edges([a for _, a in members], b))
+        return EdgeBatch.concat(parts).take(np.argsort(rows)).relabel(
+            list(context_stream_ids), stream_id)

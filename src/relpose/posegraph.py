@@ -1,10 +1,13 @@
 """Directed relative-pose graph: edges, candidate composition, fusion.
 
 An edge (i -> j) carries a predicted relative rotation/translation and two
-positive confidences, one per component.  Every reference frame i with a
-known pose proposes one absolute candidate for frame j by composing its
-pose with the edge; candidates are fused with softmax confidence weights,
-top-K selected by averaged confidence.
+positive confidences, one per component.  Edges travel as an EdgeBatch, a
+struct of arrays with one row per edge; a PoseEdge is one row, for the
+callers that handle single edges.  Every reference frame i with a known
+pose proposes one absolute candidate for frame j by composing its pose
+with the edge (compose_candidate does a whole batch in one call);
+candidates are fused with softmax confidence weights, top-K selected by
+averaged confidence.
 """
 
 import math
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Pose, UnitQuaternion, quat_multiply, quat_rotate
+from .geom import Pose, UnitQuaternion, quat_apply, quat_normalize, quat_product
 
 
 class EmptyCandidates(ValueError):
@@ -34,12 +37,114 @@ class PoseEdge:
         if not (0 < self.conf_rot < math.inf and 0 < self.conf_trans < math.inf):
             raise ValueError("confidences must be positive and finite")
         t = np.array(self.rel_translation, dtype=float)
+        if not all(map(math.isfinite, t.ravel().tolist())):
+            raise ValueError("translation must be finite")
         t.setflags(write=False)
         object.__setattr__(self, "rel_translation", t)
+
+
+class EdgeBatch:
+    """Edges as a struct of arrays, one row per edge: src and dst ids (n,),
+    rotation (n, 4) unit wxyz quaternions, translation (n, 3) in src-frame
+    coordinates, conf_rot and conf_trans (n,).
+
+    The constructor is the boundary: it normalizes the rotations (as
+    UnitQuaternion does) and rejects self-loops and non-finite or
+    non-positive values.  Rows taken from edges or batches that were
+    checked already are not checked or normalized again.  The arrays are
+    read-only; len(), iteration and indexing work row-wise, a row being a
+    PoseEdge.
+    """
+
+    _COLUMNS = ("src", "dst", "rotation", "translation", "conf_rot", "conf_trans")
+
+    def __init__(self, src, dst, rotation, translation, conf_rot, conf_trans):
+        src, dst = _ids(src, dst)
+        rotation, translation, conf_rot, conf_trans = (
+            np.array(a, dtype=float) for a in (rotation, translation, conf_rot, conf_trans))
+        self._set(src, dst, rotation, translation, conf_rot, conf_trans)
+        if not np.isfinite(translation).all():
+            raise ValueError("translation must be finite")
+        conf = np.concatenate([conf_rot, conf_trans])
+        # min/max propagate NaN, which fails the comparisons
+        if not (conf.min(initial=1.0) > 0 and conf.max(initial=1.0) < math.inf):
+            raise ValueError("confidences must be positive and finite")
+        self.rotation = quat_normalize(rotation)
+        self.rotation.setflags(write=False)
+
+    def _set(self, *columns):
+        """Adopt six arrays as the columns, read-only from here on; only
+        their shapes and the endpoints are checked."""
+        n = len(columns[0])
+        for name, a, tail in zip(self._COLUMNS, columns,
+                                 ((), (), (4,), (3,), (), ())):
+            if a.shape != (n,) + tail:
+                raise ValueError(f"{name} must have shape {(n,) + tail}")
+            a.setflags(write=False)
+            setattr(self, name, a)
+        if (self.src == self.dst).any():
+            raise ValueError("edge endpoints must differ")
+
+    @classmethod
+    def _checked(cls, *columns):
+        """A batch of rows that were checked and normalized already."""
+        batch = cls.__new__(cls)
+        batch._set(*columns)
+        return batch
+
+    @classmethod
+    def of(cls, edges):
+        """The edges as one batch: a batch passes through, PoseEdges are
+        stacked row by row."""
+        if isinstance(edges, cls):
+            return edges
+        edges = list(edges)
+        return cls._checked(
+            *_ids([e.src for e in edges], [e.dst for e in edges]),
+            np.reshape([e.rel_rotation.as_array() for e in edges], (-1, 4)),
+            np.reshape([e.rel_translation for e in edges], (-1, 3)),
+            np.array([e.conf_rot for e in edges], dtype=float),
+            np.array([e.conf_trans for e in edges], dtype=float))
+
+    @classmethod
+    def concat(cls, batches):
+        """The rows of several batches, in order, as one batch."""
+        return cls._checked(*(np.concatenate([getattr(b, name) for b in batches])
+                              for name in cls._COLUMNS))
+
+    def take(self, rows):
+        """The batch of the given rows, in that order."""
+        return self._checked(*(getattr(self, name)[rows] for name in self._COLUMNS))
+
+    def relabel(self, src, dst):
+        """The same edges with new endpoint ids."""
+        return self._checked(*_ids(src, dst), self.rotation, self.translation,
+                             self.conf_rot, self.conf_trans)
 
     @property
     def mean_conf(self):
         return 0.5 * (self.conf_rot + self.conf_trans)
+
+    def __len__(self):
+        return len(self.src)
+
+    def __getitem__(self, k):
+        return PoseEdge(int(self.src[k]), int(self.dst[k]),
+                        UnitQuaternion.from_unit(*self.rotation[k].tolist()),
+                        self.translation[k], float(self.conf_rot[k]),
+                        float(self.conf_trans[k]))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
+def _ids(src, dst):
+    """src as an id array, dst as one of the same length (a single id is
+    repeated)."""
+    src = np.array(src, dtype=np.int64)
+    if np.ndim(dst) == 0:
+        return src, np.full(len(src), dst, dtype=np.int64)
+    return src, np.array(dst, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -49,20 +154,45 @@ class CandidatePose:
     conf_trans: float
     reference: int
 
-    @property
-    def mean_conf(self):
-        return 0.5 * (self.conf_rot + self.conf_trans)
+
+@dataclass(frozen=True)
+class CandidateBatch:
+    """Absolute pose candidates for one frame, one row per reference:
+    rotation (n, 4) unit wxyz, translation (n, 3), conf_rot, conf_trans
+    and reference ids (n,)."""
+    rotation: np.ndarray
+    translation: np.ndarray
+    conf_rot: np.ndarray
+    conf_trans: np.ndarray
+    reference: np.ndarray
+
+    @classmethod
+    def of(cls, candidates):
+        """A batch passes through; CandidatePoses are stacked row by row."""
+        if isinstance(candidates, cls):
+            return candidates
+        cs = list(candidates)
+        return cls(np.array([c.proposed.rotation.as_array() for c in cs]).reshape(-1, 4),
+                   np.array([c.proposed.translation for c in cs]).reshape(-1, 3),
+                   np.array([c.conf_rot for c in cs], dtype=float),
+                   np.array([c.conf_trans for c in cs], dtype=float),
+                   np.array([c.reference for c in cs], dtype=np.int64))
+
+    def __len__(self):
+        return len(self.reference)
 
 
-def compose_candidate(ref_pose: Pose, edge: PoseEdge) -> CandidatePose:
-    """Propose an absolute pose for edge.dst from the reference's pose.
+def compose_candidate(ref_rotation, ref_translation, edges: EdgeBatch) -> CandidateBatch:
+    """Propose an absolute pose for each edge's dst from its reference's
+    pose, given as row-aligned (n, 4) wxyz rotations and (n, 3)
+    translations of the edges' src frames.
 
-    q_dst = q_ref ⊗ q_rel, t_dst = t_ref + q_ref(t_rel); the edge's two
-    confidences ride along unchanged.
+    q_dst = q_ref ⊗ q_rel (renormalized), t_dst = t_ref + q_ref(t_rel);
+    the edges' confidences ride along unchanged.
     """
-    q = quat_multiply(ref_pose.rotation, edge.rel_rotation)
-    t = ref_pose.translation + quat_rotate(ref_pose.rotation, edge.rel_translation)
-    return CandidatePose(Pose(q, t), edge.conf_rot, edge.conf_trans, edge.src)
+    q = quat_normalize(quat_product(ref_rotation, edges.rotation))
+    t = ref_translation + quat_apply(ref_rotation, edges.translation)
+    return CandidateBatch(q, t, edges.conf_rot, edges.conf_trans, edges.src)
 
 
 def _softmax(values):
@@ -72,54 +202,43 @@ def _softmax(values):
     return e / e.sum()
 
 
-def _top_k(candidates, k):
-    """Retain the top-k candidates by averaged confidence.
-
-    k=None means ALL.  Deterministic tie-break: ascending reference id.
-    """
-    ranked = sorted(candidates, key=lambda c: (-c.mean_conf, c.reference))
-    if k is None or k >= len(ranked):
-        return ranked
-    return ranked[:k]
-
-
 def fuse_candidates(candidates, k=None, log_weights=False):
     """Confidence-weighted fusion of candidate poses into one pose.
 
-    Translation is the softmax(conf_trans)-weighted mean; rotation is the
-    renormalized softmax(conf_rot)-weighted quaternion sum, candidates
-    sign-aligned to the retained candidate with the highest rotation
-    confidence.  log_weights switches the softmax to log-confidences
-    (weights proportional to the raw confidences) for experimentation.
+    Takes the CandidateBatch of compose_candidate, or CandidatePoses,
+    which are stacked into one.  The top-k candidates by averaged
+    confidence are retained (k=None keeps all; ties break by ascending
+    reference id).  Translation is their softmax(conf_trans)-weighted
+    mean; rotation is the renormalized softmax(conf_rot)-weighted
+    quaternion sum, candidates sign-aligned to the retained candidate with
+    the highest rotation confidence.  log_weights switches the softmax to
+    log-confidences (weights proportional to the raw confidences) for
+    experimentation.
     """
-    candidates = list(candidates)
-    if not candidates:
+    c = CandidateBatch.of(candidates)
+    if not len(c):
         raise EmptyCandidates("no candidate poses to fuse")
-    retained = _top_k(candidates, k)
+    mean_conf = 0.5 * (c.conf_rot + c.conf_trans)
+    keep = np.lexsort((c.reference, -mean_conf))[:k]
+    c_rot, c_trans, refs = c.conf_rot[keep], c.conf_trans[keep], c.reference[keep]
+    qs = c.rotation[keep]
 
-    c_rot = np.array([c.conf_rot for c in retained])
-    c_trans = np.array([c.conf_trans for c in retained])
+    # sign-align to the retained candidate with highest conf_rot
+    anchor = qs[np.lexsort((refs, -c_rot))[0]]
     if log_weights:
         c_rot = np.log(c_rot)
         c_trans = np.log(c_trans)
     w_rot = _softmax(c_rot)
     w_trans = _softmax(c_trans)
 
-    ts = np.array([c.proposed.translation for c in retained])
-    t = w_trans @ ts
-
-    # sign-align to the retained candidate with highest conf_rot
-    anchor_idx = min(range(len(retained)),
-                     key=lambda i: (-retained[i].conf_rot, retained[i].reference))
-    anchor = retained[anchor_idx].proposed.rotation.as_array()
-    qs = np.array([c.proposed.rotation.as_array() for c in retained])
+    t = w_trans @ c.translation[keep]
     signs = np.where(qs @ anchor < 0.0, -1.0, 1.0)
     q_sum = (w_rot[:, None] * signs[:, None] * qs).sum(axis=0)
     if np.linalg.norm(q_sum) < 1e-9:
         # antipodal equal-weight degeneracy: fall back to the anchor rotation
-        q = retained[anchor_idx].proposed.rotation
+        q = UnitQuaternion.from_unit(*anchor.tolist())
     else:
-        q = UnitQuaternion(*q_sum)
+        q = UnitQuaternion(*q_sum.tolist())
     return Pose(q, t)
 
 

@@ -1,10 +1,14 @@
 """Experiment drivers tying the oracle to the streaming and offline
 aggregation machinery."""
 
+from dataclasses import replace
+
+import numpy as np
+
 from . import metrics
 from .geom import Pose
 from .oracle import DistractorStream, make_distractor_stream
-from .posegraph import CandidatePose, compose_candidate, fuse_candidates
+from .posegraph import compose_candidate, fuse_candidates
 from .refine import RefinementProblem, solve
 from .stream import StreamState, process_frame, segment_reset
 
@@ -46,14 +50,21 @@ def offline_trajectory(scene, k=None, log_weights=False, uniform=False):
     earlier frames.  uniform=True replaces the confidence weights with
     equal weights (ablation baseline)."""
     ids = scene.frame_ids
+    row = {fid: r for r, fid in enumerate(ids)}
+    rotations = np.zeros((len(ids), 4))
+    translations = np.zeros((len(ids), 3))
     traj = {ids[0]: Pose.identity()}
+    rotations[0, 0] = 1.0
     for pos, j in enumerate(ids[1:], start=1):
-        refs = ids[:pos]
-        edges = scene.emit_edges(refs, j)
-        cands = [compose_candidate(traj[e.src], e) for e in edges]
+        edges = scene.emit_edges(ids[:pos], j)
+        rows = [row[s] for s in edges.src.tolist()]
+        cands = compose_candidate(rotations[rows], translations[rows], edges)
         if uniform:
-            cands = [CandidatePose(c.proposed, 1.0, 1.0, c.reference) for c in cands]
-        traj[j] = fuse_candidates(cands, k=k, log_weights=log_weights)
+            ones = np.ones(len(cands))
+            cands = replace(cands, conf_rot=ones, conf_trans=ones)
+        pose = traj[j] = fuse_candidates(cands, k=k, log_weights=log_weights)
+        rotations[pos] = pose.rotation.as_array()
+        translations[pos] = pose.translation
     return traj
 
 

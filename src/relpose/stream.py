@@ -6,15 +6,20 @@ of context candidates, token-novelty admission with a force-admit staleness
 cap, utility culling when over capacity.  Sustained rejection or hitting
 the segment length cap triggers a segment reset, re-anchored through a
 short bridge of frames carrying absolute poses from the previous segment.
+
+A frame's context edges arrive as one EdgeBatch, and the bank keeps its
+keyframes as row arrays, so the gate, candidate composition, fusion and
+the confidence refresh each run as a few array operations per frame.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geom import Pose
-from .posegraph import PoseEdge, compose_candidate, fuse_candidates
+from .posegraph import EdgeBatch, compose_candidate, fuse_candidates
 
 
 class NonMonotoneFrameId(ValueError):
@@ -58,51 +63,66 @@ class FrameToken:
     def __post_init__(self):
         f = np.asarray(self.features, dtype=float)
         n = np.linalg.norm(f)
+        if not 1e-12 <= n < math.inf:
+            raise ValueError("token features must be finite and nonzero")
         if abs(n - 1.0) > 1e-9:
-            if n < 1e-12:
-                raise ValueError("token features must be nonzero")
             f = f / n
         f = np.array(f)
         f.setflags(write=False)
         object.__setattr__(self, "features", f)
 
 
-@dataclass
-class BankEntry:
-    frame_id: int
-    token: FrameToken
-    pose: Pose
-    best_conf: float  # strongest mean pair confidence seen against the bank
-
-
 class KeyframeBank:
-    """Bounded, ordered set of keyframes; the first frame is protected."""
+    """Bounded, ordered set of keyframes; the first frame is protected.
+
+    Keyframes are rows in admission order: token features (m, dim), pose
+    rotations (m, 4) wxyz and translations (m, 3), and best_conf (m,), the
+    strongest mean pair confidence seen against the bank.  Evicting a row
+    shifts the later rows up.
+    """
 
     def __init__(self, capacity):
         self.capacity = capacity
-        self.entries = []
         self.protected = None
+        self._ids = []
+        self._row = {}                  # frame id -> row
+        self.tokens = None
+        self.rotations = np.empty((0, 4))
+        self.translations = np.empty((0, 3))
+        self.best_conf = np.empty(0)
 
     def ids(self):
-        return [e.frame_id for e in self.entries]
+        return list(self._ids)
 
-    def add(self, entry: BankEntry, protected=False):
-        self.entries.append(entry)
+    def rows(self, frame_ids):
+        """Row of each frame id."""
+        return np.array([self._row[fid] for fid in frame_ids], dtype=np.int64)
+
+    def add(self, frame_id, token: FrameToken, pose: Pose, best_conf, protected=False):
+        f = token.features[None]
+        self.tokens = f if self.tokens is None else np.vstack([self.tokens, f])
+        self.rotations = np.vstack([self.rotations, pose.rotation.as_array()])
+        self.translations = np.vstack([self.translations, pose.translation])
+        self.best_conf = np.append(self.best_conf, best_conf)
+        self._row[frame_id] = len(self._ids)
+        self._ids.append(frame_id)
         if protected:
-            self.protected = entry.frame_id
+            self.protected = frame_id
 
-    def entry(self, frame_id):
-        for e in self.entries:
-            if e.frame_id == frame_id:
-                return e
-        return None
+    def evict(self, row) -> int:
+        """Drop one row; returns its frame id."""
+        frame_id = self._ids.pop(row)
+        self.tokens, self.rotations, self.translations, self.best_conf = (
+            np.delete(a, row, axis=0) for a in
+            (self.tokens, self.rotations, self.translations, self.best_conf))
+        self._row = {fid: r for r, fid in enumerate(self._ids)}
+        return frame_id
 
     def max_cosine(self, token: FrameToken) -> float:
-        mat = np.array([e.token.features for e in self.entries])
-        return float((mat @ token.features).max())
+        return float((self.tokens @ token.features).max())
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._ids)
 
 
 def admit_check(bank: KeyframeBank, token: FrameToken, tau: float,
@@ -120,28 +140,20 @@ def cull(bank: KeyframeBank) -> int:
     space, c the strongest pair confidence.  Frame 1 is never evicted;
     ties break by ascending frame id.
     """
-    mat = np.array([e.token.features for e in bank.entries])
-    sim = mat @ mat.T
+    sim = bank.tokens @ bank.tokens.T
     np.fill_diagonal(sim, -np.inf)
-    d = 1.0 - sim.max(axis=1)
-    best = None
-    for idx, e in enumerate(bank.entries):
-        if e.frame_id == bank.protected:
-            continue
-        u = d[idx] * e.best_conf
-        key = (u, e.frame_id)
-        if best is None or key < best[0]:
-            best = (key, idx)
-    evicted = bank.entries.pop(best[1])
-    return evicted.frame_id
+    u = ((1.0 - sim.max(axis=1)) * bank.best_conf).tolist()
+    _, _, row = min((u[r], fid, r) for r, fid in enumerate(bank.ids())
+                    if fid != bank.protected)
+    return bank.evict(row)
 
 
 def gate_score(edges_into_j) -> float:
     """Mean averaged-pair confidence of a frame against its context."""
-    edges = list(edges_into_j)
-    if not edges:
+    edges = EdgeBatch.of(edges_into_j)
+    if not len(edges):
         raise ValueError("need at least one edge")
-    return float(np.mean([e.mean_conf for e in edges]))
+    return float(np.mean(edges.mean_conf))
 
 
 class OutlierGate:
@@ -181,11 +193,25 @@ class OutlierGate:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StreamEvent:
+    """One stream event with a small details mapping, such as the gate
+    score.  A run returns about two events per frame, so the details are
+    kept as one flat tuple of sorted (key, value) pairs, a third of the
+    memory of a dict; `details` rebuilds the dict."""
     kind: str   # Accepted | AdmittedToBank | Evicted | Rejected | SegmentReset
     frame: int
-    details: dict = field(default_factory=dict)
+    items: tuple
+
+    def __init__(self, kind, frame, details=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "items", tuple(
+            x for pair in sorted((details or {}).items()) for x in pair))
+
+    @property
+    def details(self) -> dict:
+        return dict(zip(self.items[::2], self.items[1::2]))
 
     def to_json(self) -> str:
         return json.dumps({"kind": self.kind, "frame": self.frame,
@@ -219,8 +245,9 @@ class StreamState:
 def process_frame(state: StreamState, token: FrameToken, edges):
     """Advance the stream by one frame; returns the emitted events.
 
-    Edges must cover exactly the active context.  Raises
-    NonMonotoneFrameId / MissingContextEdges on malformed input.
+    edges (an EdgeBatch, or PoseEdges, which are stacked into one) must
+    cover exactly the active context.  Raises NonMonotoneFrameId /
+    MissingContextEdges on malformed input.
     """
     cfg = state.config
     frame_id = token.id
@@ -230,11 +257,12 @@ def process_frame(state: StreamState, token: FrameToken, edges):
     state._last_frame_id = frame_id
     events = []
 
-    if not state.bank.entries:
+    bank = state.bank
+    if not len(bank):
         # first frame of the stream (or segment with empty bank): origin
         pose = Pose.identity()
         state.trajectory[frame_id] = pose
-        state.bank.add(BankEntry(frame_id, token, pose, 0.0), protected=True)
+        bank.add(frame_id, token, pose, 0.0, protected=True)
         state.gate.seed_frame()
         state.frames_since_admit = 0
         state.segment_accepted = 1
@@ -242,11 +270,12 @@ def process_frame(state: StreamState, token: FrameToken, edges):
         events.append(StreamEvent("AdmittedToBank", frame_id))
         return events
 
-    edges = sorted(edges, key=lambda e: e.src)
-    context = state.context_ids
-    if [e.src for e in edges] != sorted(context) or any(e.dst != frame_id for e in edges):
+    edges = EdgeBatch.of(edges)
+    edges = edges.take(np.argsort(edges.src, kind="stable"))
+    context = sorted(bank.ids())
+    if not (np.array_equal(edges.src, context) and np.all(edges.dst == frame_id)):
         raise MissingContextEdges(
-            f"edges must cover exactly the active context {sorted(context)}")
+            f"edges must cover exactly the active context {context}")
 
     score = gate_score(edges)
     if not state.gate.check(score):
@@ -259,24 +288,22 @@ def process_frame(state: StreamState, token: FrameToken, edges):
                                       {"reason": "consecutive_rejections"}))
         return events
 
-    candidates = [compose_candidate(state.trajectory[e.src], e) for e in edges]
+    rows = bank.rows(edges.src.tolist())
+    candidates = compose_candidate(bank.rotations[rows], bank.translations[rows], edges)
     pose = fuse_candidates(candidates, k=cfg.k, log_weights=cfg.log_weights)
     state.trajectory[frame_id] = pose
     events.append(StreamEvent("Accepted", frame_id, {"score": score}))
 
     # lazily refresh stored pair confidences from this frame's edges
-    for e in edges:
-        entry = state.bank.entry(e.src)
-        if entry is not None and e.mean_conf > entry.best_conf:
-            entry.best_conf = e.mean_conf
+    mean_conf = edges.mean_conf
+    bank.best_conf[rows] = np.maximum(bank.best_conf[rows], mean_conf)
 
-    if admit_check(state.bank, token, cfg.tau, state.frames_since_admit, cfg.delta_max):
-        best_conf = max(e.mean_conf for e in edges)
-        state.bank.add(BankEntry(frame_id, token, pose, best_conf))
+    if admit_check(bank, token, cfg.tau, state.frames_since_admit, cfg.delta_max):
+        bank.add(frame_id, token, pose, float(mean_conf.max()))
         state.frames_since_admit = 0
         events.append(StreamEvent("AdmittedToBank", frame_id))
-        if len(state.bank) > cfg.m_max:
-            evicted = cull(state.bank)
+        if len(bank) > cfg.m_max:
+            evicted = cull(bank)
             events.append(StreamEvent("Evicted", frame_id, {"evicted": evicted}))
     else:
         state.frames_since_admit += 1
@@ -305,7 +332,7 @@ def segment_reset(state: StreamState, bridge):
     state.gate = OutlierGate(cfg.n_cal, cfg.tau_out, cfg.n_rej)
     for i, (frame_id, pose, token) in enumerate(bridge):
         state.trajectory[frame_id] = pose
-        state.bank.add(BankEntry(frame_id, token, pose, 0.0), protected=(i == 0))
+        state.bank.add(frame_id, token, pose, 0.0, protected=(i == 0))
     state.frames_since_admit = 0
     state.segment_index += 1
     state.segment_accepted = len(bridge)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from relpose.geom import (DegenerateInput, Pose, Sim3Alignment, UnitQuaternion,
-                          pose_compose, pose_inverse, pose_relative, quat_exp,
-                          quat_geodesic_deg, quat_multiply, quat_product,
-                          quat_rotate, quat_to_matrix, right_jacobian, skew,
-                          umeyama_sim3)
+                          pose_compose, pose_inverse, pose_relative, quat_apply,
+                          quat_exp, quat_geodesic_deg, quat_multiply,
+                          quat_normalize, quat_product, quat_rotate,
+                          quat_to_matrix, right_jacobian, skew, umeyama_sim3)
 from conftest import random_pose, random_quat
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -127,6 +127,28 @@ class TestBatchedRotations:
         assert np.array_equal(quat_product(a[0].as_array(), out[:3]),
                               quat_product(np.tile(a[0].as_array(), (3, 1)), out[:3]))
 
+    def test_normalize_matches_scalar_bitwise(self, rng):
+        raw = rng.normal(size=(500, 4)) * rng.uniform(0.1, 10, size=(500, 1))
+        expect = [UnitQuaternion(*row).as_array() for row in raw]
+        assert np.array_equal(quat_normalize(raw), expect)
+        assert np.array_equal(quat_normalize(raw[7]), expect[7])
+
+    @pytest.mark.parametrize("row", [(0.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0),
+                                     (1.0, math.inf, 0.0, 0.0)])
+    def test_normalize_rejects_degenerate_rows(self, row):
+        with pytest.raises(ValueError):
+            quat_normalize([(1.0, 0.0, 0.0, 0.0), row])
+
+    def test_apply_matches_scalar_bitwise(self, rng):
+        qs = [random_quat(rng) for _ in range(300)]
+        vs = rng.normal(size=(300, 3))
+        out = quat_apply([q.as_array() for q in qs], vs)
+        assert np.array_equal(out, [quat_rotate(q, v) for q, v in zip(qs, vs)])
+
+    def test_from_unit_keeps_the_bits(self, rng):
+        for row in quat_normalize(rng.normal(size=(200, 4))).tolist():
+            assert UnitQuaternion.from_unit(*row).as_array().tolist() == row
+
     def test_to_matrix_matches_scipy(self, rng):
         q = np.array([random_quat(rng).as_array() for _ in range(200)])
         expect = Rotation.from_quat(q[:, [1, 2, 3, 0]]).as_matrix()
@@ -222,6 +244,11 @@ class TestPose:
         p = random_pose(rng)
         with pytest.raises(ValueError):
             p.translation[0] = 99.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_translation_rejected(self, value):
+        with pytest.raises(ValueError):
+            Pose(UnitQuaternion.identity(), np.array([0.0, value, 0.0]))
 
 
 def _objective(alignment, src, dst):

@@ -284,8 +284,8 @@ class TestDistractorStream:
         clean = self.ids_of("clean")
         distract = self.ids_of("distractor")
         ctx = clean[:3]
-        lo = np.mean([e.mean_conf for e in self.stream.edges(ctx, distract[0])])
-        hi = np.mean([e.mean_conf for e in self.stream.edges(ctx, clean[5])])
+        lo = np.mean(self.stream.edges(ctx, distract[0]).mean_conf)
+        hi = np.mean(self.stream.edges(ctx, clean[5]).mean_conf)
         assert lo < 0.15 * hi
 
     def test_tokens_keyed_by_stream_id(self):

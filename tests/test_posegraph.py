@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from relpose.geom import Pose, UnitQuaternion, quat_geodesic_deg
-from relpose.posegraph import (CandidatePose, EmptyCandidates, PoseEdge,
-                               compose_candidate, dump_edges, format_edge,
-                               fuse_candidates, load_edges, parse_edge)
+from relpose.geom import (Pose, UnitQuaternion, quat_geodesic_deg, quat_multiply,
+                          quat_rotate)
+from relpose.oracle import OracleConfig, generate_scene
+from relpose.posegraph import (CandidatePose, EdgeBatch, EmptyCandidates,
+                               PoseEdge, compose_candidate, dump_edges,
+                               format_edge, fuse_candidates, load_edges,
+                               parse_edge)
 from conftest import random_pose, random_quat
 
 
@@ -17,6 +20,12 @@ def edge(src, dst, q=None, t=(0, 0, 0), cr=1.0, ct=1.0):
 
 def candidate(pose, cr=1.0, ct=1.0, ref=0):
     return CandidatePose(pose, cr, ct, ref)
+
+
+def compose_one(ref: Pose, e: PoseEdge):
+    """compose_candidate on a one-row batch."""
+    return compose_candidate(ref.rotation.as_array()[None], ref.translation[None],
+                             EdgeBatch.of([e]))
 
 
 class TestPoseEdge:
@@ -34,29 +43,156 @@ class TestPoseEdge:
         with pytest.raises(ValueError):
             edge(1, 2, cr=cr, ct=ct)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_translation(self, value):
+        with pytest.raises(ValueError):
+            edge(1, 2, t=(0.0, 0.0, value))
+
+
+def batch_columns(n=5, seed=0):
+    rng = np.random.default_rng(seed)
+    return (list(range(1, n + 1)), 0, rng.normal(size=(n, 4)),
+            rng.normal(size=(n, 3)), rng.uniform(0.1, 4, n), rng.uniform(0.1, 4, n))
+
+
+class TestEdgeBatch:
+    def test_normalizes_rotations_like_unit_quaternion(self):
+        src, dst, q, t, cr, ct = batch_columns()
+        batch = EdgeBatch(src, dst, q, t, cr, ct)
+        assert np.array_equal(batch.rotation, [UnitQuaternion(*row).as_array() for row in q])
+        assert batch.dst.tolist() == [0] * 5 and len(batch) == 5 and batch
+
+    def test_rows_are_pose_edges_without_a_second_normalization(self):
+        batch = EdgeBatch(*batch_columns(n=200))
+        rows = list(batch)
+        assert len(rows) == 200
+        for k, e in enumerate(rows):
+            assert isinstance(e, PoseEdge)
+            assert e.rel_rotation.as_array().tolist() == batch.rotation[k].tolist()
+            assert np.array_equal(e.rel_translation, batch.translation[k])
+            assert (e.src, e.dst, e.conf_rot, e.conf_trans) == (
+                batch.src[k], 0, batch.conf_rot[k], batch.conf_trans[k])
+        assert batch[-1].src == rows[-1].src == 200
+
+    def test_of_passes_a_batch_and_stacks_edges_bitwise(self):
+        batch = EdgeBatch(*batch_columns(n=50))
+        assert EdgeBatch.of(batch) is batch
+        stacked = EdgeBatch.of(list(batch))
+        for name in ("src", "dst", "rotation", "translation", "conf_rot", "conf_trans"):
+            assert np.array_equal(getattr(stacked, name), getattr(batch, name)), name
+        assert len(EdgeBatch.of([])) == 0 and not EdgeBatch.of([])
+
+    def test_arrays_read_only(self):
+        batch = EdgeBatch(*batch_columns())
+        with pytest.raises(ValueError):
+            batch.translation[0, 0] = 1.0
+
+    def test_take_and_relabel_keep_rows(self):
+        batch = EdgeBatch(*batch_columns())
+        moved = batch.take([3, 1]).relabel([30, 10], 90)
+        assert moved.src.tolist() == [30, 10] and moved.dst.tolist() == [90, 90]
+        assert np.array_equal(moved.rotation, batch.rotation[[3, 1]])
+        with pytest.raises(ValueError):
+            batch.relabel([1, 2, 3, 4, 5], 5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [2, 3, 4, 5])
+    def test_rejects_non_finite(self, column, value):
+        columns = list(batch_columns())
+        columns[column] = np.array(columns[column], dtype=float)
+        columns[column].flat[1] = value
+        with pytest.raises(ValueError):
+            EdgeBatch(*columns)
+
+    def test_rejects_self_loop_and_bad_shapes(self):
+        src, dst, q, t, cr, ct = batch_columns()
+        with pytest.raises(ValueError):
+            EdgeBatch(src, 3, q, t, cr, ct)
+        with pytest.raises(ValueError):
+            EdgeBatch(src, dst, q[:, :3], t, cr, ct)
+        with pytest.raises(ValueError):
+            EdgeBatch(src, dst, q, t, cr[:4], ct)
+        with pytest.raises(ValueError):
+            EdgeBatch(src, dst, q, t, -cr, ct)
+
 
 class TestComposeCandidate:
     def test_identity(self):
-        c = compose_candidate(Pose.identity(), edge(1, 2))
-        assert np.allclose(c.proposed.translation, 0)
+        c = compose_one(Pose.identity(), edge(1, 2))
+        assert np.allclose(c.translation, 0)
 
     def test_additive_translation(self):
         ref = Pose(UnitQuaternion.identity(), np.array([1.0, 0, 0]))
-        c = compose_candidate(ref, edge(1, 2, t=(0, 1, 0)))
-        assert np.allclose(c.proposed.translation, [1, 1, 0])
+        c = compose_one(ref, edge(1, 2, t=(0, 1, 0)))
+        assert np.allclose(c.translation, [[1, 1, 0]])
 
     def test_rotated_offset(self):
         ref = Pose(UnitQuaternion.from_axis_angle([0, 0, 1], math.pi / 2),
                    np.array([0.0, 0, 0]))
-        c = compose_candidate(ref, edge(1, 2, t=(1, 0, 0)))
+        c = compose_one(ref, edge(1, 2, t=(1, 0, 0)))
         # oracle: rotation matrix applied to the relative translation
         expect = ref.rotation.to_matrix() @ np.array([1.0, 0, 0])
-        assert np.allclose(c.proposed.translation, expect, atol=1e-12)
-        assert np.allclose(c.proposed.translation, [0, 1, 0], atol=1e-12)
+        assert np.allclose(c.translation[0], expect, atol=1e-12)
+        assert np.allclose(c.translation[0], [0, 1, 0], atol=1e-12)
 
     def test_confidences_ride_along(self):
-        c = compose_candidate(Pose.identity(), edge(1, 2, cr=3.0, ct=0.5))
-        assert (c.conf_rot, c.conf_trans) == (3.0, 0.5)
+        c = compose_one(Pose.identity(), edge(1, 2, cr=3.0, ct=0.5))
+        assert (c.conf_rot[0], c.conf_trans[0], c.reference[0]) == (3.0, 0.5, 1)
+
+
+def scalar_fuse(cands, k=None, log_weights=False):
+    """Fusion written out one candidate object at a time: the reference
+    the batched fusion must reproduce bit for bit."""
+    ranked = sorted(cands, key=lambda c: (-0.5 * (c.conf_rot + c.conf_trans), c.reference))
+    retained = ranked if k is None else ranked[:k]
+    c_rot = np.array([c.conf_rot for c in retained])
+    c_trans = np.array([c.conf_trans for c in retained])
+    if log_weights:
+        c_rot, c_trans = np.log(c_rot), np.log(c_trans)
+    w_rot = np.exp(c_rot - c_rot.max())
+    w_rot = w_rot / w_rot.sum()
+    w_trans = np.exp(c_trans - c_trans.max())
+    w_trans = w_trans / w_trans.sum()
+    t = w_trans @ np.array([c.proposed.translation for c in retained])
+    anchor = min(retained, key=lambda c: (-c.conf_rot, c.reference))
+    qs = np.array([c.proposed.rotation.as_array() for c in retained])
+    signs = np.where(qs @ anchor.proposed.rotation.as_array() < 0.0, -1.0, 1.0)
+    q_sum = (w_rot[:, None] * signs[:, None] * qs).sum(axis=0)
+    return Pose(UnitQuaternion(*q_sum), t)
+
+
+class TestBatchedPathMatchesScalar:
+    """compose_candidate + fuse_candidates on a batch against quat_multiply /
+    quat_rotate per edge, CandidatePose objects and the scalar fusion, on
+    oracle frames: equal to the last bit."""
+
+    @pytest.mark.parametrize("log_weights", [False, True])
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_oracle_frames_bitwise(self, k, log_weights):
+        scene = generate_scene(OracleConfig(frames=40), 7)
+        rng = np.random.default_rng(7)
+        poses = [random_pose(rng) for _ in scene.frame_ids]
+        for j in (2, 5, 17, 40):
+            refs = [int(i) for i in rng.permutation(j - 1) + 1]
+            edges = scene.emit_edges(refs, j)
+            batch = compose_candidate([poses[i - 1].rotation.as_array() for i in refs],
+                                      [poses[i - 1].translation for i in refs], edges)
+            scalar = []
+            for e in edges:
+                ref = poses[e.src - 1]
+                q = quat_multiply(ref.rotation, e.rel_rotation)
+                t = ref.translation + quat_rotate(ref.rotation, e.rel_translation)
+                scalar.append(CandidatePose(Pose(q, t), e.conf_rot, e.conf_trans, e.src))
+            assert np.array_equal(batch.rotation,
+                                  [c.proposed.rotation.as_array() for c in scalar])
+            assert np.array_equal(batch.translation,
+                                  [c.proposed.translation for c in scalar])
+            fused = [fuse_candidates(batch, k=k, log_weights=log_weights),
+                     fuse_candidates(scalar, k=k, log_weights=log_weights),
+                     scalar_fuse(scalar, k=k, log_weights=log_weights)]
+            for p in fused[1:]:
+                assert p.rotation.as_array().tolist() == fused[0].rotation.as_array().tolist()
+                assert p.translation.tolist() == fused[0].translation.tolist()
 
 
 class TestFusion:
@@ -134,6 +270,16 @@ class TestFusion:
                          1.0, 3.0, 7)
         for cands in ([low, high], [high, low]):
             assert np.allclose(fuse_candidates(cands, k=1).translation, [1, 0, 0])
+
+    def test_log_weights_weight_translations_by_raw_confidence(self, rng):
+        cands = [candidate(random_pose(rng), float(rng.uniform(0.1, 5)),
+                           float(rng.uniform(0.1, 5)), i) for i in range(6)]
+        fused = fuse_candidates(cands, log_weights=True)
+        c_t = np.array([c.conf_trans for c in cands])
+        ts = np.array([c.proposed.translation for c in cands])
+        assert np.allclose(fused.translation, c_t @ ts / c_t.sum(), rtol=0, atol=1e-12)
+        # raw-confidence softmax weights differ from proportional ones
+        assert not np.allclose(fuse_candidates(cands).translation, fused.translation)
 
     def test_equal_conf_k_all_is_plain_mean(self, rng):
         poses = [random_pose(rng, scale=0.1) for _ in range(5)]

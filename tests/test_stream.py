@@ -3,7 +3,7 @@ import pytest
 
 from relpose.geom import Pose, UnitQuaternion
 from relpose.posegraph import PoseEdge
-from relpose.stream import (BankEntry, BridgeTooLong, BridgeTooShort,
+from relpose.stream import (BridgeTooLong, BridgeTooShort,
                             FrameToken, KeyframeBank, MissingContextEdges,
                             NonMonotoneFrameId, NonPositiveDepth, OutlierGate,
                             StreamConfig, StreamEvent, StreamState,
@@ -52,6 +52,11 @@ class TestFrameToken:
         with pytest.raises(ValueError):
             FrameToken(1, np.zeros(4))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            FrameToken(1, np.array([1.0, value, 0.0, 0.0]))
+
     def test_features_read_only(self):
         t = basis_token(1, 0)
         with pytest.raises(ValueError):
@@ -61,19 +66,19 @@ class TestFrameToken:
 class TestAdmitCheck:
     def test_novel_token_admitted(self):
         bank = KeyframeBank(10)
-        bank.add(BankEntry(1, basis_token(1, 0), Pose.identity(), 1.0))
+        bank.add(1, basis_token(1, 0), Pose.identity(), 1.0)
         assert admit_check(bank, basis_token(2, 1), tau=0.98,
                            frames_since_admit=0, delta_max=20)
 
     def test_redundant_token_skipped(self):
         bank = KeyframeBank(10)
-        bank.add(BankEntry(1, basis_token(1, 0), Pose.identity(), 1.0))
+        bank.add(1, basis_token(1, 0), Pose.identity(), 1.0)
         assert not admit_check(bank, basis_token(2, 0), tau=0.98,
                                frames_since_admit=0, delta_max=20)
 
     def test_force_admit_when_stale(self):
         bank = KeyframeBank(10)
-        bank.add(BankEntry(1, basis_token(1, 0), Pose.identity(), 1.0))
+        bank.add(1, basis_token(1, 0), Pose.identity(), 1.0)
         assert admit_check(bank, basis_token(2, 0), tau=0.98,
                            frames_since_admit=20, delta_max=20)
 
@@ -82,30 +87,27 @@ class TestCull:
     def make_bank(self, confs, protected_first=True):
         bank = KeyframeBank(len(confs))
         for i, c in enumerate(confs):
-            bank.add(BankEntry(i + 1, token(i + 1, (0, 0.4 * i)),
-                               Pose.identity(), c),
+            bank.add(i + 1, token(i + 1, (0, 0.4 * i)), Pose.identity(), c,
                      protected=(protected_first and i == 0))
         return bank
 
     def test_evicts_lowest_utility(self):
         # all tokens orthogonal, so utility reduces to confidence
         bank = KeyframeBank(4)
-        bank.add(BankEntry(1, basis_token(1, 0), Pose.identity(), 1.0),
-                 protected=True)
-        bank.add(BankEntry(2, basis_token(2, 1), Pose.identity(), 1.0))
-        bank.add(BankEntry(3, basis_token(3, 2), Pose.identity(), 1.0))
-        bank.add(BankEntry(4, basis_token(4, 3), Pose.identity(), 0.01))
+        bank.add(1, basis_token(1, 0), Pose.identity(), 1.0, protected=True)
+        bank.add(2, basis_token(2, 1), Pose.identity(), 1.0)
+        bank.add(3, basis_token(3, 2), Pose.identity(), 1.0)
+        bank.add(4, basis_token(4, 3), Pose.identity(), 0.01)
         assert cull(bank) == 4
         assert bank.ids() == [1, 2, 3]
 
     def test_redundancy_drives_eviction(self):
         # equal confidences; entry 4 is nearly parallel to entry 3
         bank = KeyframeBank(4)
-        bank.add(BankEntry(1, basis_token(1, 0), Pose.identity(), 1.0),
-                 protected=True)
-        bank.add(BankEntry(2, basis_token(2, 1), Pose.identity(), 1.0))
-        bank.add(BankEntry(3, token(3, (2, 0.0)), Pose.identity(), 1.0))
-        bank.add(BankEntry(4, token(4, (2, 0.1)), Pose.identity(), 1.0))
+        bank.add(1, basis_token(1, 0), Pose.identity(), 1.0, protected=True)
+        bank.add(2, basis_token(2, 1), Pose.identity(), 1.0)
+        bank.add(3, token(3, (2, 0.0)), Pose.identity(), 1.0)
+        bank.add(4, token(4, (2, 0.1)), Pose.identity(), 1.0)
         assert cull(bank) == 3  # 3 and 4 tie on distinctiveness, lower id goes
 
     def test_never_evicts_protected(self):
@@ -114,11 +116,10 @@ class TestCull:
 
     def test_tie_breaks_to_lowest_id(self):
         bank = KeyframeBank(3)
-        bank.add(BankEntry(5, basis_token(5, 0), Pose.identity(), 1.0),
-                 protected=True)
+        bank.add(5, basis_token(5, 0), Pose.identity(), 1.0, protected=True)
         # identical tokens and confidences: 7 and 9 tie exactly
-        bank.add(BankEntry(7, basis_token(7, 1), Pose.identity(), 1.0))
-        bank.add(BankEntry(9, basis_token(9, 1), Pose.identity(), 1.0))
+        bank.add(7, basis_token(7, 1), Pose.identity(), 1.0)
+        bank.add(9, basis_token(9, 1), Pose.identity(), 1.0)
         assert cull(bank) == 7
 
 
@@ -209,6 +210,21 @@ class TestProcessFrame:
                                ctx_edges([1], 2))
         assert [e.kind for e in events] == ["Accepted"]
         assert state.context_ids == [1]
+
+    def test_best_confidence_refreshed_from_edges(self):
+        state = StreamState(StreamConfig())
+        process_frame(state, basis_token(1, 0), [])
+        # same token as frame 1, so not admitted; only the refresh acts
+        process_frame(state, basis_token(2, 0), ctx_edges([1], 2, conf=2.0))
+        process_frame(state, basis_token(3, 0), ctx_edges([1], 3, conf=1.0))
+        assert state.bank.ids() == [1] and state.bank.best_conf.tolist() == [2.0]
+        process_frame(state, basis_token(4, 1), ctx_edges([1], 4, conf=3.0))
+        assert state.bank.ids() == [1, 4]
+        assert state.bank.best_conf.tolist() == [3.0, 3.0]
+        # an admitted frame starts from its strongest edge
+        process_frame(state, basis_token(5, 2),
+                      ctx_edges([1], 5, conf=2.5) + ctx_edges([4], 5, conf=5.0))
+        assert state.bank.best_conf.tolist() == [3.0, 5.0, 5.0]
 
     def test_bank_respects_capacity(self):
         state = StreamState(StreamConfig(m_max=4))
@@ -350,6 +366,14 @@ class TestEventLog:
         write_event_log(events, path)
         loaded = read_event_log(path)
         assert loaded == events
+
+    def test_details_independent_of_key_order_and_read_only(self):
+        a = StreamEvent("Rejected", 2, {"threshold": 0.2, "score": 0.1})
+        assert a == StreamEvent("Rejected", 2, {"score": 0.1, "threshold": 0.2})
+        assert a.details == {"score": 0.1, "threshold": 0.2}
+        assert StreamEvent("AdmittedToBank", 3).details == {}
+        with pytest.raises(AttributeError):
+            a.frame = 5
 
     def test_byte_stable(self, tmp_path):
         events = [StreamEvent("Accepted", 1, {"b": 1.0, "a": 2.0})]
