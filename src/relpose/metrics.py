@@ -1,8 +1,8 @@
 """Trajectory and robustness metrics.
 
 ATE after Sim(3) (or SE(3)) alignment, RPE over fixed frame deltas,
-per-scene win rates, equal-mass confidence-vs-error binning, and the
-distractor filtering scores.
+equal-mass confidence-vs-error binning, and the distractor filtering
+scores.
 """
 
 from dataclasses import dataclass
@@ -21,10 +21,6 @@ class MismatchedIds(ValueError):
 
 
 class TooFewSamples(ValueError):
-    pass
-
-
-class MissingScene(ValueError):
     pass
 
 
@@ -126,29 +122,6 @@ def trajectory_report(estimated, reference, alignment="sim3", rpe_delta=1):
     return TrajectoryReport(ate_rmse, ate_norm, rpe_t, rpe_r,
                             rot_rmse_deg(estimated, reference),
                             len(set(estimated) & set(reference)))
-
-
-def win_rate(per_scene_metric):
-    """Fraction of scenes each method wins (strict minimum; ties split).
-
-    per_scene_metric maps method -> scene -> value; every method must
-    cover every scene.
-    """
-    methods = sorted(per_scene_metric)
-    if not methods:
-        return {}
-    scenes = sorted(per_scene_metric[methods[0]])
-    for m in methods:
-        if sorted(per_scene_metric[m]) != scenes:
-            raise MissingScene(f"method {m} does not cover every scene")
-    wins = {m: 0.0 for m in methods}
-    for s in scenes:
-        vals = {m: per_scene_metric[m][s] for m in methods}
-        best = min(vals.values())
-        winners = [m for m in methods if vals[m] == best]
-        for m in winners:
-            wins[m] += 1.0 / len(winners)
-    return {m: wins[m] / len(scenes) for m in methods}
 
 
 def confidence_bins(samples, n_bins=5, component="") -> ConfidenceBinSummary:

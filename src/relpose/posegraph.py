@@ -215,6 +215,8 @@ def fuse_candidates(candidates, k=None, log_weights=False):
     log-confidences (weights proportional to the raw confidences) for
     experimentation.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be None or at least 1, got {k}")
     c = CandidateBatch.of(candidates)
     if not len(c):
         raise EmptyCandidates("no candidate poses to fuse")

@@ -2,11 +2,13 @@
 
 Pose-only optimization over relative-pose edges: each edge contributes
 c_rot * Huber(rotation residual) + c_trans * Huber(translation residual),
-with the first pose held fixed.  Rotations are locally parameterized by
-axis-angle increments composed onto the initialization; the objective and
-its analytic gradient are evaluated vectorized over all edges, with the
-exponential map, rotation matrices and right Jacobian from geom's batched
-section.
+with the first pose held fixed.  The edges arrive as one EdgeBatch, the
+same struct of arrays that the stream and offline fusion pass along, and
+the workspace reads its columns directly.  Rotations are locally
+parameterized by axis-angle increments composed onto the initialization;
+the objective and its analytic gradient are evaluated vectorized over all
+edges, with the exponential map, rotation matrices and right Jacobian from
+geom's batched section.
 
 The solve is Levenberg-Marquardt on the dense normal equations, in the
 style of g2o (Kuemmerle et al., ICRA 2011): Huber enters as IRLS weights
@@ -25,7 +27,7 @@ import numpy as np
 from .geom import (Pose, UnitQuaternion, pose_relative, quat_exp,
                    quat_geodesic_deg, quat_product, quat_to_matrix,
                    right_jacobian, skew)
-from .posegraph import PoseEdge, parse_edge, format_edge
+from .posegraph import EdgeBatch, PoseEdge, parse_edge, format_edge
 
 
 class NonFiniteObjective(ValueError):
@@ -35,7 +37,7 @@ class NonFiniteObjective(ValueError):
 @dataclass(frozen=True)
 class RefinementProblem:
     poses: dict                    # frame id -> Pose, the initialization
-    edges: tuple
+    edges: EdgeBatch               # a PoseEdge sequence is stacked into one
     delta_rot: float = 0.05        # Huber knee for rotation residuals, rad
     delta_trans: float = 0.1       # Huber knee for translation residuals
     fixed: int | None = None       # gauge node; defaults to the lowest id
@@ -44,10 +46,14 @@ class RefinementProblem:
     def __post_init__(self):
         if self.delta_rot <= 0 or self.delta_trans <= 0:
             raise ValueError("Huber deltas must be positive")
-        object.__setattr__(self, "edges", tuple(self.edges))
-        for e in self.edges:
-            if e.src not in self.poses or e.dst not in self.poses:
-                raise ValueError(f"edge ({e.src},{e.dst}) references an unknown node")
+        edges = EdgeBatch.of(self.edges)
+        object.__setattr__(self, "edges", edges)
+        ids = np.fromiter(self.poses, dtype=np.int64, count=len(self.poses))
+        unknown = ~np.isin(np.stack([edges.src, edges.dst]), ids).all(axis=0)
+        if unknown.any():
+            k = int(np.argmax(unknown))
+            raise ValueError(f"edge ({edges.src[k]},{edges.dst[k]}) "
+                             "references an unknown node")
         if self.fixed is None:
             object.__setattr__(self, "fixed", min(self.poses))
         elif self.fixed not in self.poses:
@@ -122,18 +128,17 @@ class _Workspace:
     def __init__(self, problem: RefinementProblem):
         self.problem = problem
         self.ids = sorted(problem.poses)
-        index = {fid: k for k, fid in enumerate(self.ids)}
-        self.fixed_idx = index[problem.fixed]
-        self.free = np.array([k for k in range(len(self.ids)) if k != self.fixed_idx])
+        self.fixed_idx = self.ids.index(problem.fixed)
+        self.free = np.delete(np.arange(len(self.ids)), self.fixed_idx)
         self.q0 = np.array([problem.poses[i].rotation.as_array() for i in self.ids])
         self.R0 = quat_to_matrix(self.q0)
         self.t0 = np.array([problem.poses[i].translation for i in self.ids])
-        self.ei = np.array([index[e.src] for e in problem.edges], dtype=int)
-        self.ej = np.array([index[e.dst] for e in problem.edges], dtype=int)
-        self.Rhat = quat_to_matrix([e.rel_rotation.as_array() for e in problem.edges])
-        self.that = np.array([e.rel_translation for e in problem.edges])
-        self.cR = np.array([e.conf_rot for e in problem.edges])
-        self.cT = np.array([e.conf_trans for e in problem.edges])
+        edges = problem.edges
+        self.ei, self.ej = np.searchsorted(self.ids, np.stack([edges.src, edges.dst]))
+        self.Rhat = quat_to_matrix(edges.rotation)
+        self.that = edges.translation
+        self.cR = edges.conf_rot
+        self.cT = edges.conf_trans
 
     def initial_params(self):
         return np.zeros(6 * len(self.free))
@@ -309,22 +314,6 @@ class _Workspace:
         return out
 
 
-def objective(problem: RefinementProblem) -> float:
-    """Objective value at the problem's initialization."""
-    ws = _Workspace(problem)
-    value, _ = ws.objective_and_gradient(ws.initial_params())
-    return value
-
-
-def gradient(problem: RefinementProblem, x=None):
-    """Analytic gradient in the local parameterization (mainly for tests)."""
-    ws = _Workspace(problem)
-    if x is None:
-        x = ws.initial_params()
-    _, g = ws.objective_and_gradient(x)
-    return g
-
-
 def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> RefinementResult:
     """Levenberg-Marquardt on the dense normal equations (module docstring).
 
@@ -333,6 +322,8 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
     or at "max_iters" after max_iters accepted steps.  A problem without
     edges has nothing to refine and stops at "trivial".
     """
+    if max_iters < 0:
+        raise ValueError("max_iters must be non-negative")
     if not problem.edges:
         return RefinementResult(dict(problem.poses), 0.0, 0.0, 0, False,
                                 "trivial", 0)
@@ -417,13 +408,16 @@ def load_problem(path) -> RefinementProblem:
                 continue
             if section == "nodes":
                 parts = line.split()
+                if len(parts) != 8:
+                    raise ValueError("expected 8 fields per node line, "
+                                     f"got {len(parts)}")
                 fid = int(parts[0])
-                qw, qx, qy, qz, tx, ty, tz = (float(v) for v in parts[1:8])
+                qw, qx, qy, qz, tx, ty, tz = (float(v) for v in parts[1:])
                 if not all(map(math.isfinite, (qw, qx, qy, qz, tx, ty, tz))):
                     raise ValueError("non-finite rotation or translation in node line")
                 poses[fid] = Pose(UnitQuaternion(qw, qx, qy, qz),
                                   np.array([tx, ty, tz]))
             elif section == "edges":
                 edges.append(parse_edge(line))
-    return RefinementProblem(poses, tuple(edges), delta_rot, delta_trans,
+    return RefinementProblem(poses, edges, delta_rot, delta_trans,
                              fixed, rot_residual)

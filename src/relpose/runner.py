@@ -8,7 +8,7 @@ import numpy as np
 from . import metrics
 from .geom import Pose
 from .oracle import DistractorStream, make_distractor_stream
-from .posegraph import compose_candidate, fuse_candidates
+from .posegraph import EdgeBatch, compose_candidate, fuse_candidates
 from .refine import RefinementProblem, solve
 from .stream import StreamState, process_frame, segment_reset
 
@@ -69,22 +69,18 @@ def offline_trajectory(scene, k=None, log_weights=False, uniform=False):
 
 
 def all_pair_edges(scene):
-    """Every directed pair (i, j), i != j."""
-    edges = []
-    for j in scene.frame_ids:
-        sources = [i for i in scene.frame_ids if i != j]
-        edges.extend(scene.emit_edges(sources, j))
-    return edges
+    """Every directed pair (i, j), i != j, as one EdgeBatch grouped by
+    destination in frame order."""
+    ids = scene.frame_ids
+    return EdgeBatch.concat([scene.emit_edges([i for i in ids if i != j], j)
+                             for j in ids])
 
 
 def refine_trajectory(scene, initialization, delta_rot=0.05, delta_trans=0.1,
-                      max_iters=100, grad_tol=1e-8, edges=None):
+                      max_iters=100, grad_tol=1e-8):
     """Confidence-weighted pose-graph refinement of an aggregated
-    trajectory over the all-pair edge set (or a provided edge set)."""
-    if edges is None:
-        edges = all_pair_edges(scene)
-    edges = [e for e in edges if e.src in initialization and e.dst in initialization]
-    problem = RefinementProblem(initialization, tuple(edges),
+    trajectory, which must cover every frame, over the all-pair edge set."""
+    problem = RefinementProblem(initialization, all_pair_edges(scene),
                                 delta_rot, delta_trans)
     return solve(problem, max_iters=max_iters, grad_tol=grad_tol)
 

@@ -54,6 +54,10 @@ class StreamConfig:
     k: int | None = None         # fusion top-K; None = all references
     log_weights: bool = False    # softmax over log-confidences instead of raw
 
+    def __post_init__(self):
+        if self.k is not None and self.k < 1:
+            raise ValueError(f"k must be None or at least 1, got {self.k}")
+
 
 @dataclass(frozen=True)
 class FrameToken:
@@ -73,7 +77,8 @@ class FrameToken:
 
 
 class KeyframeBank:
-    """Bounded, ordered set of keyframes; the first frame is protected.
+    """Ordered set of keyframes, culled to StreamConfig.m_max by
+    process_frame; the first frame is protected.
 
     Keyframes are rows in admission order: token features (m, dim), pose
     rotations (m, 4) wxyz and translations (m, 3), and best_conf (m,), the
@@ -81,8 +86,7 @@ class KeyframeBank:
     shifts the later rows up.
     """
 
-    def __init__(self, capacity):
-        self.capacity = capacity
+    def __init__(self):
         self.protected = None
         self._ids = []
         self._row = {}                  # frame id -> row
@@ -228,7 +232,7 @@ class StreamState:
 
     def __init__(self, config: StreamConfig):
         self.config = config
-        self.bank = KeyframeBank(config.m_max)
+        self.bank = KeyframeBank()
         self.gate = OutlierGate(config.n_cal, config.tau_out, config.n_rej)
         self.trajectory = {}            # frame id -> Pose, accepted frames only
         self.frames_since_admit = 0
@@ -328,7 +332,7 @@ def segment_reset(state: StreamState, bridge):
     if len(bridge) > 10:
         raise BridgeTooLong(f"bridge has {len(bridge)} frames, need <= 10")
     cfg = state.config
-    state.bank = KeyframeBank(cfg.m_max)
+    state.bank = KeyframeBank()
     state.gate = OutlierGate(cfg.n_cal, cfg.tau_out, cfg.n_rej)
     for i, (frame_id, pose, token) in enumerate(bridge):
         state.trajectory[frame_id] = pose

@@ -226,3 +226,18 @@ class TestErrors:
         path.write_text("oracle:\n  family: spiral\n")
         assert main(["stream", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("k", ["0", "-1", "-2"])
+    def test_non_positive_k_flag(self, cfg_file, tmp_path, capsys, k):
+        out = tmp_path / "out"
+        assert main(["offline", "--config", cfg_file, "--out", str(out),
+                     "--k", k]) == 1
+        assert capsys.readouterr().err.startswith("error: k must be")
+        assert not out.exists()
+
+    def test_non_positive_k_in_config(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("stream:\n  k: 0\n")
+        assert main(["offline", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: k must be")

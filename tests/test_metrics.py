@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from relpose.geom import Pose, UnitQuaternion, pose_compose
-from relpose.metrics import (MismatchedIds, MissingScene, PlanMismatch,
-                             TooFewPoses, TooFewSamples, ate, confidence_bins,
-                             path_length, robustness_score, rot_rmse_deg, rpe,
-                             trajectory_report, win_rate)
+from relpose.metrics import (MismatchedIds, PlanMismatch, TooFewPoses,
+                             TooFewSamples, ate, confidence_bins, path_length,
+                             robustness_score, rot_rmse_deg, rpe,
+                             trajectory_report)
 from relpose.stream import StreamEvent
 from conftest import random_pose
 
@@ -117,30 +117,6 @@ class TestTrajectoryReport:
         rep = trajectory_report(est, traj, rpe_delta=2)
         assert rep.frames_evaluated == 8
         assert rep.ate_rmse >= 0 and rep.rpe_t >= 0 and rep.rot_rmse >= 0
-
-
-class TestWinRate:
-    def test_clear_winner(self):
-        metric = {"a": {"s1": 1.0, "s2": 1.0}, "b": {"s1": 2.0, "s2": 2.0}}
-        assert win_rate(metric) == {"a": 1.0, "b": 0.0}
-
-    def test_ties_split(self):
-        metric = {"a": {"s1": 1.0, "s2": 1.0}, "b": {"s1": 1.0, "s2": 2.0}}
-        rates = win_rate(metric)
-        assert rates["a"] == pytest.approx(0.75)
-        assert rates["b"] == pytest.approx(0.25)
-
-    def test_rates_sum_to_one(self, rng):
-        metric = {m: {f"s{i}": float(rng.uniform()) for i in range(7)}
-                  for m in ("a", "b", "c")}
-        assert sum(win_rate(metric).values()) == pytest.approx(1.0)
-
-    def test_missing_scene_raises(self):
-        with pytest.raises(MissingScene):
-            win_rate({"a": {"s1": 1.0}, "b": {}})
-
-    def test_empty(self):
-        assert win_rate({}) == {}
 
 
 class TestConfidenceBins:

@@ -200,6 +200,13 @@ class TestFusion:
         with pytest.raises(EmptyCandidates):
             fuse_candidates([])
 
+    @pytest.mark.parametrize("k", [0, -1, -2])
+    def test_non_positive_k_raises(self, rng, k):
+        # k=-2 used to drop the two lowest-confidence candidates silently
+        cands = [candidate(random_pose(rng), 1.0 + i, 1.0, i) for i in range(4)]
+        with pytest.raises(ValueError, match="k must be"):
+            fuse_candidates(cands, k=k)
+
     def test_single_candidate_identity(self, rng):
         p = random_pose(rng)
         fused = fuse_candidates([candidate(p, 2.0, 0.3)])

@@ -6,11 +6,11 @@ import pytest
 from relpose.geom import (Pose, UnitQuaternion, pose_relative,
                           quat_geodesic_deg, quat_inverse, quat_multiply)
 from relpose.oracle import OracleConfig, generate_scene
-from relpose.posegraph import PoseEdge, format_edge
+from relpose.posegraph import EdgeBatch, PoseEdge, format_edge
 from relpose.refine import (RefinementProblem, _Workspace, dump_problem,
-                            edge_residuals, gradient, huber, load_problem,
-                            objective, solve)
-from relpose.runner import all_pair_edges, offline_trajectory
+                            edge_residuals, huber, load_problem, solve)
+from relpose.runner import (all_pair_edges, offline_trajectory,
+                            refine_trajectory)
 from conftest import random_pose, random_quat
 
 
@@ -45,11 +45,25 @@ def _mul(a, b):
     return (q.w, q.x, q.y, q.z)
 
 
+def oracle_scene(frames, seed=0):
+    return generate_scene(OracleConfig(family="random-walk", frames=frames), seed)
+
+
 def oracle_problem(frames, seed=0):
     """Fused full-context trajectory refined over all pair edges, as
     `relpose offline --refine` sets it up."""
-    scene = generate_scene(OracleConfig(family="random-walk", frames=frames), seed)
+    scene = oracle_scene(frames, seed)
     return RefinementProblem(offline_trajectory(scene), all_pair_edges(scene))
+
+
+def evaluate(problem):
+    """Objective and gradient at the problem's initialization."""
+    ws = _Workspace(problem)
+    return ws.objective_and_gradient(ws.initial_params())
+
+
+def objective(problem):
+    return evaluate(problem)[0]
 
 
 class TestHuber:
@@ -122,7 +136,6 @@ class TestObjective:
 class TestGradient:
     @pytest.mark.parametrize("rot_residual", ["geodesic", "chordal"])
     def test_matches_finite_differences(self, rng, rot_residual):
-        from relpose.refine import _Workspace
         for _ in range(5):
             prob = random_problem(rng, n=5, rot_residual=rot_residual)
             ws = _Workspace(prob)
@@ -141,7 +154,7 @@ class TestGradient:
     def test_zero_at_perfect_init(self, rng):
         poses = {i: random_pose(rng) for i in range(4)}
         edges = perfect_edges(poses, chain_pairs(list(range(4))))
-        g = gradient(RefinementProblem(poses, edges))
+        _, g = evaluate(RefinementProblem(poses, edges))
         assert np.linalg.norm(g) < 1e-8
 
 
@@ -261,6 +274,10 @@ class TestLevenbergMarquardt:
         assert not result.converged
         assert result.final_objective < result.initial_objective
 
+    def test_negative_iteration_limit_rejected(self, rng):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve(random_problem(rng), max_iters=-1)
+
     def test_node_without_edges_is_left_unchanged(self, rng):
         prob = random_problem(rng, n=5)
         lonely = random_pose(rng)
@@ -286,6 +303,19 @@ class TestValidation:
         e = PoseEdge(0, 7, UnitQuaternion.identity(), np.zeros(3), 1.0, 1.0)
         with pytest.raises(ValueError):
             RefinementProblem(poses, [e])
+
+    @pytest.mark.parametrize("as_batch", [False, True])
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    def test_unknown_endpoint_named(self, rng, as_batch, end):
+        poses = {i: random_pose(rng) for i in range(4)}
+        pairs = chain_pairs(list(range(4)))
+        bad = (9, 2) if end == "src" else (2, 9)
+        pairs.insert(1, bad)
+        edges = perfect_edges({**poses, 9: random_pose(rng)}, pairs)
+        if as_batch:
+            edges = EdgeBatch.of(edges)
+        with pytest.raises(ValueError, match=r"edge \(%d,%d\) references" % bad):
+            RefinementProblem(poses, edges)
 
     def test_bad_delta(self, rng):
         poses = {0: Pose.identity(), 1: random_pose(rng)}
@@ -332,6 +362,19 @@ class TestProblemSerialization:
         with pytest.raises(ValueError, match="node line"):
             load_problem(path)
 
+    @pytest.mark.parametrize("edit", ["extra", "missing"])
+    def test_load_rejects_wrong_node_field_count(self, rng, tmp_path, edit):
+        path = tmp_path / "problem.txt"
+        dump_problem(random_problem(rng, n=4), path)
+        lines = path.read_text().splitlines()
+        node = lines.index("nodes") + 2
+        parts = lines[node].split()
+        parts = parts + ["junk", "7"] if edit == "extra" else parts[:-1]
+        lines[node] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="node line"):
+            load_problem(path)
+
     def test_byte_stable(self, rng, tmp_path):
         prob = random_problem(rng, n=4)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -339,3 +382,53 @@ class TestProblemSerialization:
         dump_problem(load_problem(p1), p2)
         dump_problem(load_problem(p2), p1)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestEdgeBatchInput:
+    def test_batch_and_edge_list_agree_bitwise(self):
+        scene = oracle_scene(12)
+        init = offline_trajectory(scene)
+        batch = all_pair_edges(scene)
+        from_batch = RefinementProblem(init, batch)
+        from_list = RefinementProblem(init, list(batch))
+        assert from_batch.edges is batch
+        assert isinstance(from_list.edges, EdgeBatch)
+        f_b, g_b = evaluate(from_batch)
+        f_l, g_l = evaluate(from_list)
+        assert f_b == f_l
+        assert np.array_equal(g_b, g_l)
+        a, b = solve(from_batch), solve(from_list)
+        assert (a.final_objective, a.iterations, a.evaluations, a.stop_reason) == (
+            b.final_objective, b.iterations, b.evaluations, b.stop_reason)
+        for fid in init:
+            assert a.poses[fid].rotation == b.poses[fid].rotation
+            assert np.array_equal(a.poses[fid].translation, b.poses[fid].translation)
+
+    def test_all_pair_edges_grouped_by_destination(self):
+        scene = oracle_scene(7)
+        ids = scene.frame_ids
+        n = len(ids)
+        edges = all_pair_edges(scene)
+        assert isinstance(edges, EdgeBatch)
+        assert len(edges) == n * (n - 1)
+        assert edges.dst.tolist() == [j for j in ids for _ in range(n - 1)]
+        assert edges.src.tolist() == [i for j in ids for i in ids if i != j]
+        j = ids[3]
+        emitted = scene.emit_edges([i for i in ids if i != j], j)
+        rows = slice(3 * (n - 1), 4 * (n - 1))
+        assert np.array_equal(edges.rotation[rows], emitted.rotation)
+        assert np.array_equal(edges.translation[rows], emitted.translation)
+        assert np.array_equal(edges.conf_rot[rows], emitted.conf_rot)
+        assert np.array_equal(edges.conf_trans[rows], emitted.conf_trans)
+
+    def test_refine_trajectory_builds_no_pose_edge(self, monkeypatch):
+        scene = oracle_scene(30)
+        init = offline_trajectory(scene)
+
+        def no_pose_edge(self):
+            raise AssertionError("refinement built a PoseEdge")
+
+        monkeypatch.setattr(PoseEdge, "__post_init__", no_pose_edge)
+        result = refine_trajectory(scene, init)
+        assert result.converged
+        assert result.final_objective < result.initial_objective

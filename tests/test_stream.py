@@ -43,6 +43,17 @@ def run_frames(state, n, start=1, conf=None, tok=None):
     return all_events
 
 
+class TestStreamConfig:
+    @pytest.mark.parametrize("k", [0, -1, -2])
+    def test_rejects_non_positive_k(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            StreamConfig(k=k)
+
+    @pytest.mark.parametrize("k", [None, 1, 5])
+    def test_accepts_all_or_positive_k(self, k):
+        assert StreamConfig(k=k).k == k
+
+
 class TestFrameToken:
     def test_normalizes(self):
         t = FrameToken(1, np.array([3.0, 4.0]))
@@ -65,19 +76,19 @@ class TestFrameToken:
 
 class TestAdmitCheck:
     def test_novel_token_admitted(self):
-        bank = KeyframeBank(10)
+        bank = KeyframeBank()
         bank.add(1, basis_token(1, 0), Pose.identity(), 1.0)
         assert admit_check(bank, basis_token(2, 1), tau=0.98,
                            frames_since_admit=0, delta_max=20)
 
     def test_redundant_token_skipped(self):
-        bank = KeyframeBank(10)
+        bank = KeyframeBank()
         bank.add(1, basis_token(1, 0), Pose.identity(), 1.0)
         assert not admit_check(bank, basis_token(2, 0), tau=0.98,
                                frames_since_admit=0, delta_max=20)
 
     def test_force_admit_when_stale(self):
-        bank = KeyframeBank(10)
+        bank = KeyframeBank()
         bank.add(1, basis_token(1, 0), Pose.identity(), 1.0)
         assert admit_check(bank, basis_token(2, 0), tau=0.98,
                            frames_since_admit=20, delta_max=20)
@@ -85,7 +96,7 @@ class TestAdmitCheck:
 
 class TestCull:
     def make_bank(self, confs, protected_first=True):
-        bank = KeyframeBank(len(confs))
+        bank = KeyframeBank()
         for i, c in enumerate(confs):
             bank.add(i + 1, token(i + 1, (0, 0.4 * i)), Pose.identity(), c,
                      protected=(protected_first and i == 0))
@@ -93,7 +104,7 @@ class TestCull:
 
     def test_evicts_lowest_utility(self):
         # all tokens orthogonal, so utility reduces to confidence
-        bank = KeyframeBank(4)
+        bank = KeyframeBank()
         bank.add(1, basis_token(1, 0), Pose.identity(), 1.0, protected=True)
         bank.add(2, basis_token(2, 1), Pose.identity(), 1.0)
         bank.add(3, basis_token(3, 2), Pose.identity(), 1.0)
@@ -103,7 +114,7 @@ class TestCull:
 
     def test_redundancy_drives_eviction(self):
         # equal confidences; entry 4 is nearly parallel to entry 3
-        bank = KeyframeBank(4)
+        bank = KeyframeBank()
         bank.add(1, basis_token(1, 0), Pose.identity(), 1.0, protected=True)
         bank.add(2, basis_token(2, 1), Pose.identity(), 1.0)
         bank.add(3, token(3, (2, 0.0)), Pose.identity(), 1.0)
@@ -115,7 +126,7 @@ class TestCull:
         assert cull(bank) != 1
 
     def test_tie_breaks_to_lowest_id(self):
-        bank = KeyframeBank(3)
+        bank = KeyframeBank()
         bank.add(5, basis_token(5, 0), Pose.identity(), 1.0, protected=True)
         # identical tokens and confidences: 7 and 9 tie exactly
         bank.add(7, basis_token(7, 1), Pose.identity(), 1.0)
