@@ -7,6 +7,7 @@ its dataclass.  Unknown keys are rejected on load.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -27,6 +28,17 @@ class RefineConfig:
     delta_trans: float = 0.1
     max_iters: int = 100
     grad_tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"refine.max_iters must be non-negative, got {self.max_iters}")
+        for name in ("delta_rot", "delta_trans"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"refine.{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        if not 0 <= self.grad_tol < math.inf:
+            raise ValueError("refine.grad_tol must be non-negative and finite, "
+                             f"got {self.grad_tol}")
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,22 @@ c_rot * Huber(rotation residual) + c_trans * Huber(translation residual),
 with the first pose held fixed.  The edges arrive as one EdgeBatch, the
 same struct of arrays that the stream and offline fusion pass along, and
 the workspace reads its columns directly.  Rotations are locally
-parameterized by axis-angle increments composed onto the initialization;
-the objective and its analytic gradient are evaluated vectorized over all
-edges, with the exponential map, rotation matrices and right Jacobian from
-geom's batched section.
+parameterized by axis-angle increments composed onto the initialization.
+One residual pass, vectorized over all edges with geom's batched
+exponential map, rotation matrices and right Jacobian, gives the
+objective.
 
 The solve is Levenberg-Marquardt on the dense normal equations, in the
 style of g2o (Kuemmerle et al., ICRA 2011): Huber enters as IRLS weights
-on the per-edge residuals, each iteration assembles J^T W J over the
-6(N-1) free parameters and solves the damped system with
-numpy.linalg.solve, and a step is accepted only if the exact objective
-does not increase.  With all-pair edges every block of J^T W J is
-nonzero, so the system is dense.
+on the per-edge residuals, and each accepted iterate is linearized once.
+That linearization reuses the residual pass's per-edge arrays for the
+exact gradient and for J^T W J over the 6(N-1) free parameters, both
+derived in world-frame increments R -> Exp(phi) R (Sola et al., "A micro
+Lie theory for state estimation in robotics", 2018) and chained to the
+parameters once per node.  The damped system is solved with
+numpy.linalg.solve, and a trial step costs one residual pass: it is
+accepted only if the objective does not increase.  With all-pair edges
+every block of J^T W J is nonzero, so the system is dense.
 """
 
 import math
@@ -27,7 +31,7 @@ import numpy as np
 from .geom import (Pose, UnitQuaternion, pose_relative, quat_exp,
                    quat_geodesic_deg, quat_product, quat_to_matrix,
                    right_jacobian, skew)
-from .posegraph import EdgeBatch, PoseEdge, parse_edge, format_edge
+from .posegraph import EdgeBatch, PoseEdge
 
 
 class NonFiniteObjective(ValueError):
@@ -86,7 +90,7 @@ class RefinementResult:
     iterations: int        # accepted steps
     converged: bool        # stop_reason is "grad_tol" or "ftol"
     stop_reason: str       # "grad_tol" | "ftol" | "max_iters" | "trivial"
-    evaluations: int       # objective-and-gradient evaluations
+    evaluations: int       # objective evaluations: x0 and every trial step
 
 
 def huber(r, delta):
@@ -122,6 +126,14 @@ def _vee_trace(M):
                      M[..., 0, 1] - M[..., 1, 0]], axis=-1)
 
 
+def _sums(index, V, count):
+    """Sums of the per-edge rows of V by index, as (count, *V.shape[1:])."""
+    size = V[0].size
+    idx = (index[:, None] * size + np.arange(size)).ravel()
+    return np.bincount(idx, V.ravel(), minlength=count * size).reshape(
+        (count,) + V.shape[1:])
+
+
 class _Workspace:
     """Flattened arrays of one refinement problem."""
 
@@ -130,12 +142,14 @@ class _Workspace:
         self.ids = sorted(problem.poses)
         self.fixed_idx = self.ids.index(problem.fixed)
         self.free = np.delete(np.arange(len(self.ids)), self.fixed_idx)
+        # positions of x's entries in the per-node (phi, t) layout
+        self.params = (6 * self.free[:, None] + np.arange(6)).ravel()
         self.q0 = np.array([problem.poses[i].rotation.as_array() for i in self.ids])
         self.R0 = quat_to_matrix(self.q0)
         self.t0 = np.array([problem.poses[i].translation for i in self.ids])
         edges = problem.edges
         self.ei, self.ej = np.searchsorted(self.ids, np.stack([edges.src, edges.dst]))
-        self.Rhat = quat_to_matrix(edges.rotation)
+        self.RhatT = quat_to_matrix(edges.rotation).transpose(0, 2, 1).copy()
         self.that = edges.translation
         self.cR = edges.conf_rot
         self.cT = edges.conf_trans
@@ -152,155 +166,126 @@ class _Workspace:
         t[self.free] = self.t0[self.free] + per[:, 3:]
         return w, t
 
-    def objective_and_gradient(self, x):
+    def _residuals(self, x):
+        """One pass over the edges at x: the objective and the per-edge
+        arrays the linearization reuses.  Matrix-vector products use einsum,
+        which measures faster than matmul on (n, 3) stacks."""
         prob = self.problem
         w, t = self.unpack(x)
         A = quat_to_matrix(quat_exp(w))
         R = A @ self.R0
-        ei, ej = self.ei, self.ej
-        Ri, Rj = R[ei], R[ej]
-
-        # translation residual r = R_i^T (t_j - t_i) - that
-        d = t[ej] - t[ei]
-        u = np.einsum("nji,nj->ni", Ri, d)
-        r = u - self.that
+        # np.take gathers rows about twice as fast as fancy indexing
+        Ri, Rj = np.take(R, self.ei, axis=0), np.take(R, self.ej, axis=0)
+        d = np.take(t, self.ej, axis=0) - np.take(t, self.ei, axis=0)
+        r = np.einsum("nji,nj->ni", Ri, d) - self.that   # R_i^T d - that
         eT = np.linalg.norm(r, axis=1)
-        loss_t = self.cT * huber(eT, prob.delta_trans)
-        wT = np.where(eT <= prob.delta_trans, 1.0,
-                      prob.delta_trans / np.maximum(eT, 1e-300))
-        g_r = (self.cT * wT)[:, None] * r           # dLoss/dr per edge
-
-        # rotation residual from E = Rhat^T R_i^T R_j
-        RiT_Rj = np.einsum("nji,njk->nik", Ri, Rj)
-        E = np.einsum("nji,njk->nik", self.Rhat, RiT_Rj)
+        E = self.RhatT @ (Ri.transpose(0, 2, 1) @ Rj)
         tr = np.trace(E, axis1=1, axis2=2)
         if prob.rot_residual == "geodesic":
-            cos_e = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
-            eR = np.arccos(cos_e)
-            sin_e = np.sqrt(np.maximum(1.0 - cos_e * cos_e, 1e-300))
-            # dLoss/dtr = cR * rho'(e) * (-1 / (2 sin e)); the small-angle
-            # branch uses the smooth e/sin(e) factor
-            small = eR <= prob.delta_rot
-            ratio = np.where(eR < 1e-6, 1.0 + eR * eR / 6.0, eR / sin_e)
-            g_tr = np.where(small, -0.5 * self.cR * ratio,
-                            -0.5 * self.cR * prob.delta_rot / sin_e)
-            loss_r = self.cR * huber(eR, prob.delta_rot)
+            eR = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
         else:  # chordal: ||R_rel - Rhat||_F = sqrt(6 - 2 tr E)
             eR = np.sqrt(np.maximum(6.0 - 2.0 * tr, 0.0))
-            safe = np.maximum(eR, 1e-12)
-            g_tr = np.where(eR <= prob.delta_rot, -self.cR,
-                            -self.cR * prob.delta_rot / safe)
-            loss_r = self.cR * huber(eR, prob.delta_rot)
-
-        total = float(loss_t.sum() + loss_r.sum())
+        total = float((self.cT * huber(eT, prob.delta_trans)).sum()
+                      + (self.cR * huber(eR, prob.delta_rot)).sum())
         if not np.isfinite(total):
             raise NonFiniteObjective("objective evaluated to a non-finite value")
+        return total, (w, A, Ri, Rj, d, r, eT, E, tr, eR)
 
-        grad_t = np.zeros_like(t)
-        grad_eps = np.zeros_like(w)
-        Ri_gr = np.einsum("nij,nj->ni", Ri, g_r)
-        np.add.at(grad_t, ej, Ri_gr)
-        np.add.at(grad_t, ei, -Ri_gr)
+    def objective(self, x):
+        return self._residuals(x)[0]
 
-        # translation residual's pull on node i's rotation
-        R0i = self.R0[ei]
-        R0u = np.einsum("nij,nj->ni", R0i, u)
-        R0g = np.einsum("nij,nj->ni", R0i, g_r)
-        np.add.at(grad_eps, ei, np.cross(R0g, R0u))
+    def objective_and_gradient(self, x, hessian=False):
+        """(f, g) at x, or (f, g, H) with H the Gauss-Newton matrix J^T W J,
+        all over the free parameters in the order of x.
 
-        # rotation residual's pull on both endpoint rotations
-        # Mj = R0_j Rhat^T R_i^T A_j
-        RhatT_RiT = np.einsum("nji,nkj->nik", self.Rhat, Ri)
-        Mj = self.R0[ej] @ RhatT_RiT @ A[ej]
-        np.add.at(grad_eps, ej, g_tr[:, None] * _vee_trace(Mj))
-        Mi = np.einsum("nji,njk->nik", A[ei], Rj) @ np.einsum("nji,nkj->nik", self.Rhat, self.R0[ei])
-        np.add.at(grad_eps, ei, -g_tr[:, None] * _vee_trace(Mi))
-
-        # chain local right-perturbation gradients through the parameters
-        Jr = right_jacobian(w[self.free])
-        grad_w = np.einsum("nji,nj->ni", Jr, grad_eps[self.free])
-        grad = np.concatenate([grad_w, grad_t[self.free]], axis=1).ravel()
-        return total, grad
-
-    def normal_matrix(self, x):
-        """Gauss-Newton matrix J^T W J at x over the free parameters, in the
-        order of x.
-
-        Residuals are the translation R_i^T (t_j - t_i) - that and the
-        rotation Log(Rhat^T R_i^T R_j), each weighted by _huber_weights
-        (for chordal rotation residuals, times d(e^2/2)/d(theta^2/2) =
-        2 sin(theta) / theta).  Jacobians are taken with respect to
-        world-frame increments R -> Exp(phi) R: the translation residual's
-        is R_i^T [[t_j - t_i]x, -I, 0, I] over (phi_i, t_i, phi_j, t_j) and
-        the rotation residual's is R_j^T [-I, I] over (phi_i, phi_j), its
-        inverse right Jacobian dropped (exact at zero residual).  Every
-        block is then a sum over edges of rotated 3x3 weights, and the
-        chain phi = Exp(w) Jr(w) dw to the parameters runs once per node.
+        Derivatives are taken with respect to world-frame increments
+        R -> Exp(phi) R.  The translation residual R_i^T (t_j - t_i) - that
+        has Jacobian R_i^T [[t_j - t_i]x, -I, 0, I] over (phi_i, t_i, phi_j,
+        t_j), and tr E moves by (R_j vee_trace(E)) . (phi_j - phi_i).  For H
+        the rotation residual Log(Rhat^T R_i^T R_j) has Jacobian
+        R_j^T [-I, I] over (phi_i, phi_j), its inverse right Jacobian
+        dropped (exact at zero residual), and each residual is weighted by
+        _huber_weights (for chordal residuals, times d(e^2/2)/d(theta^2/2)
+        = 2 sin(theta) / theta).  Every block of H is then a sum over edges
+        of rotated 3x3 weights.  g and H chain to the parameters once per
+        node, through phi = Q dw with Q = Exp(w) Jr(w).
         """
         prob = self.problem
         n = len(self.ids)
-        w, t = self.unpack(x)
-        A = quat_to_matrix(quat_exp(w))
-        R = A @ self.R0
         ei, ej = self.ei, self.ej
-        Ri, Rj = R[ei], R[ej]
+        f, (w, A, Ri, Rj, d, r, eT, E, tr, eR) = self._residuals(x)
 
-        d = t[ej] - t[ei]
-        r = np.einsum("nji,nj->ni", Ri, d) - self.that
-        eT = np.linalg.norm(r, axis=1)
         r_world = np.einsum("nij,nj->ni", Ri, r)
+        wT = self.cT * prob.delta_trans / np.maximum(eT, prob.delta_trans)
+        g_t = wT[:, None] * r_world                  # R_i dLoss/dr per edge
+        # the residual's rotation axis in the world frame, scaled by
+        # 2 sin(theta): R_j vee_trace(E)
+        axis = np.einsum("nij,nj->ni", Rj, _vee_trace(E))
+        del Ri, Rj, E, r
+        cos_e = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
+        if prob.rot_residual == "geodesic":
+            # dLoss/dtr = cR * rho'(e) * (-1 / (2 sin e)); the small-angle
+            # branch uses the smooth e/sin(e) factor
+            sin_e = np.sqrt(np.maximum(1.0 - cos_e * cos_e, 1e-300))
+            ratio = np.where(eR < 1e-6, 1.0 + eR * eR / 6.0, eR / sin_e)
+            g_tr = np.where(eR <= prob.delta_rot, -0.5 * self.cR * ratio,
+                            -0.5 * self.cR * prob.delta_rot / sin_e)
+        else:
+            g_tr = np.where(eR <= prob.delta_rot, -self.cR,
+                            -self.cR * prob.delta_rot / np.maximum(eR, 1e-12))
+        g_rot = g_tr[:, None] * axis
+        g = (_sums(ej, np.concatenate([g_rot, g_t], axis=1), n)
+             + _sums(ei, np.concatenate([np.cross(g_t, d) - g_rot, -g_t], axis=1), n))
+        del g_t, g_rot
+        Q = A @ right_jacobian(w)
+        g[:, :3] = np.einsum("nji,nj->ni", Q, g[:, :3])
+        g = g.ravel()[self.params]
+        if not hessian:
+            return f, g
+
         WT = _huber_weights(self.cT, eT, prob.delta_trans,
                             r_world / np.maximum(eT, prob.delta_trans)[:, None])
-
-        E = self.Rhat.transpose(0, 2, 1) @ (Ri.transpose(0, 2, 1) @ Rj)
-        tr = np.trace(E, axis1=1, axis2=2)
-        theta = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
-        # rotation axis of E in the world frame, from vee(E - E^T) =
-        # 2 sin(theta) axis; 0 where it is undefined
-        axis = np.einsum("nij,nj->ni", Rj, _vee_trace(E.transpose(0, 2, 1)))
+        del r_world
         axis /= np.maximum(np.linalg.norm(axis, axis=1), 1e-300)[:, None]
         if prob.rot_residual == "geodesic":
-            WR = _huber_weights(self.cR, theta, prob.delta_rot, axis)
+            WR = _huber_weights(self.cR, eR, prob.delta_rot, axis)
         else:
-            eR = np.sqrt(np.maximum(6.0 - 2.0 * tr, 0.0))
-            slope = 2.0 * np.sinc(theta / np.pi)     # 2 sin(theta) / theta
+            slope = 2.0 * np.sinc(np.arccos(cos_e) / np.pi)   # 2 sin(theta) / theta
             WR = _huber_weights(self.cR * slope, eR, prob.delta_rot, axis)
-
-        def blocks(index, M, count):
-            """Sums of the per-edge 3x3 blocks M by index, as (count, 3, 3)."""
-            idx = (index[:, None] * 9 + np.arange(9)).ravel()
-            return np.bincount(idx, M.ravel(),
-                               minlength=count * 9).reshape(count, 3, 3)
+        del axis
 
         pair = ei * n + ej
         k = np.arange(n)
 
         def laplacian(W):
             """Blocks of sum_e [-I, I]^T W_e [-I, I] on the (i, j) endpoints."""
-            S = blocks(pair, W, n * n).reshape(n, n, 3, 3)
+            S = _sums(pair, W, n * n).reshape(n, n, 3, 3)
             S = S + S.transpose(1, 0, 3, 2)
             out = -S
             out[k, k] += S.sum(axis=1)
-            return out
+            return out.transpose(0, 2, 1, 3)
 
+        # H[i, :, j, :] is the 6x6 block of nodes i and j over (phi, t)
+        H = np.empty((n, 6, n, 6))
+        H[:, :3, :, :3] = laplacian(WR)
+        H[:, 3:, :, 3:] = laplacian(WT)
         skew_d = skew(d)
         X = -(skew_d @ WT)                    # [d]x^T W_T
-        H = np.empty((n, n, 6, 6))
-        H[:, :, :3, :3] = laplacian(WR)
-        H[k, k, :3, :3] += blocks(ei, X @ skew_d, n)
-        H[:, :, 3:, 3:] = laplacian(WT)
-        Xp = blocks(pair, X, n * n).reshape(n, n, 3, 3)
+        del WR, WT
+        H[k, :3, k, :3] += _sums(ei, X @ skew_d, n)
+        Xp = _sums(pair, X, n * n).reshape(n, n, 3, 3)
+        del X, skew_d
         Xp[k, k] -= Xp.sum(axis=1)
-        H[:, :, :3, 3:] = Xp
-        H[:, :, 3:, :3] = Xp.transpose(1, 0, 3, 2)
+        H[:, :3, :, 3:] = Xp.transpose(0, 2, 1, 3)
+        H[:, 3:, :, :3] = Xp.transpose(1, 3, 0, 2)
+        del Xp
 
-        T = np.zeros((n, 6, 6))
-        T[:, :3, :3] = A @ right_jacobian(w)
-        T[:, 3:, 3:] = np.eye(3)
-        H = T.transpose(0, 2, 1)[:, None] @ H @ T[None, :]
-        free = self.free
-        m = len(free)
-        return H[np.ix_(free, free)].transpose(0, 2, 1, 3).reshape(6 * m, 6 * m)
+        # D^T H D with D = diag(Q_k, I): rotate the rotation rows, then columns
+        rows = H.reshape(n, 6, 6 * n)
+        rows[:, :3] = Q.transpose(0, 2, 1) @ rows[:, :3]
+        cols = H.reshape(6 * n, n, 6)
+        cols[:, :, :3] = (cols[:, :, :3].transpose(1, 0, 2) @ Q).transpose(1, 0, 2)
+        return f, g, H.reshape(6 * n, 6 * n)[np.ix_(self.params, self.params)]
 
     def to_poses(self, x):
         w, t = self.unpack(x)
@@ -320,7 +305,10 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
     Stops at "grad_tol" when the largest gradient component is below
     grad_tol, at "ftol" when the objective stops decreasing (see _FTOL),
     or at "max_iters" after max_iters accepted steps.  A problem without
-    edges has nothing to refine and stops at "trivial".
+    edges has nothing to refine and stops at "trivial".  The initialization
+    and every accepted iterate that does not stop at "ftol" are linearized
+    once; the result's evaluations counts objective evaluations, the one at
+    the initialization and one per trial step.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
@@ -329,7 +317,7 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
                                 "trivial", 0)
     ws = _Workspace(problem)
     x = ws.initial_params()
-    f0, g = ws.objective_and_gradient(x)
+    f0, g, H = ws.objective_and_gradient(x, hessian=True)
     f, evaluations, iterations, lam = f0, 1, 0, _LAMBDA_INIT
     stop = None
     while True:
@@ -339,11 +327,10 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
         if iterations == max_iters:
             stop = "max_iters"
             break
-        H = ws.normal_matrix(x)
         damping = np.maximum(np.diag(H), _DIAG_FLOOR)
         while True:
             dx = np.linalg.solve(H + np.diag(lam * damping), -g)
-            f_new, g_new = ws.objective_and_gradient(x + dx)
+            f_new = ws.objective(x + dx)
             evaluations += 1
             if f_new <= f:
                 break
@@ -354,70 +341,12 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
             lam *= _LAMBDA_UP
         if stop is not None:
             break
-        f_old, x, f, g = f, x + dx, f_new, g_new
+        f_old, x, f = f, x + dx, f_new
         iterations += 1
         lam = max(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
         if f_old - f <= _FTOL * max(abs(f_old), abs(f), 1.0):
             stop = "ftol"
             break
+        _, g, H = ws.objective_and_gradient(x, hessian=True)
     return RefinementResult(ws.to_poses(x), f0, f, iterations,
                             stop in ("grad_tol", "ftol"), stop, evaluations)
-
-
-# --- problem dump/load: node-pose block plus the edge text format ---
-
-def dump_problem(problem: RefinementProblem, path):
-    with open(path, "w") as f:
-        f.write(f"# deltas {problem.delta_rot!r} {problem.delta_trans!r} "
-                f"fixed {problem.fixed} rot {problem.rot_residual}\n")
-        f.write("nodes\n")
-        for fid in sorted(problem.poses):
-            p = problem.poses[fid]
-            q, t = p.rotation, p.translation
-            vals = (q.w, q.x, q.y, q.z, t[0], t[1], t[2])
-            f.write(" ".join([str(fid)] + [repr(float(v)) for v in vals])
-                    + "\n")
-        f.write("edges\n")
-        for e in problem.edges:
-            f.write(format_edge(e) + "\n")
-
-
-def load_problem(path) -> RefinementProblem:
-    poses = {}
-    edges = []
-    delta_rot, delta_trans, fixed = 0.05, 0.1, None
-    rot_residual = "geodesic"
-    section = None
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                if "deltas" in parts:
-                    k = parts.index("deltas")
-                    delta_rot, delta_trans = float(parts[k + 1]), float(parts[k + 2])
-                if "fixed" in parts:
-                    fixed = int(parts[parts.index("fixed") + 1])
-                if "rot" in parts:
-                    rot_residual = parts[parts.index("rot") + 1]
-                continue
-            if line in ("nodes", "edges"):
-                section = line
-                continue
-            if section == "nodes":
-                parts = line.split()
-                if len(parts) != 8:
-                    raise ValueError("expected 8 fields per node line, "
-                                     f"got {len(parts)}")
-                fid = int(parts[0])
-                qw, qx, qy, qz, tx, ty, tz = (float(v) for v in parts[1:])
-                if not all(map(math.isfinite, (qw, qx, qy, qz, tx, ty, tz))):
-                    raise ValueError("non-finite rotation or translation in node line")
-                poses[fid] = Pose(UnitQuaternion(qw, qx, qy, qz),
-                                  np.array([tx, ty, tz]))
-            elif section == "edges":
-                edges.append(parse_edge(line))
-    return RefinementProblem(poses, edges, delta_rot, delta_trans,
-                             fixed, rot_residual)

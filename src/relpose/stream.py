@@ -57,6 +57,8 @@ class StreamConfig:
     def __post_init__(self):
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be None or at least 1, got {self.k}")
+        if self.m_max < 1:
+            raise ValueError(f"m_max must be at least 1, got {self.m_max}")
 
 
 @dataclass(frozen=True)
@@ -325,6 +327,8 @@ def segment_reset(state: StreamState, bridge):
 
     Bridge items are (frame_id, pose, token) triples whose poses come from
     the previous segment; new frames localize by composing against them.
+    Every bridge pose enters the trajectory; the bank keeps the m_max most
+    recent, the oldest of them protected.
     """
     bridge = list(bridge)
     if len(bridge) < 3:
@@ -334,8 +338,9 @@ def segment_reset(state: StreamState, bridge):
     cfg = state.config
     state.bank = KeyframeBank()
     state.gate = OutlierGate(cfg.n_cal, cfg.tau_out, cfg.n_rej)
-    for i, (frame_id, pose, token) in enumerate(bridge):
+    for frame_id, pose, _ in bridge:
         state.trajectory[frame_id] = pose
+    for i, (frame_id, pose, token) in enumerate(bridge[-cfg.m_max:]):
         state.bank.add(frame_id, token, pose, 0.0, protected=(i == 0))
     state.frames_since_admit = 0
     state.segment_index += 1

@@ -57,6 +57,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"stream": {"tau_typo": 0.9}})
 
+    @pytest.mark.parametrize("refine", [
+        {"max_iters": -1}, {"delta_rot": 0.0}, {"delta_rot": -1.0},
+        {"delta_trans": float("nan")}, {"delta_trans": float("inf")},
+        {"grad_tol": -5.0}, {"grad_tol": float("nan")}])
+    def test_invalid_refine_section_rejected_at_load(self, refine):
+        name = next(iter(refine))
+        with pytest.raises(ValueError, match=f"refine.{name}"):
+            config_from_dict({"refine": refine})
+
+    def test_refine_limits_accepted(self):
+        cfg = config_from_dict({"refine": {"max_iters": 0, "grad_tol": 0.0}})
+        assert (cfg.refine.max_iters, cfg.refine.grad_tol) == (0, 0.0)
+
     def test_yaml_load(self, cfg_file):
         cfg = load_config(cfg_file)
         assert cfg.seed == 3
@@ -241,3 +254,12 @@ class TestErrors:
         assert main(["offline", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: k must be")
+
+    def test_invalid_refine_config_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("oracle:\n  frames: 20\nrefine:\n  max_iters: -1\n")
+        out = tmp_path / "out"
+        assert main(["offline", "--config", str(path), "--out", str(out),
+                     "--refine"]) == 1
+        assert capsys.readouterr().err.startswith("error: refine.max_iters")
+        assert not out.exists()

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from relpose.geom import (Pose, UnitQuaternion, pose_relative,
-                          quat_geodesic_deg, quat_inverse, quat_multiply)
+from relpose.geom import (Pose, UnitQuaternion, pose_relative, quat_exp,
+                          quat_geodesic_deg, quat_inverse, quat_multiply,
+                          quat_to_matrix, right_jacobian)
 from relpose.oracle import OracleConfig, generate_scene
-from relpose.posegraph import EdgeBatch, PoseEdge, format_edge
-from relpose.refine import (RefinementProblem, _Workspace, dump_problem,
-                            edge_residuals, huber, load_problem, solve)
+from relpose.posegraph import EdgeBatch, PoseEdge
+from relpose.refine import (RefinementProblem, _Workspace, _vee_trace,
+                            edge_residuals, huber, solve)
 from relpose.runner import (all_pair_edges, offline_trajectory,
                             refine_trajectory)
 from conftest import random_pose, random_quat
@@ -133,7 +134,143 @@ class TestObjective:
         assert c2 == pytest.approx(3.0 * c1)
 
 
+class TestObjectivePass:
+    @pytest.mark.parametrize("rot_residual", ["geodesic", "chordal"])
+    def test_objective_is_the_linearization_value_bitwise(self, rng, rot_residual):
+        # solve accepts a trial step by comparing objective(x + dx) with the
+        # linearization's value, so the two must be the same number
+        prob = random_problem(rng, n=6, noise=0.2, rot_residual=rot_residual)
+        ws = _Workspace(prob)
+        for scale in (0.0, 0.05, 0.5):
+            x = rng.normal(scale=scale, size=ws.initial_params().shape)
+            f = ws.objective(x)
+            assert f == ws.objective_and_gradient(x)[0]
+            assert f == ws.objective_and_gradient(x, hessian=True)[0]
+
+    @pytest.mark.parametrize("seed", [0, 1009])
+    def test_linearized_once_per_accepted_iterate(self, monkeypatch, seed):
+        calls = []
+        lin, obj = _Workspace.objective_and_gradient, _Workspace.objective
+
+        def traced_lin(self, x, hessian=False):
+            out = lin(self, x, hessian)
+            calls.append(("lin", x.copy(), out[0]))
+            return out
+
+        def traced_obj(self, x):
+            f = obj(self, x)
+            calls.append(("obj", x.copy(), f))
+            return f
+
+        monkeypatch.setattr(_Workspace, "objective_and_gradient", traced_lin)
+        monkeypatch.setattr(_Workspace, "objective", traced_obj)
+        result = solve(oracle_problem(100, seed))
+
+        kind, x, f = calls[0]
+        assert kind == "lin" and not x.any()
+        accepted = linearized = trials = 0
+        k = 1
+        while k < len(calls):
+            kind, x, f_trial = calls[k]
+            assert kind == "obj", "a trial step was linearized"
+            trials += 1
+            k += 1
+            if f_trial > f:
+                continue                                # rejected step
+            accepted += 1
+            f = f_trial
+            if k < len(calls) and calls[k][0] == "lin":
+                assert np.array_equal(calls[k][1], x) and calls[k][2] == f
+                linearized += 1
+                k += 1
+            else:                  # an accepted step that stops at "ftol"
+                assert k == len(calls) and result.stop_reason == "ftol"
+                assert linearized == accepted - 1
+        assert accepted == result.iterations > 1
+        assert result.evaluations == 1 + trials
+        assert result.final_objective == f
+
+    def test_final_iterate_of_an_ftol_stop_is_not_linearized(self, monkeypatch):
+        # exact poses and edges: the objective is 0.0 at x0, so the first
+        # step is accepted with no decrease and the solve stops at "ftol"
+        poses = {i: Pose(UnitQuaternion.identity(), np.array([i, 2.0 * i, 0.0]))
+                 for i in range(4)}
+        edges = perfect_edges(poses, chain_pairs(list(range(4))) + [(0, 3)])
+        count = [0]
+        lin = _Workspace.objective_and_gradient
+
+        def counted(self, x, hessian=False):
+            count[0] += 1
+            return lin(self, x, hessian)
+
+        monkeypatch.setattr(_Workspace, "objective_and_gradient", counted)
+        result = solve(RefinementProblem(poses, edges), grad_tol=0.0)
+        assert (result.stop_reason, result.iterations, result.evaluations) == (
+            "ftol", 1, 2)
+        assert count[0] == 1
+
+
+def local_frame_gradient(ws, x):
+    """The gradient as the solver computed it before world-frame increments:
+    local right perturbations R = Exp(w) Exp(eps) R0, einsum products and
+    np.add.at scatters."""
+    prob = ws.problem
+    w, t = ws.unpack(x)
+    A = quat_to_matrix(quat_exp(w))
+    R = A @ ws.R0
+    ei, ej = ws.ei, ws.ej
+    Ri, Rj = R[ei], R[ej]
+    Rhat = ws.RhatT.transpose(0, 2, 1)
+    d = t[ej] - t[ei]
+    u = np.einsum("nji,nj->ni", Ri, d)
+    r = u - ws.that
+    eT = np.linalg.norm(r, axis=1)
+    wT = np.where(eT <= prob.delta_trans, 1.0,
+                  prob.delta_trans / np.maximum(eT, 1e-300))
+    g_r = (ws.cT * wT)[:, None] * r
+    E = np.einsum("nji,njk->nik", Rhat, np.einsum("nji,njk->nik", Ri, Rj))
+    tr = np.trace(E, axis1=1, axis2=2)
+    if prob.rot_residual == "geodesic":
+        cos_e = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
+        eR = np.arccos(cos_e)
+        sin_e = np.sqrt(np.maximum(1.0 - cos_e * cos_e, 1e-300))
+        ratio = np.where(eR < 1e-6, 1.0 + eR * eR / 6.0, eR / sin_e)
+        g_tr = np.where(eR <= prob.delta_rot, -0.5 * ws.cR * ratio,
+                        -0.5 * ws.cR * prob.delta_rot / sin_e)
+    else:
+        eR = np.sqrt(np.maximum(6.0 - 2.0 * tr, 0.0))
+        g_tr = np.where(eR <= prob.delta_rot, -ws.cR,
+                        -ws.cR * prob.delta_rot / np.maximum(eR, 1e-12))
+    grad_t = np.zeros_like(t)
+    grad_eps = np.zeros_like(w)
+    Ri_gr = np.einsum("nij,nj->ni", Ri, g_r)
+    np.add.at(grad_t, ej, Ri_gr)
+    np.add.at(grad_t, ei, -Ri_gr)
+    R0i = ws.R0[ei]
+    np.add.at(grad_eps, ei, np.cross(np.einsum("nij,nj->ni", R0i, g_r),
+                                     np.einsum("nij,nj->ni", R0i, u)))
+    Mj = ws.R0[ej] @ np.einsum("nji,nkj->nik", Rhat, Ri) @ A[ej]
+    np.add.at(grad_eps, ej, g_tr[:, None] * _vee_trace(Mj))
+    Mi = (np.einsum("nji,njk->nik", A[ei], Rj)
+          @ np.einsum("nji,nkj->nik", Rhat, ws.R0[ei]))
+    np.add.at(grad_eps, ei, -g_tr[:, None] * _vee_trace(Mi))
+    grad_w = np.einsum("nji,nj->ni", right_jacobian(w[ws.free]), grad_eps[ws.free])
+    return np.concatenate([grad_w, grad_t[ws.free]], axis=1).ravel()
+
+
 class TestGradient:
+    @pytest.mark.parametrize("rot_residual", ["geodesic", "chordal"])
+    def test_world_frame_gradient_matches_local_frame_formula(self, rng, rot_residual):
+        scene = oracle_scene(40)
+        ws = _Workspace(RefinementProblem(offline_trajectory(scene),
+                                          all_pair_edges(scene),
+                                          rot_residual=rot_residual))
+        for scale in (0.0, 0.02, 0.2):
+            x = rng.normal(scale=scale, size=ws.initial_params().shape)
+            g = ws.objective_and_gradient(x)[1]
+            ref = local_frame_gradient(ws, x)
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
     @pytest.mark.parametrize("rot_residual", ["geodesic", "chordal"])
     def test_matches_finite_differences(self, rng, rot_residual):
         for _ in range(5):
@@ -226,8 +363,8 @@ class TestNormalMatrix:
             quat_multiply(truth[i].rotation,
                           quat_inverse(init[i].rotation)).to_rotvec(),
             truth[i].translation - init[i].translation]) for i in range(1, 5)])
-        assert ws.objective_and_gradient(x)[0] < 1e-20
-        H = ws.normal_matrix(x)
+        f, _, H = ws.objective_and_gradient(x, hessian=True)
+        assert f < 1e-20
         h = 1e-6
         fd = np.empty_like(H)
         for k in range(len(x)):
@@ -248,7 +385,7 @@ class TestNormalMatrix:
         ws = _Workspace(prob)
         x = ws.initial_params()
         trans = np.array([6 * k + c for k in range(len(ws.free)) for c in (3, 4, 5)])
-        H = ws.normal_matrix(x)[np.ix_(trans, trans)]
+        H = ws.objective_and_gradient(x, hessian=True)[2][np.ix_(trans, trans)]
         h = 1e-6
         fd = np.empty_like(H)
         for col, k in enumerate(trans):
@@ -325,63 +462,6 @@ class TestValidation:
     def test_bad_rot_residual(self):
         with pytest.raises(ValueError):
             RefinementProblem({0: Pose.identity()}, [], rot_residual="l2")
-
-
-class TestProblemSerialization:
-    def test_round_trip(self, rng, tmp_path):
-        prob = random_problem(rng, n=4, fixed=2, rot_residual="chordal")
-        path = tmp_path / "problem.txt"
-        dump_problem(prob, path)
-        loaded = load_problem(path)
-        assert loaded.fixed == 2
-        assert loaded.rot_residual == "chordal"
-        assert sorted(loaded.poses) == sorted(prob.poses)
-        assert objective(loaded) == pytest.approx(objective(prob), rel=1e-12)
-
-    def test_load_rejects_non_finite_edge(self, rng, tmp_path):
-        prob = random_problem(rng, n=4)
-        path = tmp_path / "problem.txt"
-        dump_problem(prob, path)
-        line = format_edge(prob.edges[0])
-        parts = line.split()
-        parts[6] = "nan"
-        path.write_text(path.read_text().replace(line, " ".join(parts)))
-        with pytest.raises(ValueError):
-            load_problem(path)
-
-    @pytest.mark.parametrize("field, value", [(5, "nan"), (1, "inf")])
-    def test_load_rejects_non_finite_node(self, rng, tmp_path, field, value):
-        path = tmp_path / "problem.txt"
-        dump_problem(random_problem(rng, n=4), path)
-        lines = path.read_text().splitlines()
-        node = lines.index("nodes") + 2
-        parts = lines[node].split()
-        parts[field] = value
-        lines[node] = " ".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="node line"):
-            load_problem(path)
-
-    @pytest.mark.parametrize("edit", ["extra", "missing"])
-    def test_load_rejects_wrong_node_field_count(self, rng, tmp_path, edit):
-        path = tmp_path / "problem.txt"
-        dump_problem(random_problem(rng, n=4), path)
-        lines = path.read_text().splitlines()
-        node = lines.index("nodes") + 2
-        parts = lines[node].split()
-        parts = parts + ["junk", "7"] if edit == "extra" else parts[:-1]
-        lines[node] = " ".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="node line"):
-            load_problem(path)
-
-    def test_byte_stable(self, rng, tmp_path):
-        prob = random_problem(rng, n=4)
-        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        dump_problem(prob, p1)
-        dump_problem(load_problem(p1), p2)
-        dump_problem(load_problem(p2), p1)
-        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestEdgeBatchInput:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from relpose import runner
 from relpose.geom import Pose, UnitQuaternion
+from relpose.oracle import OracleConfig, generate_scene
 from relpose.posegraph import PoseEdge
 from relpose.stream import (BridgeTooLong, BridgeTooShort,
                             FrameToken, KeyframeBank, MissingContextEdges,
@@ -52,6 +54,11 @@ class TestStreamConfig:
     @pytest.mark.parametrize("k", [None, 1, 5])
     def test_accepts_all_or_positive_k(self, k):
         assert StreamConfig(k=k).k == k
+
+    @pytest.mark.parametrize("m_max", [0, -3])
+    def test_rejects_bank_capacity_below_one(self, m_max):
+        with pytest.raises(ValueError, match="m_max must be"):
+            StreamConfig(m_max=m_max)
 
 
 class TestFrameToken:
@@ -310,6 +317,9 @@ class TestSegmentReset:
         return [(fid, state.trajectory[fid], basis_token(fid, fid))
                 for fid in ids]
 
+    def bridge_of(self, poses):
+        return [(fid, pose, basis_token(fid, fid)) for fid, pose in poses.items()]
+
     def test_bridge_length_limits(self):
         state = self.make_state()
         with pytest.raises(BridgeTooShort):
@@ -329,6 +339,37 @@ class TestSegmentReset:
         assert state.gate.baseline is None
         assert state.segment_index == 1
         assert not state.reset_pending
+
+    def test_reset_keeps_the_most_recent_bridge_frames_within_capacity(self):
+        state = self.make_state()
+        state.config = StreamConfig(m_max=2)
+        poses = {fid: state.trajectory[fid] for fid in (3, 4, 5, 6, 7)}
+        state.trajectory.clear()
+        segment_reset(state, self.bridge_of(poses))
+        assert state.bank.ids() == [6, 7]
+        assert state.bank.protected == 6
+        assert sorted(state.trajectory) == [3, 4, 5, 6, 7]
+
+    @pytest.mark.parametrize("m_max", [1, 2])
+    def test_bank_bound_holds_after_every_frame_through_a_reset(self, monkeypatch, m_max):
+        sizes = []
+
+        def checked(fn):
+            def wrapper(state, *args):
+                out = fn(state, *args)
+                sizes.append(len(state.bank))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(runner, "process_frame", checked(runner.process_frame))
+        monkeypatch.setattr(runner, "segment_reset", checked(runner.segment_reset))
+        scene = generate_scene(OracleConfig(family="random-walk", frames=60), 0)
+        state, events = runner.stream_scene(scene, StreamConfig(m_max=m_max),
+                                            forced_reset_at=30)
+        assert state.segment_index >= 1
+        assert len(sizes) == 60 + state.segment_index
+        assert max(sizes) <= m_max
+        assert len(state.trajectory) == sum(e.kind == "Accepted" for e in events)
 
     def test_trajectory_continues_after_reset(self):
         state = self.make_state()
