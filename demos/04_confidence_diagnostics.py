@@ -19,13 +19,14 @@ def main():
     rng = np.random.default_rng(1)
     ids = scene.frame_ids
 
-    rot, trans = [], []
-    while len(rot) < 8000:
+    pairs = []
+    while len(pairs) < 8000:
         a, b = rng.integers(0, len(ids), size=2)
-        if a == b:
-            continue
-        i, j = ids[a], ids[b]
-        e = scene.emit_edge(i, j)
+        if a != b:
+            pairs.append((ids[a], ids[b]))
+
+    rot, trans = [], []
+    for (i, j), e in zip(pairs, scene.emit_pairs(pairs)):
         gt = pose_relative(scene.poses[i], scene.poses[j])
         rot.append((e.conf_rot, quat_geodesic_deg(e.rel_rotation, gt.rotation)))
         trans.append((e.conf_trans,

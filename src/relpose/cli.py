@@ -134,25 +134,19 @@ def _diag_samples(cfg: RunConfig):
     scene = generate_scene(cfg.oracle, cfg.seed)
     rng = np.random.default_rng([cfg.seed, 0xD1A6])
     ids = scene.frame_ids
+    pairs = []
+    while len(pairs) < cfg.diag_edges:
+        chunk = min(cfg.diag_edges - len(pairs), 2000)
+        drawn = rng.integers(0, len(ids), size=(chunk, 2)).tolist()
+        pairs += [(ids[a], ids[b]) for a, b in drawn if a != b]
     rot_samples, trans_samples = [], []
-    count = 0
-    while count < cfg.diag_edges:
-        chunk = min(cfg.diag_edges - count, 2000)
-        pairs = rng.integers(0, len(ids), size=(chunk, 2))
-        for a, b in pairs:
-            if a == b:
-                continue
-            i, j = ids[a], ids[b]
-            edge = scene.emit_edge(i, j)
-            gt = pose_relative(scene.poses[i], scene.poses[j])
-            rot_samples.append((edge.conf_rot,
-                                quat_geodesic_deg(edge.rel_rotation, gt.rotation)))
-            trans_samples.append((edge.conf_trans,
-                                  float(np.linalg.norm(edge.rel_translation
-                                                       - gt.translation))))
-            count += 1
-            if count >= cfg.diag_edges:
-                break
+    for (i, j), edge in zip(pairs, scene.emit_pairs(pairs)):
+        gt = pose_relative(scene.poses[i], scene.poses[j])
+        rot_samples.append((edge.conf_rot,
+                            quat_geodesic_deg(edge.rel_rotation, gt.rotation)))
+        trans_samples.append((edge.conf_trans,
+                              float(np.linalg.norm(edge.rel_translation
+                                                   - gt.translation))))
     return rot_samples, trans_samples
 
 

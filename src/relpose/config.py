@@ -1,7 +1,8 @@
 """Run configuration: a nested key-value file (YAML) with strict keys.
 
 CLI flags override file values; every field has a documented default in
-its dataclass.  Unknown keys are rejected on load.
+its dataclass.  Unknown keys, values of the wrong type and values out of
+range are rejected on load, before a command writes anything.
 """
 
 import dataclasses
@@ -9,6 +10,8 @@ import hashlib
 import json
 import math
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 
 from .oracle import OracleConfig
@@ -44,9 +47,21 @@ class RefineConfig:
 @dataclass(frozen=True)
 class RobustConfig:
     n_clean: int = 30
-    n_distract: tuple = (10, 30, 50)
+    n_distract: tuple[int, ...] = (10, 30, 50)
     trials: int = 10
     noise_mult: float = 10.0
+
+    def __post_init__(self):
+        if self.n_clean < 3:
+            raise ValueError(f"robust.n_clean must be at least 3, got {self.n_clean}")
+        if any(n < 0 for n in self.n_distract):
+            raise ValueError("robust.n_distract must be non-negative, "
+                             f"got {list(self.n_distract)}")
+        if self.trials < 1:
+            raise ValueError(f"robust.trials must be at least 1, got {self.trials}")
+        if not 1 <= self.noise_mult < math.inf:
+            raise ValueError("robust.noise_mult must be at least 1 and finite, "
+                             f"got {self.noise_mult}")
 
 
 @dataclass(frozen=True)
@@ -71,12 +86,39 @@ _SECTIONS = {"oracle": OracleConfig, "stream": StreamConfig,
              "refine": RefineConfig, "robust": RobustConfig}
 
 
+def _fits(value, kind):
+    """Whether a loaded value has a field's declared type; an int fits a
+    float field, a bool fits only a bool field, a list fits a tuple."""
+    if typing.get_origin(kind) is types.UnionType:
+        return any(_fits(value, k) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _type_name(kind):
+    if typing.get_origin(kind) is types.UnionType:
+        return " or ".join(_type_name(k) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is tuple:
+        return f"a list of {_type_name(typing.get_args(kind)[0])}"
+    return "null" if kind is type(None) else kind.__name__
+
+
 def _build(cls, data, path):
     known = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown key {path}{key!r}")
+        kind = known[key].type
+        if not _fits(value, kind):
+            raise ConfigError(f"{path}{key} must be {_type_name(kind)}, "
+                              f"got {value!r}")
         if isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
@@ -93,7 +135,15 @@ def config_from_dict(data) -> RunConfig:
                 raise ConfigError(f"section {name!r} must be a mapping")
             kwargs[name] = _build(cls, section, f"{name}.")
     top = _build(RunConfig, data, "")
-    return dataclasses.replace(top, **kwargs)
+    cfg = dataclasses.replace(top, **kwargs)
+    cfg.oracle.validate()
+    frames = cfg.oracle.frames
+    for name, counts in (("n_clean", (cfg.robust.n_clean,)),
+                         ("n_distract", cfg.robust.n_distract)):
+        if max(counts, default=0) > frames:
+            raise ConfigError(f"robust.{name} must not exceed oracle.frames "
+                              f"({frames}), got {max(counts)}")
+    return cfg
 
 
 def load_config(path) -> RunConfig:

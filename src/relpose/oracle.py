@@ -7,12 +7,19 @@ c * E|noise| - alpha * log c.  Noise grows with frame gap and baseline so
 long-range edges are genuinely less reliable.
 
 Edge noise is keyed per (seed, src, dst) with a counter-based generator,
-so emission is pure: any call order yields identical edges.
+so emission is pure: any call order yields identical edges.  A scene
+computes the per-frame parts of those keys once, at construction (the
+source half of every key and the destination multiplier of every frame),
+so an emission call only combines them; it draws only the uniforms the
+config uses.  A scene's noisier twin (`noisier`) shares all of this with
+it.  Callers with pairs into many destinations (`emit_pairs`, which
+`relpose diag` samples through, and the distractor stream) make one
+emit_edges call per destination frame.
 """
 
-import json
+import copy
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +27,6 @@ from .geom import (Pose, UnitQuaternion, quat_exp, quat_multiply, quat_product,
                    quat_rotate, quat_to_matrix)
 from .posegraph import EdgeBatch, PoseEdge
 from .stream import FrameToken
-from . import io as traj_io
 
 
 class InvalidConfig(ValueError):
@@ -61,17 +67,19 @@ class OracleConfig:
             raise InvalidConfig("need at least 2 frames")
         if self.family not in ("circle", "random-walk", "figure-eight"):
             raise InvalidConfig(f"unknown trajectory family {self.family!r}")
+        if self.token_dim < 1:
+            raise InvalidConfig("token_dim must be at least 1")
         for name in ("step", "token_length_scale", "alpha", "depth_median"):
-            if getattr(self, name) <= 0:
-                raise InvalidConfig(f"{name} must be positive")
-        for name in ("base_rot_noise", "base_trans_noise", "noise_gap_growth",
-                     "conf_jitter", "depth_jitter"):
-            if getattr(self, name) < 0:
-                raise InvalidConfig(f"{name} must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidConfig(f"{name} must be positive and finite")
+        for name in ("rot_step", "base_rot_noise", "base_trans_noise",
+                     "noise_gap_growth", "conf_jitter", "depth_jitter"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidConfig(f"{name} must be non-negative and finite")
         if not 0.0 <= self.outlier_prob < 1.0:
             raise InvalidConfig("outlier_prob must be in [0, 1)")
-        if self.outlier_mult < 1.0:
-            raise InvalidConfig("outlier_mult must be >= 1")
+        if not 1.0 <= self.outlier_mult < math.inf:
+            raise InvalidConfig("outlier_mult must be >= 1 and finite")
 
 
 # --- counter-based per-pair randomness (splitmix64) ---
@@ -93,21 +101,50 @@ def _mix(z):
     return z
 
 
-def _pair_uniforms(seed, src, dst, n):
-    """n uniforms in (0, 1) per (src, dst) pair; src may be an array."""
+def _source_keys(seed, src):
+    """The source half of the (src, dst) pair keys, one per src row."""
     src = np.atleast_1d(np.asarray(src, dtype=np.uint64))
     with np.errstate(over="ignore"):
-        base = _mix(_mix(np.uint64(seed)) ^ src * np.uint64(0x01000193))
-        base = _mix(base ^ np.uint64(dst) * np.uint64(0x100000001B3))
-        ks = np.arange(1, n + 1, dtype=np.uint64)
-        z = _mix(base[:, None] ^ ks[None, :] * _M3)
+        return _mix(_mix(np.uint64(seed)) ^ src * np.uint64(0x01000193))
+
+
+def _dest_mults(dst):
+    """The destination multiplier of the pair keys, per dst row."""
+    with np.errstate(over="ignore"):
+        return np.asarray(dst, dtype=np.uint64) * np.uint64(0x100000001B3)
+
+
+def _column_keys(columns):
+    with np.errstate(over="ignore"):
+        return (np.asarray(columns, dtype=np.uint64) + np.uint64(1)) * _M3
+
+
+def _key_uniforms(src_keys, dst_mult, column_keys):
+    """Uniforms in (0, 1), one row per source key, one column per column
+    key, all paired with one destination."""
+    with np.errstate(over="ignore"):
+        base = _mix(src_keys ^ dst_mult)
+        z = _mix(base[:, None] ^ column_keys[None, :])
     u = (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
     return np.clip(u, 1e-300, 1.0 - 1e-16)
 
 
-def _laplace_from_uniform(u, scale):
+def _pair_uniforms(seed, src, dst, n):
+    """n uniforms in (0, 1) per (src, dst) pair; src may be an array."""
+    return _key_uniforms(_source_keys(seed, src), _dest_mults(dst),
+                         _column_keys(np.arange(n)))
+
+
+def _laplace_from_uniform(u, scale=1.0):
     centered = u - 0.5
     return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+
+
+# Pair-uniform columns an edge uses: 0-2 rotation noise, 3-5 translation
+# noise, 6-9 confidence jitter, 10 the outlier draw.  Without jitter,
+# 6-9 are not drawn; the outlier draw is the last column either way.
+_NOISE_COLUMNS = _column_keys([0, 1, 2, 3, 4, 5, 10])
+_JITTER_COLUMNS = _column_keys(np.arange(11))
 
 
 class SyntheticScene:
@@ -126,6 +163,25 @@ class SyntheticScene:
         self._rots = quat_to_matrix(self._quats)
         self._index = {fid: k for k, fid in enumerate(self.frame_ids)}
         self._tokens = _generate_tokens(config, rng, self._trans, self._rots)
+        # per-frame emission constants: pair-key halves, inverse rotations
+        rows = np.arange(len(self.frame_ids))
+        self._src_keys = _source_keys(self.seed, rows)
+        self._dst_mults = _dest_mults(rows)
+        self._conj_quats = self._quats * np.array([1.0, -1.0, -1.0, -1.0])
+
+    def noisier(self, mult):
+        """This scene with both base noise scales multiplied by mult >= 1:
+        the same poses, tokens and seed, hence the same edge geometry and
+        noise draws, but noisier and less confident edges.  Shares every
+        array with this scene, which does not change."""
+        if not 1.0 <= mult < math.inf:
+            raise InvalidConfig(f"noise multiplier must be in [1, inf), got {mult}")
+        cfg = self.config
+        twin = copy.copy(self)
+        twin.config = replace(cfg, base_rot_noise=cfg.base_rot_noise * mult,
+                              base_trans_noise=cfg.base_trans_noise * mult)
+        twin.config.validate()
+        return twin
 
     def _check(self, i):
         if i not in self._index:
@@ -170,24 +226,27 @@ class SyntheticScene:
         d = self._trans[ji] - self._trans[si]
         baselines = np.linalg.norm(d, axis=1)
         growth = (1.0 + cfg.noise_gap_growth * gaps) * (1.0 + baselines)
-        u = _pair_uniforms(self.seed, si, ji, 11)
-        growth = np.where(u[:, 10] < cfg.outlier_prob,
+        u = _key_uniforms(self._src_keys[si], self._dst_mults[ji],
+                          _JITTER_COLUMNS if cfg.conf_jitter > 0 else _NOISE_COLUMNS)
+        growth = np.where(u[:, -1] < cfg.outlier_prob,
                           growth * cfg.outlier_mult, growth)
         b_r = np.maximum(cfg.base_rot_noise * growth, _EPS_SCALE)
         b_t = np.maximum(cfg.base_trans_noise * growth, _EPS_SCALE)
 
         # true relative pose, expressed in the source frame
-        q_rel = quat_product(self._quats[si] * np.array([1.0, -1.0, -1.0, -1.0]),
-                             self._quats[ji])
+        q_rel = quat_product(self._conj_quats[si], self._quats[ji])
         t_rel = np.einsum("nij,nj->ni", self._rots[si].transpose(0, 2, 1), d)
 
-        rot_noise = _laplace_from_uniform(u[:, 0:3], b_r[:, None])
-        trans_noise = _laplace_from_uniform(u[:, 3:6], b_t[:, None])
+        # unit-scale Laplace noise: rotation in columns 0-2, translation 3-5
+        shape = _laplace_from_uniform(u[:, :6])
         if cfg.base_rot_noise > 0:
-            q_noisy = quat_product(q_rel, quat_exp(rot_noise))
+            q_noisy = quat_product(q_rel, quat_exp(shape[:, :3] * b_r[:, None]))
         else:
             q_noisy = q_rel
-        t_noisy = t_rel + trans_noise if cfg.base_trans_noise > 0 else t_rel
+        if cfg.base_trans_noise > 0:
+            t_noisy = t_rel + shape[:, 3:] * b_t[:, None]
+        else:
+            t_noisy = t_rel
 
         conf_r = cfg.alpha / b_r
         conf_t = cfg.alpha / b_t
@@ -199,6 +258,16 @@ class SyntheticScene:
             conf_t = conf_t * np.exp(cfg.conf_jitter * g2)
 
         return EdgeBatch(sources, j, q_noisy, t_noisy, conf_r, conf_t)
+
+    def emit_pairs(self, pairs) -> EdgeBatch:
+        """Edges for (src, dst) pairs, one row per pair in the order given,
+        emitted with one emit_edges call per destination frame."""
+        groups = {}      # (scene, dst frame) -> ([row], [src frame])
+        for row, (i, j) in enumerate(pairs):
+            rows, sources = groups.setdefault((self, j), ([], []))
+            rows.append(row)
+            sources.append(i)
+        return _emit_grouped(groups)
 
     def emit_token(self, i) -> FrameToken:
         self._check(i)
@@ -214,21 +283,23 @@ class SyntheticScene:
             return metric * math.exp(self.config.depth_jitter * g), metric
         return metric, metric
 
-    def save(self, tum_path, config_path):
-        traj_io.write_tum(self.poses, tum_path)
-        with open(config_path, "w") as f:
-            json.dump({"config": asdict(self.config), "seed": self.seed},
-                      f, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, config_path):
-        with open(config_path) as f:
-            d = json.load(f)
-        return cls(OracleConfig(**d["config"]), d["seed"])
-
 
 def generate_scene(config: OracleConfig, seed: int) -> SyntheticScene:
     return SyntheticScene(config, seed)
+
+
+def _emit_grouped(groups):
+    """One batch from {(scene, dst frame): ([row], [src frame])}: one
+    emit_edges call per group, its edges put at their rows.  A single
+    group's batch is returned as it is, since its rows are in order."""
+    if not groups:
+        return EdgeBatch.of([])
+    batches = [scene.emit_edges(sources, dst)
+               for (scene, dst), (_, sources) in groups.items()]
+    if len(batches) == 1:
+        return batches[0]
+    rows = [row for rows, _ in groups.values() for row in rows]
+    return EdgeBatch.concat(batches).take(np.argsort(rows))
 
 
 def _generate_trajectory(cfg: OracleConfig, rng):
@@ -334,11 +405,10 @@ class DistractorStream:
         self.plan = plan
         self.noise_mult = noise_mult
         self._by_id = {e.stream_id: e for e in plan.entries}
-        bad_cfg = OracleConfig(**{**asdict(other.config),
-                                  "base_rot_noise": other.config.base_rot_noise * noise_mult,
-                                  "base_trans_noise": other.config.base_trans_noise * noise_mult})
-        # same geometry and seed as `other`, only noisier and less confident
-        self._noisy_other = SyntheticScene(bad_cfg, other.seed)
+        # same geometry and seed as `other`, only noisier and less
+        # confident; asked of `other` so that a stand-in delegating to a
+        # scene hands back that scene's twin
+        self._noisy_other = other.noisier(noise_mult)
 
     def token(self, stream_id) -> FrameToken:
         entry = self._by_id[stream_id]
@@ -351,7 +421,7 @@ class DistractorStream:
         order given, emitted with one emit_edges call per (scene,
         destination frame)."""
         entry = self._by_id[stream_id]
-        groups = {}      # (scene, dst frame) -> [(row, src frame)]
+        groups = {}      # (scene, dst frame) -> ([row], [src frame])
         for row, src in enumerate(context_stream_ids):
             src_entry = self._by_id[src]
             a, b = src_entry.scene_frame, entry.scene_frame
@@ -363,12 +433,7 @@ class DistractorStream:
                 scene = self._noisy_other
                 if a == b:
                     b = a % len(self.other.frame_ids) + 1
-            groups.setdefault((scene, b), []).append((row, a))
-        if not groups:
-            return EdgeBatch.of([])
-        rows, parts = [], []
-        for (scene, b), members in groups.items():
-            rows += [row for row, _ in members]
-            parts.append(scene.emit_edges([a for _, a in members], b))
-        return EdgeBatch.concat(parts).take(np.argsort(rows)).relabel(
-            list(context_stream_ids), stream_id)
+            rows, sources = groups.setdefault((scene, b), ([], []))
+            rows.append(row)
+            sources.append(a)
+        return _emit_grouped(groups).relabel(list(context_stream_ids), stream_id)

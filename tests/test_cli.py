@@ -4,11 +4,14 @@ import os
 import numpy as np
 import pytest
 
+import yaml
+
 from relpose import io
-from relpose.cli import main
+from relpose.cli import _diag_samples, main
 from relpose.config import (ConfigError, OUT_ROOT_ENV, RunConfig,
                             config_from_dict, config_hash, load_config)
-from relpose.geom import Pose, UnitQuaternion
+from relpose.geom import Pose, UnitQuaternion, pose_relative, quat_geodesic_deg
+from relpose.oracle import generate_scene
 from conftest import random_pose
 
 
@@ -69,6 +72,36 @@ class TestConfig:
     def test_refine_limits_accepted(self):
         cfg = config_from_dict({"refine": {"max_iters": 0, "grad_tol": 0.0}})
         assert (cfg.refine.max_iters, cfg.refine.grad_tol) == (0, 0.0)
+
+    @pytest.mark.parametrize("data", [
+        {"refine": {"max_iters": 2.5}}, {"refine": {"max_iters": True}},
+        {"refine": {"max_iters": "ten"}}, {"refine": {"enabled": 1}},
+        {"stream": {"m_max": 2.5}}, {"stream": {"k": 2.0}},
+        {"stream": {"k": False}}, {"oracle": {"frames": 40.0}},
+        {"oracle": {"alpha": "0.2"}}, {"robust": {"n_distract": 4}},
+        {"robust": {"n_distract": [4, 2.5]}}, {"robust": {"noise_mult": True}},
+        {"seed": 1.5}, {"out_dir": 3}])
+    def test_value_of_the_wrong_type_rejected_at_load(self, data):
+        with pytest.raises(ConfigError, match="must be"):
+            config_from_dict(data)
+
+    def test_ints_fit_float_fields_and_null_fits_k(self):
+        cfg = config_from_dict({"robust": {"noise_mult": 2}, "oracle": {"alpha": 1},
+                                "stream": {"k": None}})
+        assert (cfg.robust.noise_mult, cfg.oracle.alpha, cfg.stream.k) == (2, 1, None)
+        assert config_from_dict({"stream": {"k": 3}}).stream.k == 3
+
+    @pytest.mark.parametrize("data", [
+        {"oracle": {"frames": 1}}, {"oracle": {"step": float("nan")}},
+        {"oracle": {"outlier_mult": float("inf")}},
+        {"robust": {"n_clean": 2}}, {"robust": {"n_distract": [4, -1]}},
+        {"robust": {"trials": 0}}, {"robust": {"noise_mult": 0}},
+        {"robust": {"noise_mult": 0.5}}, {"robust": {"noise_mult": float("inf")}},
+        {"oracle": {"frames": 40}, "robust": {"n_clean": 41, "n_distract": [4]}},
+        {"oracle": {"frames": 40}, "robust": {"n_clean": 12, "n_distract": [4, 41]}}])
+    def test_oracle_and_robust_values_checked_at_load(self, data):
+        with pytest.raises(ValueError):
+            config_from_dict(data)
 
     def test_yaml_load(self, cfg_file):
         cfg = load_config(cfg_file)
@@ -198,6 +231,26 @@ class TestDiagCommand:
         assert main(["diag", "--config", cfg_file, "--out", out,
                      "--assert-monotone"]) == 0
 
+    def test_grouped_samples_equal_per_edge_samples_in_order(self, cfg_file):
+        cfg = load_config(cfg_file)
+        scene = generate_scene(cfg.oracle, cfg.seed)
+        rng = np.random.default_rng([cfg.seed, 0xD1A6])
+        ids = scene.frame_ids
+        rot, trans = [], []
+        while len(rot) < cfg.diag_edges:
+            chunk = min(cfg.diag_edges - len(rot), 2000)
+            for a, b in rng.integers(0, len(ids), size=(chunk, 2)):
+                if a == b:
+                    continue
+                i, j = ids[a], ids[b]
+                edge = scene.emit_edge(i, j)
+                gt = pose_relative(scene.poses[i], scene.poses[j])
+                rot.append((edge.conf_rot,
+                            quat_geodesic_deg(edge.rel_rotation, gt.rotation)))
+                trans.append((edge.conf_trans, float(np.linalg.norm(
+                    edge.rel_translation - gt.translation))))
+        assert _diag_samples(cfg) == (rot, trans)
+
     def test_bins_flag(self, cfg_file, tmp_path):
         out = str(tmp_path / "out")
         main(["diag", "--config", cfg_file, "--out", out, "--bins", "3"])
@@ -262,4 +315,24 @@ class TestErrors:
         assert main(["offline", "--config", str(path), "--out", str(out),
                      "--refine"]) == 1
         assert capsys.readouterr().err.startswith("error: refine.max_iters")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", [
+        {"refine": {"max_iters": 2.5}}, {"refine": {"max_iters": "ten"}},
+        {"stream": {"m_max": 2.5}}, {"oracle": {"frames": 1}},
+        {"robust": {"noise_mult": 0}}, {"robust": {"noise_mult": -1}},
+        {"robust": {"n_distract": [4, 50]}}, {"robust": {"n_clean": 2}},
+        {"robust": {"trials": 0}}])
+    @pytest.mark.parametrize("command", ["offline", "robust"])
+    def test_invalid_value_fails_before_writing(self, tmp_path, capsys,
+                                                 override, command):
+        data = yaml.safe_load(SMALL_CFG)
+        for section, values in override.items():
+            data[section] = {**data.get(section, {}), **values}
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out),
+                     "--refine"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()

@@ -1,17 +1,80 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from relpose.geom import pose_relative, quat_geodesic_deg
+from relpose.geom import (pose_relative, quat_exp, quat_geodesic_deg,
+                          quat_product, quat_to_matrix)
 from relpose.oracle import (DistractorStream, InvalidConfig, InvalidCounts,
-                            OracleConfig, SyntheticScene, UnknownFrame,
-                            _laplace_from_uniform, _pair_uniforms,
+                            OracleConfig, SyntheticScene, UnknownFrame, _M3,
+                            _laplace_from_uniform, _mix, _pair_uniforms,
                             generate_scene, make_distractor_stream)
+from relpose.posegraph import EdgeBatch
 
 
 def scene(seed=7, **kwargs):
     return generate_scene(OracleConfig(**kwargs), seed)
+
+
+def reference_edges(s, sources, j):
+    """Edges src -> j by the per-call formula: the whole pair key is built
+    from the seed on every call, all 11 uniforms are drawn, and each noise
+    component is drawn at its own scale."""
+    cfg = s.config
+    ids = s.frame_ids
+    quats = np.array([s.poses[f].rotation.as_array() for f in ids])
+    trans = np.array([s.poses[f].translation for f in ids])
+    rots = quat_to_matrix(quats)
+    si = np.array([ids.index(f) for f in sources], dtype=np.int64)
+    ji = ids.index(j)
+    with np.errstate(over="ignore"):
+        base = _mix(_mix(np.uint64(s.seed)) ^ si.astype(np.uint64) * np.uint64(0x01000193))
+        base = _mix(base ^ np.uint64(ji) * np.uint64(0x100000001B3))
+        ks = np.arange(1, 12, dtype=np.uint64)
+        z = _mix(base[:, None] ^ ks[None, :] * _M3)
+    u = np.clip((z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53),
+                1e-300, 1.0 - 1e-16)
+
+    def laplace(v, scale):
+        centered = v - 0.5
+        return -scale * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+
+    d = trans[ji] - trans[si]
+    growth = (1.0 + cfg.noise_gap_growth * np.abs(ji - si)) * (1.0 + np.linalg.norm(d, axis=1))
+    growth = np.where(u[:, 10] < cfg.outlier_prob, growth * cfg.outlier_mult, growth)
+    b_r = np.maximum(cfg.base_rot_noise * growth, 1e-9)
+    b_t = np.maximum(cfg.base_trans_noise * growth, 1e-9)
+    q_rel = quat_product(quats[si] * np.array([1.0, -1.0, -1.0, -1.0]), quats[ji])
+    t_rel = np.einsum("nij,nj->ni", rots[si].transpose(0, 2, 1), d)
+    rot_noise = laplace(u[:, 0:3], b_r[:, None])
+    trans_noise = laplace(u[:, 3:6], b_t[:, None])
+    q = quat_product(q_rel, quat_exp(rot_noise)) if cfg.base_rot_noise > 0 else q_rel
+    t = t_rel + trans_noise if cfg.base_trans_noise > 0 else t_rel
+    conf_r, conf_t = cfg.alpha / b_r, cfg.alpha / b_t
+    if cfg.conf_jitter > 0:
+        g1 = np.sqrt(-2.0 * np.log(u[:, 6])) * np.cos(2 * np.pi * u[:, 7])
+        g2 = np.sqrt(-2.0 * np.log(u[:, 8])) * np.cos(2 * np.pi * u[:, 9])
+        conf_r = conf_r * np.exp(cfg.conf_jitter * g1)
+        conf_t = conf_t * np.exp(cfg.conf_jitter * g2)
+    return EdgeBatch(sources, j, q, t, conf_r, conf_t)
+
+
+def assert_same_bits(a, b):
+    for name in EdgeBatch._COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+class DelegatingProxy:
+    """Stands in for a scene the way a benchmark's recording source does."""
+
+    def __init__(self, scene):
+        self._scene = scene
+
+    def __getattr__(self, name):
+        return getattr(self._scene, name)
 
 
 class TestConfigValidation:
@@ -176,6 +239,53 @@ class TestEdgeEmission:
         assert np.mean(errs) == pytest.approx(b_t, rel=0.15)
 
 
+class TestEmissionMatchesPerCallFormula:
+    @pytest.mark.parametrize("family", ["circle", "random-walk", "figure-eight"])
+    @pytest.mark.parametrize("conf_jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    def test_bit_equal(self, family, conf_jitter, noise):
+        s = scene(seed=1009, family=family, frames=30, conf_jitter=conf_jitter,
+                  base_rot_noise=0.002 * noise, base_trans_noise=0.01 * noise)
+        for j in (1, 14, 30):
+            sources = [i for i in s.frame_ids if i != j]
+            for batch in (sources, sources[::-1][:9], sources[4:5]):
+                assert_same_bits(s.emit_edges(batch, j), reference_edges(s, batch, j))
+
+    def test_outlier_and_jitter_draws_keep_their_columns(self):
+        s = scene(seed=3, frames=40, outlier_prob=0.5, conf_jitter=0.2)
+        sources = [i for i in s.frame_ids if i != 20]
+        assert_same_bits(s.emit_edges(sources, 20), reference_edges(s, sources, 20))
+
+
+class TestNoisierTwin:
+    def test_equals_a_scene_built_from_the_scaled_config(self):
+        s = scene(seed=4, frames=30, conf_jitter=0.3)
+        config = s.config
+        sources = [i for i in s.frame_ids if i != 12]
+        before = s.emit_edges(sources, 12)
+        twin = s.noisier(10.0)
+        fresh = SyntheticScene(replace(config, base_rot_noise=config.base_rot_noise * 10.0,
+                                       base_trans_noise=config.base_trans_noise * 10.0), 4)
+        assert twin.config == fresh.config and twin.seed == fresh.seed
+        assert twin.frame_ids == fresh.frame_ids
+        for f in s.frame_ids:
+            assert twin.poses[f].rotation.as_array().tobytes() == \
+                fresh.poses[f].rotation.as_array().tobytes()
+            assert twin.poses[f].translation.tobytes() == fresh.poses[f].translation.tobytes()
+            assert twin.emit_token(f).features.tobytes() == fresh.emit_token(f).features.tobytes()
+        for j in (1, 12, 30):
+            srcs = [i for i in s.frame_ids if i != j]
+            assert_same_bits(twin.emit_edges(srcs, j), fresh.emit_edges(srcs, j))
+        # the original scene is untouched
+        assert s.config == config
+        assert_same_bits(s.emit_edges(sources, 12), before)
+
+    @pytest.mark.parametrize("mult", [0.0, 0.5, -1.0, math.inf, math.nan])
+    def test_rejects_multipliers_below_one_or_non_finite(self, mult):
+        with pytest.raises(InvalidConfig):
+            scene(frames=10).noisier(mult)
+
+
 class TestTokens:
     def test_unit_norm(self):
         s = scene(frames=30)
@@ -207,17 +317,6 @@ class TestDepthAnchors:
         pred, metric = s.depth_medians(3)
         assert metric == s.config.depth_median
         assert pred != metric and pred > 0
-
-
-class TestSceneSerialization:
-    def test_round_trip(self, tmp_path):
-        s = scene(seed=5, frames=25, family="circle")
-        s.save(tmp_path / "gt.tum", tmp_path / "scene.json")
-        loaded = SyntheticScene.load(tmp_path / "scene.json")
-        assert loaded.frame_ids == s.frame_ids
-        e1, e2 = s.emit_edge(2, 9), loaded.emit_edge(2, 9)
-        assert np.array_equal(e1.rel_translation, e2.rel_translation)
-        assert e1.conf_rot == e2.conf_rot
 
 
 class TestDistractorPlan:
@@ -295,3 +394,58 @@ class TestDistractorStream:
         entry = self.plan.entries[sid - 1]
         assert np.array_equal(tok.features,
                               self.other.emit_token(entry.scene_frame).features)
+
+    def per_row(self, twin, ctx, stream_id):
+        """Context edges into stream_id by one emission per row."""
+        entry = self.plan.entries[stream_id - 1]
+        rows = []
+        for src in ctx:
+            src_entry = self.plan.entries[src - 1]
+            a, b = src_entry.scene_frame, entry.scene_frame
+            if entry.kind == "clean" and src_entry.kind == "clean":
+                rows.append(self.scene.emit_edges([a], b))
+            else:
+                if a == b:
+                    b = a % len(self.other.frame_ids) + 1
+                rows.append(twin.emit_edges([a], b))
+        return EdgeBatch.concat(rows).relabel(list(ctx), stream_id)
+
+    def test_frames_equal_per_row_emission_in_context_order(self):
+        twin = self.other.noisier(10.0)
+        two_group_clean = 0
+        for entry in self.plan.entries[1:]:
+            sid = entry.stream_id
+            # context in an order that interleaves clean and distractor ids
+            ctx = list(range(sid - 1, 0, -1))
+            kinds = {self.plan.entries[c - 1].kind for c in ctx}
+            if entry.kind == "clean" and kinds == {"clean", "distractor"}:
+                two_group_clean += 1
+            assert_same_bits(self.stream.edges(ctx, sid), self.per_row(twin, ctx, sid))
+        assert two_group_clean > 0
+
+    def test_same_edges_when_the_other_scene_is_a_proxy(self):
+        proxied = DistractorStream(self.scene, DelegatingProxy(self.other),
+                                   self.plan, noise_mult=10.0)
+        for entry in self.plan.entries[1:]:
+            ctx = list(range(1, entry.stream_id))
+            assert_same_bits(proxied.edges(ctx, entry.stream_id),
+                             self.stream.edges(ctx, entry.stream_id))
+
+    def test_noise_multiplier_below_one_rejected(self):
+        with pytest.raises(InvalidConfig):
+            DistractorStream(self.scene, self.other, self.plan, noise_mult=0.0)
+
+
+class TestEmitPairs:
+    def test_equals_one_emission_per_pair_in_order(self):
+        s = scene(seed=5, frames=25, conf_jitter=0.2)
+        rng = np.random.default_rng(0)
+        pairs = [(int(a), int(b)) for a, b in rng.integers(1, 26, size=(300, 2)) if a != b]
+        got = s.emit_pairs(pairs)
+        want = EdgeBatch.concat([s.emit_edges([i], j) for i, j in pairs])
+        assert_same_bits(got, want)
+
+    def test_one_destination_and_no_pairs(self):
+        s = scene(frames=10)
+        assert_same_bits(s.emit_pairs([(3, 7), (1, 7), (9, 7)]), s.emit_edges([3, 1, 9], 7))
+        assert len(s.emit_pairs([])) == 0
