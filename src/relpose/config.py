@@ -76,6 +76,13 @@ class RunConfig:
     rpe_delta: int = 1
     diag_edges: int = 10000
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("bins", "rpe_delta", "diag_edges"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
     def resolved_out_dir(self):
         if self.out_dir:
             return self.out_dir

@@ -100,18 +100,6 @@ class UnitQuaternion:
     def to_matrix(self):
         return quat_to_matrix(self.as_array())
 
-    def to_rotvec(self):
-        """Log map: quaternion to rotation-vector (axis * angle)."""
-        vn = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        w = self.w
-        if vn < 1e-12:
-            return np.zeros(3)
-        angle = 2.0 * math.atan2(vn, w) if w >= 0 else 2.0 * math.atan2(vn, -w)
-        axis = np.array([self.x, self.y, self.z]) / vn
-        if w < 0:
-            axis = -axis
-        return axis * angle
-
 
 # quat_multiply and quat_rotate keep scalar bodies, restating quat_product
 # and quat_apply below: they serve one pose at a time (trajectory
@@ -127,10 +115,6 @@ def quat_multiply(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
         a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
         a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
     )
-
-
-def quat_inverse(q: UnitQuaternion) -> UnitQuaternion:
-    return q.conjugate()
 
 
 def quat_rotate(q: UnitQuaternion, v):

@@ -1,6 +1,8 @@
 """Trajectory file I/O (TUM format) and small CSV helpers.
 
-TUM lines are `timestamp tx ty tz qx qy qz qw`; timestamps are frame ids.
+TUM lines are `timestamp tx ty tz qx qy qz qw`; timestamps are frame ids,
+so read_tum rejects a timestamp that is not a whole number and a frame id
+that appears twice.
 """
 
 import csv
@@ -31,7 +33,12 @@ def read_tum(path):
             parts = line.split()
             if len(parts) != 8:
                 raise ValueError(f"expected 8 fields per TUM line, got {len(parts)}")
-            fid = int(float(parts[0]))
+            stamp = float(parts[0])
+            if not stamp.is_integer():
+                raise ValueError(f"timestamp must be a whole frame id, got {parts[0]!r}")
+            fid = int(stamp)
+            if fid in trajectory:
+                raise ValueError(f"frame {fid} appears twice")
             tx, ty, tz, qx, qy, qz, qw = (float(v) for v in parts[1:])
             trajectory[fid] = Pose(UnitQuaternion(qw, qx, qy, qz),
                                    np.array([tx, ty, tz]))

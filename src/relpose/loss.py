@@ -1,5 +1,5 @@
-"""Reference implementations of the confidence-weighted supervision
-objectives, used to calibrate the synthetic oracle.
+"""The confidence-weighted supervision objective that calibrates the
+synthetic oracle.
 
 The per-pair loss c * residual - alpha * log(c) has the closed-form
 minimizer c* = alpha / residual, which is the fixed point the oracle's
@@ -7,41 +7,6 @@ confidences are set to.
 """
 
 import math
-from dataclasses import dataclass
-
-from .geom import (Pose, pose_inverse, pose_compose, pose_relative,
-                   quat_geodesic_deg)
-
-
-class EmptyPairSet(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class PairResidual:
-    rot_residual: float
-    trans_residual: float
-
-
-def pair_residual(edge, gt_relative: Pose, rot_metric="quat_l1") -> PairResidual:
-    """L1 residuals of one edge against the ground-truth relative pose.
-
-    rot_metric "quat_l1" is the L1 norm of quaternion component
-    differences after sign alignment; "geodesic" uses the angle in
-    radians instead.
-    """
-    if rot_metric == "quat_l1":
-        qa = edge.rel_rotation.as_array()
-        qb = gt_relative.rotation.as_array()
-        if float(qa @ qb) < 0.0:
-            qb = -qb
-        l_rot = float(abs(qa - qb).sum())
-    elif rot_metric == "geodesic":
-        l_rot = math.radians(quat_geodesic_deg(edge.rel_rotation, gt_relative.rotation))
-    else:
-        raise ValueError(f"unknown rot_metric {rot_metric!r}")
-    l_trans = float(abs(edge.rel_translation - gt_relative.translation).sum())
-    return PairResidual(l_rot, l_trans)
 
 
 def conf_loss(residual, c, alpha) -> float:
@@ -49,63 +14,3 @@ def conf_loss(residual, c, alpha) -> float:
     if c <= 0 or alpha <= 0:
         raise ValueError("confidence and alpha must be positive")
     return c * residual - alpha * math.log(c)
-
-
-def batch_camera_loss(edges_with_gt, pair_set="causal", alpha=0.2,
-                      rot_metric="quat_l1") -> float:
-    """Mean of rotation plus translation conf_loss over a pair set.
-
-    edges_with_gt is a sequence of (edge, gt_relative_pose).  pair_set
-    "causal" keeps only src < dst (past-to-current ordered pairs);
-    "all" keeps every ordered pair present.
-    """
-    if pair_set == "causal":
-        selected = [(e, gt) for e, gt in edges_with_gt if e.src < e.dst]
-    elif pair_set == "all":
-        selected = list(edges_with_gt)
-    else:
-        raise ValueError(f"unknown pair_set {pair_set!r}")
-    if not selected:
-        raise EmptyPairSet("no pairs selected")
-    total = 0.0
-    for edge, gt in selected:
-        res = pair_residual(edge, gt, rot_metric)
-        total += conf_loss(res.rot_residual, edge.conf_rot, alpha)
-        total += conf_loss(res.trans_residual, edge.conf_trans, alpha)
-    return total / len(selected)
-
-
-def _d_pose(a: Pose, b: Pose) -> float:
-    """Geodesic rotation angle (radians) plus translation L2 distance."""
-    import numpy as np
-    ang = math.radians(quat_geodesic_deg(a.rotation, b.rotation))
-    return ang + float(np.linalg.norm(a.translation - b.translation))
-
-
-def reference_abs_loss(predicted, ground_truth) -> float:
-    """Absolute-pose supervision reference: sum of per-frame pose
-    distances in one shared world frame."""
-    ids = sorted(predicted)
-    if sorted(ground_truth) != ids:
-        raise ValueError("predictions and ground truth must share frame ids")
-    return sum(_d_pose(predicted[i], ground_truth[i]) for i in ids)
-
-
-def reference_pi3_loss(predicted, ground_truth) -> float:
-    """All-pair relative supervision reference: sum over ordered pairs
-    (i, j), i != j, of the pose distance between induced and ground-truth
-    relative transforms.  Invariant to a global rigid transform applied
-    to all predictions."""
-    ids = sorted(predicted)
-    if sorted(ground_truth) != ids:
-        raise ValueError("predictions and ground truth must share frame ids")
-    total = 0.0
-    for i in ids:
-        pinv = pose_inverse(predicted[i])
-        for j in ids:
-            if i == j:
-                continue
-            rel_pred = pose_compose(pinv, predicted[j])
-            rel_gt = pose_relative(ground_truth[i], ground_truth[j])
-            total += _d_pose(rel_pred, rel_gt)
-    return total

@@ -1,14 +1,14 @@
 """Confidence-weighted pose-graph refinement.
 
 Pose-only optimization over relative-pose edges: each edge contributes
-c_rot * Huber(rotation residual) + c_trans * Huber(translation residual),
-with the first pose held fixed.  The edges arrive as one EdgeBatch, the
-same struct of arrays that the stream and offline fusion pass along, and
-the workspace reads its columns directly.  Rotations are locally
-parameterized by axis-angle increments composed onto the initialization.
-One residual pass, vectorized over all edges with geom's batched
-exponential map, rotation matrices and right Jacobian, gives the
-objective.
+c_rot * Huber(geodesic rotation residual) + c_trans * Huber(translation
+residual), with the pose of the lowest frame id held fixed as the gauge.
+The edges arrive as one EdgeBatch, the same struct of arrays that the
+stream and offline fusion pass along, and the workspace reads its columns
+directly.  Rotations are locally parameterized by axis-angle increments
+composed onto the initialization.  One residual pass, vectorized over all
+edges with geom's batched exponential map, rotation matrices and right
+Jacobian, gives the objective.
 
 The solve is Levenberg-Marquardt on the dense normal equations, in the
 style of g2o (Kuemmerle et al., ICRA 2011): Huber enters as IRLS weights
@@ -44,8 +44,6 @@ class RefinementProblem:
     edges: EdgeBatch               # a PoseEdge sequence is stacked into one
     delta_rot: float = 0.05        # Huber knee for rotation residuals, rad
     delta_trans: float = 0.1       # Huber knee for translation residuals
-    fixed: int | None = None       # gauge node; defaults to the lowest id
-    rot_residual: str = "geodesic"  # geodesic | chordal
 
     def __post_init__(self):
         if self.delta_rot <= 0 or self.delta_trans <= 0:
@@ -58,12 +56,6 @@ class RefinementProblem:
             k = int(np.argmax(unknown))
             raise ValueError(f"edge ({edges.src[k]},{edges.dst[k]}) "
                              "references an unknown node")
-        if self.fixed is None:
-            object.__setattr__(self, "fixed", min(self.poses))
-        elif self.fixed not in self.poses:
-            raise ValueError("fixed node has no pose")
-        if self.rot_residual not in ("geodesic", "chordal"):
-            raise ValueError(f"unknown rot_residual {self.rot_residual!r}")
 
 
 # Levenberg-Marquardt damping: each iteration solves
@@ -140,8 +132,7 @@ class _Workspace:
     def __init__(self, problem: RefinementProblem):
         self.problem = problem
         self.ids = sorted(problem.poses)
-        self.fixed_idx = self.ids.index(problem.fixed)
-        self.free = np.delete(np.arange(len(self.ids)), self.fixed_idx)
+        self.free = np.arange(1, len(self.ids))   # row 0, the lowest id, is the gauge
         # positions of x's entries in the per-node (phi, t) layout
         self.params = (6 * self.free[:, None] + np.arange(6)).ravel()
         self.q0 = np.array([problem.poses[i].rotation.as_array() for i in self.ids])
@@ -181,10 +172,7 @@ class _Workspace:
         eT = np.linalg.norm(r, axis=1)
         E = self.RhatT @ (Ri.transpose(0, 2, 1) @ Rj)
         tr = np.trace(E, axis1=1, axis2=2)
-        if prob.rot_residual == "geodesic":
-            eR = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
-        else:  # chordal: ||R_rel - Rhat||_F = sqrt(6 - 2 tr E)
-            eR = np.sqrt(np.maximum(6.0 - 2.0 * tr, 0.0))
+        eR = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
         total = float((self.cT * huber(eT, prob.delta_trans)).sum()
                       + (self.cR * huber(eR, prob.delta_rot)).sum())
         if not np.isfinite(total):
@@ -205,10 +193,9 @@ class _Workspace:
         the rotation residual Log(Rhat^T R_i^T R_j) has Jacobian
         R_j^T [-I, I] over (phi_i, phi_j), its inverse right Jacobian
         dropped (exact at zero residual), and each residual is weighted by
-        _huber_weights (for chordal residuals, times d(e^2/2)/d(theta^2/2)
-        = 2 sin(theta) / theta).  Every block of H is then a sum over edges
-        of rotated 3x3 weights.  g and H chain to the parameters once per
-        node, through phi = Q dw with Q = Exp(w) Jr(w).
+        _huber_weights.  Every block of H is then a sum over edges of
+        rotated 3x3 weights.  g and H chain to the parameters once per node,
+        through phi = Q dw with Q = Exp(w) Jr(w).
         """
         prob = self.problem
         n = len(self.ids)
@@ -223,16 +210,12 @@ class _Workspace:
         axis = np.einsum("nij,nj->ni", Rj, _vee_trace(E))
         del Ri, Rj, E, r
         cos_e = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
-        if prob.rot_residual == "geodesic":
-            # dLoss/dtr = cR * rho'(e) * (-1 / (2 sin e)); the small-angle
-            # branch uses the smooth e/sin(e) factor
-            sin_e = np.sqrt(np.maximum(1.0 - cos_e * cos_e, 1e-300))
-            ratio = np.where(eR < 1e-6, 1.0 + eR * eR / 6.0, eR / sin_e)
-            g_tr = np.where(eR <= prob.delta_rot, -0.5 * self.cR * ratio,
-                            -0.5 * self.cR * prob.delta_rot / sin_e)
-        else:
-            g_tr = np.where(eR <= prob.delta_rot, -self.cR,
-                            -self.cR * prob.delta_rot / np.maximum(eR, 1e-12))
+        # dLoss/dtr = cR * rho'(e) * (-1 / (2 sin e)); the small-angle
+        # branch uses the smooth e/sin(e) factor
+        sin_e = np.sqrt(np.maximum(1.0 - cos_e * cos_e, 1e-300))
+        ratio = np.where(eR < 1e-6, 1.0 + eR * eR / 6.0, eR / sin_e)
+        g_tr = np.where(eR <= prob.delta_rot, -0.5 * self.cR * ratio,
+                        -0.5 * self.cR * prob.delta_rot / sin_e)
         g_rot = g_tr[:, None] * axis
         g = (_sums(ej, np.concatenate([g_rot, g_t], axis=1), n)
              + _sums(ei, np.concatenate([np.cross(g_t, d) - g_rot, -g_t], axis=1), n))
@@ -247,11 +230,7 @@ class _Workspace:
                             r_world / np.maximum(eT, prob.delta_trans)[:, None])
         del r_world
         axis /= np.maximum(np.linalg.norm(axis, axis=1), 1e-300)[:, None]
-        if prob.rot_residual == "geodesic":
-            WR = _huber_weights(self.cR, eR, prob.delta_rot, axis)
-        else:
-            slope = 2.0 * np.sinc(np.arccos(cos_e) / np.pi)   # 2 sin(theta) / theta
-            WR = _huber_weights(self.cR * slope, eR, prob.delta_rot, axis)
+        WR = _huber_weights(self.cR, eR, prob.delta_rot, axis)
         del axis
 
         pair = ei * n + ej
@@ -292,7 +271,7 @@ class _Workspace:
         q = quat_product(quat_exp(w), self.q0)
         out = {}
         for k, fid in enumerate(self.ids):
-            if k == self.fixed_idx:
+            if k == 0:
                 out[fid] = self.problem.poses[fid]  # gauge node, bitwise preserved
             else:
                 out[fid] = Pose(UnitQuaternion(*q[k].tolist()), t[k])

@@ -223,11 +223,6 @@ class StreamEvent:
         return json.dumps({"kind": self.kind, "frame": self.frame,
                            "details": self.details}, sort_keys=True)
 
-    @staticmethod
-    def from_json(line):
-        d = json.loads(line)
-        return StreamEvent(d["kind"], d["frame"], d.get("details", {}))
-
 
 class StreamState:
     """All mutable state of one streaming run; owned by a single loop."""
@@ -366,13 +361,3 @@ def write_event_log(events, path):
     with open(path, "w") as f:
         for ev in events:
             f.write(ev.to_json() + "\n")
-
-
-def read_event_log(path):
-    events = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                events.append(StreamEvent.from_json(line))
-    return events

@@ -1,8 +1,11 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import yaml
 
@@ -150,6 +153,72 @@ class TestTumIo:
         io.write_tum(io.read_tum(p1), p2)
         io.write_tum(io.read_tum(p2), p1)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("stamp", ["inf", "-inf", "nan", "1.7", "1e400"])
+    def test_rejects_a_timestamp_that_is_not_a_frame_id(self, tmp_path, stamp):
+        path = tmp_path / "t.tum"
+        path.write_text(f"{stamp} 0 0 0 0 0 0 1\n")
+        with pytest.raises(ValueError, match="timestamp"):
+            io.read_tum(path)
+
+    def test_rejects_a_repeated_frame_id(self, tmp_path):
+        # 1.0 and 1 name the same frame
+        path = tmp_path / "t.tum"
+        path.write_text("1 0 0 0 0 0 0 1\n1.0 5 0 0 0 0 0 1\n")
+        with pytest.raises(ValueError, match="frame 1 appears twice"):
+            io.read_tum(path)
+
+
+TUM_TOKENS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1.7", "0", "-0", "1",
+                     "0.0", "1e-200", "#", "x", ""]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=6))
+
+
+@st.composite
+def pose_rows(draw):
+    """(frame id, (tx, ty, tz), (w, x, y, z)) rows with distinct ids."""
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    ids = draw(st.lists(st.integers(-10**9, 10**9), unique=True, max_size=8))
+    rows = []
+    for fid in ids:
+        t = draw(st.tuples(finite, finite, finite))
+        q = draw(st.tuples(finite, finite, finite, finite).filter(
+            lambda q: math.sqrt(sum(v * v for v in q)) >= 1e-3))
+        rows.append((fid, t, q))
+    return rows
+
+
+class TestTumProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(TUM_TOKENS, max_size=10).map(" ".join), max_size=6))
+    def test_garbage_raises_value_error_or_reads_finite_poses(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("tum") / "t.tum"
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            trajectory = io.read_tum(path)
+        except ValueError:
+            return
+        for pose in trajectory.values():
+            assert np.isfinite(pose.translation).all()
+            assert np.isfinite(pose.rotation.as_array()).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(pose_rows())
+    def test_write_tum_output_round_trips_exactly(self, tmp_path_factory, rows):
+        traj = {fid: Pose(UnitQuaternion(*q), np.array(t)) for fid, t, q in rows}
+        path = tmp_path_factory.mktemp("tum") / "t.tum"
+        io.write_tum(traj, path)
+        loaded = io.read_tum(path)
+        assert list(loaded) == sorted(traj)
+        for fid, pose in traj.items():
+            q = pose.rotation
+            # the reader normalizes the written components again, as every
+            # UnitQuaternion is, which may move each by about 1 ulp
+            assert loaded[fid].rotation == UnitQuaternion(q.w, q.x, q.y, q.z)
+            assert np.array_equal(loaded[fid].translation, pose.translation)
 
 
 class TestStreamCommand:
@@ -307,6 +376,25 @@ class TestErrors:
         assert main(["offline", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: k must be")
+
+    @pytest.mark.parametrize("command, config, flags", [
+        ("stream", "", ["--seed", "-1"]), ("diag", "", ["--bins", "0"]),
+        ("stream", "rpe_delta: 0", []), ("diag", "diag_edges: 0", []),
+        ("offline", "bins: -2", [])])
+    def test_invalid_top_level_value_writes_nothing(self, tmp_path, capsys,
+                                                    command, config, flags):
+        path = tmp_path / "run.yaml"
+        path.write_text(config + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)] + flags) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_eval_reports_a_non_finite_timestamp(self, tmp_path, capsys):
+        path = tmp_path / "t.tum"
+        path.write_text("inf 0 0 0 0 0 0 1\n")
+        assert main(["eval", "--out", str(tmp_path / "out"), str(path), str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: timestamp")
 
     def test_invalid_refine_config_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -55,7 +55,8 @@ class TestUnitQuaternion:
             if norm >= np.pi:  # beyond pi the canonical rotvec wraps
                 v *= (np.pi - 1e-3) / norm
             q = UnitQuaternion.from_rotvec(v)
-            assert np.allclose(q.to_rotvec(), v, atol=1e-10)
+            rotvec = Rotation.from_quat([q.x, q.y, q.z, q.w]).as_rotvec()  # xyzw
+            assert np.allclose(rotvec, v, atol=1e-10)
 
 
 class TestQuatOps:

@@ -1,51 +1,6 @@
-import math
-
-import numpy as np
 import pytest
 
-from relpose.geom import (Pose, UnitQuaternion, pose_compose, pose_relative,
-                          quat_multiply)
-from relpose.loss import (EmptyPairSet, batch_camera_loss, conf_loss,
-                          pair_residual, reference_abs_loss,
-                          reference_pi3_loss)
-from relpose.posegraph import PoseEdge
-from conftest import random_pose, random_quat
-
-
-def consistent_edge(pa, pb, src=1, dst=2, cr=1.0, ct=1.0):
-    rel = pose_relative(pa, pb)
-    return PoseEdge(src, dst, rel.rotation, rel.translation, cr, ct)
-
-
-class TestPairResidual:
-    def test_zero_for_consistent_edge(self, rng):
-        pa, pb = random_pose(rng), random_pose(rng)
-        res = pair_residual(consistent_edge(pa, pb), pose_relative(pa, pb))
-        assert res.rot_residual < 1e-12 and res.trans_residual < 1e-12
-
-    def test_sign_alignment(self, rng):
-        q = random_quat(rng)
-        edge = PoseEdge(1, 2, UnitQuaternion(-q.w, -q.x, -q.y, -q.z),
-                        np.zeros(3), 1.0, 1.0)
-        res = pair_residual(edge, Pose(q))
-        assert res.rot_residual < 1e-12
-
-    def test_translation_is_l1(self):
-        edge = PoseEdge(1, 2, UnitQuaternion.identity(),
-                        np.array([1.0, -2.0, 0.5]), 1.0, 1.0)
-        res = pair_residual(edge, Pose.identity())
-        assert res.trans_residual == pytest.approx(3.5)
-
-    def test_geodesic_metric_option(self):
-        edge = PoseEdge(1, 2, UnitQuaternion.from_axis_angle([1, 0, 0], 0.4),
-                        np.zeros(3), 1.0, 1.0)
-        res = pair_residual(edge, Pose.identity(), rot_metric="geodesic")
-        assert res.rot_residual == pytest.approx(0.4, abs=1e-9)
-
-    def test_unknown_metric(self):
-        edge = PoseEdge(1, 2, UnitQuaternion.identity(), np.zeros(3), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            pair_residual(edge, Pose.identity(), rot_metric="l2")
+from relpose.loss import conf_loss
 
 
 class TestConfLoss:
@@ -62,82 +17,3 @@ class TestConfLoss:
             conf_loss(0.1, 0.0, 0.2)
         with pytest.raises(ValueError):
             conf_loss(0.1, 1.0, 0.0)
-
-
-class TestBatchCameraLoss:
-    def make_pairs(self, rng, n=6):
-        poses = {i: random_pose(rng) for i in range(1, n + 1)}
-        pairs = []
-        for i in poses:
-            for j in poses:
-                if i != j:
-                    gt = pose_relative(poses[i], poses[j])
-                    pairs.append((consistent_edge(poses[i], poses[j], i, j,
-                                                  cr=0.5, ct=2.0), gt))
-        return pairs
-
-    def test_causal_subset_of_all(self, rng):
-        pairs = self.make_pairs(rng)
-        causal = [(e, g) for e, g in pairs if e.src < e.dst]
-        assert batch_camera_loss(pairs, "causal") == pytest.approx(
-            batch_camera_loss(causal, "all"))
-
-    def test_perfect_edges_hit_log_floor(self, rng):
-        # zero residuals leave only the -alpha log c terms
-        pairs = self.make_pairs(rng)
-        expect = -0.2 * (math.log(0.5) + math.log(2.0))
-        assert batch_camera_loss(pairs, "all") == pytest.approx(expect)
-
-    def test_empty_selection_raises(self):
-        with pytest.raises(EmptyPairSet):
-            batch_camera_loss([], "all")
-
-    def test_calibrated_confidence_beats_miscalibrated(self, rng):
-        # with residual r fixed, c = alpha/r minimizes the batch loss
-        pa, pb = random_pose(rng), random_pose(rng)
-        gt = pose_relative(pa, pb)
-        bad_t = gt.translation + np.array([0.3, 0.0, 0.0])
-        alpha = 0.2
-        r = float(abs(bad_t - gt.translation).sum())
-        good = PoseEdge(1, 2, gt.rotation, bad_t, alpha / 1e-9, alpha / r)
-        over = PoseEdge(1, 2, gt.rotation, bad_t, alpha / 1e-9, 10 * alpha / r)
-        assert (batch_camera_loss([(good, gt)], "all")
-                < batch_camera_loss([(over, gt)], "all"))
-
-
-class TestReferenceLosses:
-    def test_abs_zero_on_truth(self, rng):
-        poses = {i: random_pose(rng) for i in range(4)}
-        assert reference_abs_loss(poses, dict(poses)) < 1e-12
-
-    def test_abs_detects_offset(self, rng):
-        poses = {i: random_pose(rng) for i in range(4)}
-        moved = {i: Pose(p.rotation, p.translation + [1.0, 0, 0])
-                 for i, p in poses.items()}
-        assert reference_abs_loss(moved, poses) == pytest.approx(4.0)
-
-    def test_id_mismatch_raises(self, rng):
-        with pytest.raises(ValueError):
-            reference_abs_loss({1: random_pose(rng)}, {2: random_pose(rng)})
-
-    def test_pi3_invariant_to_global_rigid_transform(self, rng):
-        poses = {i: random_pose(rng) for i in range(5)}
-        g = random_pose(rng)
-        moved = {i: pose_compose(g, p) for i, p in poses.items()}
-        truth = {i: random_pose(rng) for i in range(5)}
-        a = reference_pi3_loss(poses, truth)
-        b = reference_pi3_loss(moved, truth)
-        assert a == pytest.approx(b, rel=1e-9)
-
-    def test_pi3_zero_on_transformed_truth(self, rng):
-        truth = {i: random_pose(rng) for i in range(5)}
-        g = random_pose(rng)
-        moved = {i: pose_compose(g, p) for i, p in truth.items()}
-        assert reference_pi3_loss(moved, truth) < 1e-9
-
-    def test_abs_not_invariant_but_pi3_is(self, rng):
-        truth = {i: random_pose(rng) for i in range(5)}
-        g = random_pose(rng)
-        moved = {i: pose_compose(g, p) for i, p in truth.items()}
-        assert reference_abs_loss(moved, truth) > 0.1
-        assert reference_pi3_loss(moved, truth) < 1e-9

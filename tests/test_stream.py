@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from relpose.stream import (BridgeTooLong, BridgeTooShort,
                             NonMonotoneFrameId, NonPositiveDepth, OutlierGate,
                             StreamConfig, StreamEvent, StreamState,
                             admit_check, anchor_scale, cull, gate_score,
-                            process_frame, read_event_log, scale_trajectory,
+                            process_frame, scale_trajectory,
                             segment_reset, write_event_log)
 
 
@@ -409,6 +411,11 @@ class TestScaleAnchor:
         assert scaled[1].rotation == traj[1].rotation
 
 
+def read_log(path):
+    """The event log as the JSON objects of its lines."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 class TestEventLog:
     def test_round_trip(self, tmp_path):
         events = [StreamEvent("Accepted", 1, {"score": 1.25}),
@@ -416,8 +423,12 @@ class TestEventLog:
                   StreamEvent("SegmentReset", 3, {"reason": "x"})]
         path = tmp_path / "events.jsonl"
         write_event_log(events, path)
-        loaded = read_event_log(path)
-        assert loaded == events
+        lines = path.read_text().splitlines()
+        objects = read_log(path)
+        assert len(lines) == len(objects) == len(events)
+        for line, obj, ev in zip(lines, objects, events):
+            assert line == json.dumps(obj, sort_keys=True)   # one sorted-key object
+            assert obj == {"kind": ev.kind, "frame": ev.frame, "details": ev.details}
 
     def test_details_independent_of_key_order_and_read_only(self):
         a = StreamEvent("Rejected", 2, {"threshold": 0.2, "score": 0.1})
@@ -431,5 +442,6 @@ class TestEventLog:
         events = [StreamEvent("Accepted", 1, {"b": 1.0, "a": 2.0})]
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_event_log(events, p1)
-        write_event_log(read_event_log(p1), p2)
+        write_event_log([StreamEvent(d["kind"], d["frame"], d["details"])
+                         for d in read_log(p1)], p2)
         assert p1.read_bytes() == p2.read_bytes()

@@ -1,0 +1,62 @@
+"""Every function, class and method that src/relpose defines is used by
+the program itself, not only by the tests.
+
+A name counts as used when it appears as a whole word in a Python file
+under src/, demos/ or perfbench/ (the benchmark's own tests excepted)
+outside the lines of its own definition.  Dunder methods are called by
+Python and are not checked.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "relpose"
+# names kept for the tests alone: the loss the oracle's confidences are
+# calibrated to, acceptance criterion 02's candidate type, and independent
+# references for refinement's residuals and the oracle's noise
+TEST_REFERENCES = {"conf_loss", "CandidatePose", "edge_residuals", "noise_scales"}
+# the posegraph edge text format (format_edge, parse_edge and these two):
+# nothing in the program reads or writes edge files, and it is the next
+# deletion on ROADMAP item 4, together with its tests
+EDGE_TEXT_FORMAT = {"dump_edges", "load_edges"}
+
+
+def definitions(path):
+    """(name, first line, last line) of each top-level function and class
+    in the module and of each non-dunder method of its classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("__"):
+                    yield item.name, item.lineno, item.end_lineno
+
+
+def program_files():
+    files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py"),
+             *(p for p in (ROOT / "perfbench").glob("*.py")
+               if not p.name.startswith("test_"))]
+    return {p: p.read_text().splitlines() for p in sorted(files)}
+
+
+def unused_names():
+    files = program_files()
+    unused = set()
+    for module in sorted(PACKAGE.glob("*.py")):
+        for name, first, last in definitions(module):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            used = any(word.search(line)
+                       for path, lines in files.items()
+                       for k, line in enumerate(lines, start=1)
+                       if not (path == module and first <= k <= last))
+            if not used:
+                unused.add(name)
+    return unused
+
+
+def test_the_program_uses_every_name_it_defines():
+    assert unused_names() == TEST_REFERENCES | EDGE_TEXT_FORMAT
