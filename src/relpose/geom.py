@@ -216,10 +216,14 @@ def umeyama_sim3(source, target, with_scale=True) -> Sim3Alignment:
     mu_d = dst.mean(axis=0)
     xs = src - mu_s
     xd = dst - mu_d
-    var_s = (xs ** 2).sum() / n
+    # overflowing points make these inf or nan, on which the SVD may not return
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_s = (xs ** 2).sum() / n
+        cov = xd.T @ xs / n
+    if not (math.isfinite(var_s) and np.isfinite(cov).all()):
+        raise DegenerateInput("point sets overflow: variance or covariance not finite")
     if var_s < 1e-18:
         raise DegenerateInput("source points have zero variance")
-    cov = xd.T @ xs / n
     U, d, Vt = np.linalg.svd(cov)
     S = np.eye(3)
     if np.linalg.det(U) * np.linalg.det(Vt) < 0:

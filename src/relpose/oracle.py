@@ -402,8 +402,6 @@ class DistractorStream:
     def __init__(self, scene, other, plan: DistractorPlan, noise_mult=10.0):
         self.scene = scene
         self.other = other
-        self.plan = plan
-        self.noise_mult = noise_mult
         self._by_id = {e.stream_id: e for e in plan.entries}
         # same geometry and seed as `other`, only noisier and less
         # confident; asked of `other` so that a stand-in delegating to a

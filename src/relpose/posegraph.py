@@ -243,42 +243,3 @@ def fuse_candidates(candidates, k=None, log_weights=False):
         q = UnitQuaternion(*q_sum.tolist())
     return Pose(q, t)
 
-
-# --- line-oriented edge text format: src dst qw qx qy qz tx ty tz cR cT ---
-
-def format_edge(edge: PoseEdge) -> str:
-    q = edge.rel_rotation
-    t = edge.rel_translation
-    vals = (q.w, q.x, q.y, q.z, t[0], t[1], t[2],
-            edge.conf_rot, edge.conf_trans)
-    return " ".join([str(edge.src), str(edge.dst)]
-                    + [repr(float(v)) for v in vals])
-
-
-def parse_edge(line: str) -> PoseEdge:
-    parts = line.split()
-    if len(parts) != 11:
-        raise ValueError(f"expected 11 fields per edge line, got {len(parts)}")
-    src, dst = int(parts[0]), int(parts[1])
-    qw, qx, qy, qz, tx, ty, tz = (float(v) for v in parts[2:9])
-    if not all(map(math.isfinite, (qw, qx, qy, qz, tx, ty, tz))):
-        raise ValueError("non-finite rotation or translation in edge line")
-    cr, ct = float(parts[9]), float(parts[10])
-    return PoseEdge(src, dst, UnitQuaternion(qw, qx, qy, qz),
-                    np.array([tx, ty, tz]), cr, ct)
-
-
-def dump_edges(edges, path):
-    with open(path, "w") as f:
-        for e in edges:
-            f.write(format_edge(e) + "\n")
-
-
-def load_edges(path):
-    edges = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                edges.append(parse_edge(line))
-    return edges

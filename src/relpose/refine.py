@@ -308,7 +308,10 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
             break
         damping = np.maximum(np.diag(H), _DIAG_FLOOR)
         while True:
-            dx = np.linalg.solve(H + np.diag(lam * damping), -g)
+            damped = H.copy()
+            np.fill_diagonal(damped, np.diag(H) + lam * damping)
+            dx = np.linalg.solve(damped, -g)
+            del damped      # freed before the next linearization, the memory peak
             f_new = ws.objective(x + dx)
             evaluations += 1
             if f_new <= f:

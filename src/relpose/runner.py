@@ -21,8 +21,7 @@ def _bridge_from_state(state, token_fn, length):
     return [(fid, state.trajectory[fid], token_fn(fid)) for fid in ids]
 
 
-def stream_scene(scene, config, forced_reset_at=None,
-                 bridge_len=5, allow_reset=True):
+def stream_scene(scene, config, forced_reset_at=None, bridge_len=5):
     """Run one causal streaming pass over a synthetic scene.
 
     Returns (state, events).  Resets fire when the state machine requests
@@ -36,8 +35,7 @@ def stream_scene(scene, config, forced_reset_at=None,
         ctx = state.context_ids
         edges = scene.emit_edges(ctx, fid) if ctx else []
         events.extend(process_frame(state, token, edges))
-        want_reset = (state.reset_pending and allow_reset) or fid == forced_reset_at
-        if want_reset:
+        if state.reset_pending or fid == forced_reset_at:
             bridge = _bridge_from_state(state, scene.emit_token, bridge_len)
             if bridge is not None:
                 segment_reset(state, bridge)
@@ -50,15 +48,13 @@ def offline_trajectory(scene, k=None, log_weights=False, uniform=False):
     earlier frames.  uniform=True replaces the confidence weights with
     equal weights (ablation baseline)."""
     ids = scene.frame_ids
-    row = {fid: r for r, fid in enumerate(ids)}
     rotations = np.zeros((len(ids), 4))
     translations = np.zeros((len(ids), 3))
     traj = {ids[0]: Pose.identity()}
     rotations[0, 0] = 1.0
     for pos, j in enumerate(ids[1:], start=1):
         edges = scene.emit_edges(ids[:pos], j)
-        rows = [row[s] for s in edges.src.tolist()]
-        cands = compose_candidate(rotations[rows], translations[rows], edges)
+        cands = compose_candidate(rotations[:pos], translations[:pos], edges)
         if uniform:
             ones = np.ones(len(cands))
             cands = replace(cands, conf_rot=ones, conf_trans=ones)

@@ -8,7 +8,8 @@ the segment length cap triggers a segment reset, re-anchored through a
 short bridge of frames carrying absolute poses from the previous segment.
 
 A frame's context edges arrive as one EdgeBatch, and the bank keeps its
-keyframes as row arrays, so the gate, candidate composition, fusion and
+keyframes as row arrays in frame-id order, which the edges sorted by
+source match row for row, so the gate, candidate composition, fusion and
 the confidence refresh each run as a few array operations per frame.
 """
 
@@ -79,19 +80,17 @@ class FrameToken:
 
 
 class KeyframeBank:
-    """Ordered set of keyframes, culled to StreamConfig.m_max by
-    process_frame; the first frame is protected.
+    """Keyframes in frame-id order, culled to StreamConfig.m_max by
+    process_frame; row 0, the oldest frame, is never evicted.
 
-    Keyframes are rows in admission order: token features (m, dim), pose
-    rotations (m, 4) wxyz and translations (m, 3), and best_conf (m,), the
-    strongest mean pair confidence seen against the bank.  Evicting a row
-    shifts the later rows up.
+    Keyframes are rows: token features (m, dim), pose rotations (m, 4)
+    wxyz and translations (m, 3), and best_conf (m,), the strongest mean
+    pair confidence seen against the bank.  Evicting a row shifts the
+    later rows up.
     """
 
     def __init__(self):
-        self.protected = None
         self._ids = []
-        self._row = {}                  # frame id -> row
         self.tokens = None
         self.rotations = np.empty((0, 4))
         self.translations = np.empty((0, 3))
@@ -100,20 +99,15 @@ class KeyframeBank:
     def ids(self):
         return list(self._ids)
 
-    def rows(self, frame_ids):
-        """Row of each frame id."""
-        return np.array([self._row[fid] for fid in frame_ids], dtype=np.int64)
-
-    def add(self, frame_id, token: FrameToken, pose: Pose, best_conf, protected=False):
+    def add(self, frame_id, token: FrameToken, pose: Pose, best_conf):
+        if self._ids and frame_id <= self._ids[-1]:
+            raise NonMonotoneFrameId(f"frame {frame_id} after frame {self._ids[-1]}")
         f = token.features[None]
         self.tokens = f if self.tokens is None else np.vstack([self.tokens, f])
         self.rotations = np.vstack([self.rotations, pose.rotation.as_array()])
         self.translations = np.vstack([self.translations, pose.translation])
         self.best_conf = np.append(self.best_conf, best_conf)
-        self._row[frame_id] = len(self._ids)
         self._ids.append(frame_id)
-        if protected:
-            self.protected = frame_id
 
     def evict(self, row) -> int:
         """Drop one row; returns its frame id."""
@@ -121,7 +115,6 @@ class KeyframeBank:
         self.tokens, self.rotations, self.translations, self.best_conf = (
             np.delete(a, row, axis=0) for a in
             (self.tokens, self.rotations, self.translations, self.best_conf))
-        self._row = {fid: r for r, fid in enumerate(self._ids)}
         return frame_id
 
     def max_cosine(self, token: FrameToken) -> float:
@@ -143,15 +136,13 @@ def cull(bank: KeyframeBank) -> int:
     """Evict the entry with minimal utility u = d * c; returns its frame id.
 
     d is the distinctiveness from the closest other bank entry in token
-    space, c the strongest pair confidence.  Frame 1 is never evicted;
-    ties break by ascending frame id.
+    space, c the strongest pair confidence.  Row 0, the oldest frame, is
+    never evicted; ties break by ascending frame id, which is row order.
     """
     sim = bank.tokens @ bank.tokens.T
     np.fill_diagonal(sim, -np.inf)
-    u = ((1.0 - sim.max(axis=1)) * bank.best_conf).tolist()
-    _, _, row = min((u[r], fid, r) for r, fid in enumerate(bank.ids())
-                    if fid != bank.protected)
-    return bank.evict(row)
+    u = (1.0 - sim.max(axis=1)) * bank.best_conf
+    return bank.evict(1 + int(np.argmin(u[1:])))
 
 
 def gate_score(edges_into_j) -> float:
@@ -170,10 +161,9 @@ class OutlierGate:
     consecutive-rejection counter resets on any accepted frame.
     """
 
-    def __init__(self, n_cal, tau_out, n_rej):
+    def __init__(self, n_cal, tau_out):
         self.n_cal = n_cal
         self.tau_out = tau_out
-        self.n_rej = n_rej
         self._cal_scores = []
         self._seeded = 0
         self.baseline = None
@@ -230,13 +220,13 @@ class StreamState:
     def __init__(self, config: StreamConfig):
         self.config = config
         self.bank = KeyframeBank()
-        self.gate = OutlierGate(config.n_cal, config.tau_out, config.n_rej)
+        self.gate = OutlierGate(config.n_cal, config.tau_out)
         self.trajectory = {}            # frame id -> Pose, accepted frames only
         self.frames_since_admit = 0
         self.segment_index = 0
         self.segment_accepted = 0
         self.reset_pending = False
-        self._last_frame_id = None
+        self._last_frame_id = -math.inf
 
     @property
     def context_ids(self):
@@ -248,22 +238,23 @@ def process_frame(state: StreamState, token: FrameToken, edges):
 
     edges (an EdgeBatch, or PoseEdges, which are stacked into one) must
     cover exactly the active context.  Raises NonMonotoneFrameId /
-    MissingContextEdges on malformed input.
+    MissingContextEdges on malformed input, before any state changes.
     """
     cfg = state.config
     frame_id = token.id
-    if state._last_frame_id is not None and frame_id <= state._last_frame_id:
-        raise NonMonotoneFrameId(
-            f"frame {frame_id} after frame {state._last_frame_id}")
-    state._last_frame_id = frame_id
+    bank = state.bank
+    context = bank.ids()
+    last = max([state._last_frame_id, *context[-1:]])
+    if frame_id <= last:
+        raise NonMonotoneFrameId(f"frame {frame_id} after frame {last}")
     events = []
 
-    bank = state.bank
-    if not len(bank):
+    if not context:
         # first frame of the stream (or segment with empty bank): origin
+        state._last_frame_id = frame_id
         pose = Pose.identity()
         state.trajectory[frame_id] = pose
-        bank.add(frame_id, token, pose, 0.0, protected=True)
+        bank.add(frame_id, token, pose, 0.0)
         state.gate.seed_frame()
         state.frames_since_admit = 0
         state.segment_accepted = 1
@@ -273,10 +264,10 @@ def process_frame(state: StreamState, token: FrameToken, edges):
 
     edges = EdgeBatch.of(edges)
     edges = edges.take(np.argsort(edges.src, kind="stable"))
-    context = sorted(bank.ids())
     if not (np.array_equal(edges.src, context) and np.all(edges.dst == frame_id)):
         raise MissingContextEdges(
             f"edges must cover exactly the active context {context}")
+    state._last_frame_id = frame_id
 
     score = gate_score(edges)
     if not state.gate.check(score):
@@ -289,15 +280,14 @@ def process_frame(state: StreamState, token: FrameToken, edges):
                                       {"reason": "consecutive_rejections"}))
         return events
 
-    rows = bank.rows(edges.src.tolist())
-    candidates = compose_candidate(bank.rotations[rows], bank.translations[rows], edges)
+    candidates = compose_candidate(bank.rotations, bank.translations, edges)
     pose = fuse_candidates(candidates, k=cfg.k, log_weights=cfg.log_weights)
     state.trajectory[frame_id] = pose
     events.append(StreamEvent("Accepted", frame_id, {"score": score}))
 
     # lazily refresh stored pair confidences from this frame's edges
     mean_conf = edges.mean_conf
-    bank.best_conf[rows] = np.maximum(bank.best_conf[rows], mean_conf)
+    np.maximum(bank.best_conf, mean_conf, out=bank.best_conf)
 
     if admit_check(bank, token, cfg.tau, state.frames_since_admit, cfg.delta_max):
         bank.add(frame_id, token, pose, float(mean_conf.max()))
@@ -320,23 +310,25 @@ def process_frame(state: StreamState, token: FrameToken, edges):
 def segment_reset(state: StreamState, bridge):
     """Clear bank and gate, re-seed from bridge frames, bump the segment.
 
-    Bridge items are (frame_id, pose, token) triples whose poses come from
-    the previous segment; new frames localize by composing against them.
-    Every bridge pose enters the trajectory; the bank keeps the m_max most
-    recent, the oldest of them protected.
+    Bridge items are (frame_id, pose, token) triples in increasing id order
+    with poses from the previous segment, which new frames compose against;
+    all enter the trajectory, the m_max most recent the bank (the oldest in
+    row 0).  A malformed bridge raises before any state changes.
     """
     bridge = list(bridge)
     if len(bridge) < 3:
         raise BridgeTooShort(f"bridge has {len(bridge)} frames, need >= 3")
     if len(bridge) > 10:
         raise BridgeTooLong(f"bridge has {len(bridge)} frames, need <= 10")
+    if any(a[0] >= b[0] for a, b in zip(bridge, bridge[1:])):
+        raise NonMonotoneFrameId("bridge frame ids must increase strictly")
     cfg = state.config
     state.bank = KeyframeBank()
-    state.gate = OutlierGate(cfg.n_cal, cfg.tau_out, cfg.n_rej)
+    state.gate = OutlierGate(cfg.n_cal, cfg.tau_out)
     for frame_id, pose, _ in bridge:
         state.trajectory[frame_id] = pose
-    for i, (frame_id, pose, token) in enumerate(bridge[-cfg.m_max:]):
-        state.bank.add(frame_id, token, pose, 0.0, protected=(i == 0))
+    for frame_id, pose, token in bridge[-cfg.m_max:]:
+        state.bank.add(frame_id, token, pose, 0.0)
     state.frames_since_admit = 0
     state.segment_index += 1
     state.segment_accepted = len(bridge)

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +398,22 @@ class TestErrors:
         path.write_text("inf 0 0 0 0 0 0 1\n")
         assert main(["eval", "--out", str(tmp_path / "out"), str(path), str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: timestamp")
+
+    def test_eval_reports_overflowing_points(self, tmp_path):
+        # finite translations whose squares overflow; the alignment's SVD of
+        # a non-finite covariance may never return, so the command runs in a
+        # subprocess under a timeout
+        path = tmp_path / "t.tum"
+        path.write_text("1 1e308 0 0 0 0 0 1\n2 -1e308 0 0 0 0 0 1\n3 0 0 0 0 0 0 1\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "relpose.cli", "eval", "--out",
+             str(tmp_path / "out"), str(path), str(path)],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
 
     def test_invalid_refine_config_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relpose import runner
 from relpose.geom import Pose, UnitQuaternion
 from relpose.oracle import OracleConfig, generate_scene
-from relpose.posegraph import PoseEdge
+from relpose.posegraph import EdgeBatch, PoseEdge
 from relpose.stream import (BridgeTooLong, BridgeTooShort,
                             FrameToken, KeyframeBank, MissingContextEdges,
                             NonMonotoneFrameId, NonPositiveDepth, OutlierGate,
@@ -103,18 +105,27 @@ class TestAdmitCheck:
                            frames_since_admit=20, delta_max=20)
 
 
+class TestKeyframeBank:
+    def test_add_rejects_an_id_not_above_the_last(self):
+        bank = KeyframeBank()
+        bank.add(3, basis_token(3, 0), Pose.identity(), 1.0)
+        for fid in (3, 2):
+            with pytest.raises(NonMonotoneFrameId):
+                bank.add(fid, basis_token(fid, 1), Pose.identity(), 1.0)
+        assert bank.ids() == [3] and len(bank.tokens) == len(bank.best_conf) == 1
+
+
 class TestCull:
-    def make_bank(self, confs, protected_first=True):
+    def make_bank(self, confs):
         bank = KeyframeBank()
         for i, c in enumerate(confs):
-            bank.add(i + 1, token(i + 1, (0, 0.4 * i)), Pose.identity(), c,
-                     protected=(protected_first and i == 0))
+            bank.add(i + 1, token(i + 1, (0, 0.4 * i)), Pose.identity(), c)
         return bank
 
     def test_evicts_lowest_utility(self):
         # all tokens orthogonal, so utility reduces to confidence
         bank = KeyframeBank()
-        bank.add(1, basis_token(1, 0), Pose.identity(), 1.0, protected=True)
+        bank.add(1, basis_token(1, 0), Pose.identity(), 1.0)
         bank.add(2, basis_token(2, 1), Pose.identity(), 1.0)
         bank.add(3, basis_token(3, 2), Pose.identity(), 1.0)
         bank.add(4, basis_token(4, 3), Pose.identity(), 0.01)
@@ -124,19 +135,20 @@ class TestCull:
     def test_redundancy_drives_eviction(self):
         # equal confidences; entry 4 is nearly parallel to entry 3
         bank = KeyframeBank()
-        bank.add(1, basis_token(1, 0), Pose.identity(), 1.0, protected=True)
+        bank.add(1, basis_token(1, 0), Pose.identity(), 1.0)
         bank.add(2, basis_token(2, 1), Pose.identity(), 1.0)
         bank.add(3, token(3, (2, 0.0)), Pose.identity(), 1.0)
         bank.add(4, token(4, (2, 0.1)), Pose.identity(), 1.0)
         assert cull(bank) == 3  # 3 and 4 tie on distinctiveness, lower id goes
 
     def test_never_evicts_protected(self):
+        # row 0 has the lowest utility by far, yet stays
         bank = self.make_bank([0.0001, 1.0, 1.0])
-        assert cull(bank) != 1
+        assert cull(bank) != 1 and bank.ids()[0] == 1
 
     def test_tie_breaks_to_lowest_id(self):
         bank = KeyframeBank()
-        bank.add(5, basis_token(5, 0), Pose.identity(), 1.0, protected=True)
+        bank.add(5, basis_token(5, 0), Pose.identity(), 1.0)
         # identical tokens and confidences: 7 and 9 tie exactly
         bank.add(7, basis_token(7, 1), Pose.identity(), 1.0)
         bank.add(9, basis_token(9, 1), Pose.identity(), 1.0)
@@ -145,25 +157,25 @@ class TestCull:
 
 class TestOutlierGate:
     def test_never_rejects_before_baseline(self):
-        gate = OutlierGate(n_cal=3, tau_out=0.15, n_rej=3)
+        gate = OutlierGate(n_cal=3, tau_out=0.15)
         assert gate.check(1e-9) and gate.check(1e-9)
         assert gate.baseline is None
 
     def test_baseline_is_mean_of_calibration(self):
-        gate = OutlierGate(n_cal=3, tau_out=0.15, n_rej=3)
+        gate = OutlierGate(n_cal=3, tau_out=0.15)
         for s in (1.0, 2.0, 3.0):
             gate.check(s)
         assert gate.baseline == pytest.approx(2.0)
 
     def test_seed_frame_shortens_calibration(self):
-        gate = OutlierGate(n_cal=3, tau_out=0.15, n_rej=3)
+        gate = OutlierGate(n_cal=3, tau_out=0.15)
         gate.seed_frame()
         gate.check(1.0)
         gate.check(3.0)
         assert gate.baseline == pytest.approx(2.0)
 
     def test_rejects_below_thresh_and_counts(self):
-        gate = OutlierGate(n_cal=1, tau_out=0.15, n_rej=3)
+        gate = OutlierGate(n_cal=1, tau_out=0.15)
         gate.check(1.0)
         assert not gate.check(0.1)
         assert not gate.check(0.1)
@@ -172,7 +184,7 @@ class TestOutlierGate:
         assert gate.consecutive_rejections == 0
 
     def test_boundary_score_passes(self):
-        gate = OutlierGate(n_cal=1, tau_out=0.15, n_rej=3)
+        gate = OutlierGate(n_cal=1, tau_out=0.15)
         gate.check(1.0)
         assert gate.check(0.15)
 
@@ -195,7 +207,7 @@ class TestProcessFrame:
         kinds = [e.kind for e in events]
         assert kinds == ["Accepted", "AdmittedToBank"]
         assert np.allclose(state.trajectory[1].translation, 0)
-        assert state.bank.protected == 1
+        assert state.bank.ids() == [1]
 
     def test_non_monotone_id_raises(self):
         state = StreamState(StreamConfig())
@@ -215,6 +227,14 @@ class TestProcessFrame:
         process_frame(state, basis_token(1, 0), [])
         with pytest.raises(MissingContextEdges):
             process_frame(state, basis_token(2, 1), ctx_edges([1, 7], 2))
+
+    def test_frame_with_bad_edges_can_be_retried(self):
+        state = StreamState(StreamConfig())
+        process_frame(state, basis_token(1, 0), [])
+        with pytest.raises(MissingContextEdges):
+            process_frame(state, basis_token(2, 1), ctx_edges([1, 7], 2))
+        events = process_frame(state, basis_token(2, 1), ctx_edges([1], 2))
+        assert events[0].kind == "Accepted" and 2 in state.trajectory
 
     def test_accepted_pose_composes_translation(self):
         state = StreamState(StreamConfig())
@@ -331,13 +351,34 @@ class TestSegmentReset:
                            for fid in range(1, 12)]
             segment_reset(state, long_bridge)
 
+    def test_non_increasing_bridge_raises_before_any_change(self):
+        state = self.make_state()
+        bank, gate, before = state.bank, state.gate, list(state.trajectory.items())
+        for ids in ([5, 7, 6], [5, 6, 6]):
+            with pytest.raises(NonMonotoneFrameId):
+                segment_reset(state, [(fid, Pose.identity(), basis_token(fid, fid))
+                                      for fid in ids])
+        assert state.bank is bank and state.gate is gate
+        assert all(a == b and pa is pb for (a, pa), (b, pb)
+                   in zip(before, state.trajectory.items()))
+        assert len(state.trajectory) == len(before) and state.segment_index == 0
+
+    def test_frame_not_above_the_bridge_raises(self):
+        state = self.make_state()                   # frames 1-7
+        segment_reset(state, [(fid, Pose.identity(), basis_token(fid, fid))
+                              for fid in (10, 11, 12)])
+        with pytest.raises(NonMonotoneFrameId, match="after frame 12"):
+            process_frame(state, basis_token(8, 8), ctx_edges([10, 11, 12], 8))
+        assert state.bank.ids() == [10, 11, 12] and 8 not in state.trajectory
+        process_frame(state, basis_token(13, 13), ctx_edges([10, 11, 12], 13))
+        assert 13 in state.trajectory
+
     def test_reset_reseeds_bank_and_gate(self):
         state = self.make_state()
         old_baseline = state.gate.baseline
         assert old_baseline is not None
         segment_reset(state, self.bridge(state, [5, 6, 7]))
         assert state.bank.ids() == [5, 6, 7]
-        assert state.bank.protected == 5
         assert state.gate.baseline is None
         assert state.segment_index == 1
         assert not state.reset_pending
@@ -349,7 +390,6 @@ class TestSegmentReset:
         state.trajectory.clear()
         segment_reset(state, self.bridge_of(poses))
         assert state.bank.ids() == [6, 7]
-        assert state.bank.protected == 6
         assert sorted(state.trajectory) == [3, 4, 5, 6, 7]
 
     @pytest.mark.parametrize("m_max", [1, 2])
@@ -391,6 +431,101 @@ class TestSegmentReset:
         for fid, pose in before.items():
             assert np.array_equal(state.trajectory[fid].translation,
                                   pose.translation)
+
+
+def snapshot(state):
+    """What a process_frame call that raises must leave as it was."""
+    gate = {k: list(v) if isinstance(v, list) else v
+            for k, v in vars(state.gate).items()}
+    return (state.bank.ids(), state.bank.best_conf.tolist(),
+            [(fid, id(pose)) for fid, pose in state.trajectory.items()],
+            gate, state._last_frame_id, state.frames_since_admit,
+            state.segment_accepted, state.reset_pending)
+
+
+def check_invariants(state):
+    cfg, bank = state.config, state.bank
+    ids = bank.ids()
+    assert all(a < b for a, b in zip(ids, ids[1:]))
+    assert 1 <= len(ids) <= cfg.m_max
+    assert len(bank.tokens) == len(bank.rotations) == len(bank.best_conf) == len(ids)
+    assert state.frames_since_admit <= cfg.delta_max
+    for pose in state.trajectory.values():
+        assert np.isfinite(pose.rotation.as_array()).all()
+        assert np.isfinite(pose.translation).all()
+
+
+def context_batch(context, fid, conf, rng):
+    n = len(context)
+    return EdgeBatch(context, fid, rng.normal(size=(n, 4)),
+                     rng.normal(scale=0.1, size=(n, 3)),
+                     conf * rng.uniform(0.5, 2.0, n), conf * rng.uniform(0.5, 2.0, n))
+
+
+def corrupt(edges, how, rng):
+    """The context edges with one missing, one repeated, or one from a
+    frame outside the context."""
+    rows = np.arange(len(edges))
+    if how == "dropped":
+        return edges.take(np.delete(rows, rng.integers(len(rows))))
+    if how == "duplicated":
+        return edges.take(np.append(rows, rng.integers(len(rows))))
+    dst = int(edges.dst[0])
+    return EdgeBatch.concat([edges, edges.take([0]).relabel([dst + 1], dst)])
+
+
+@st.composite
+def stream_runs(draw):
+    cfg = StreamConfig(m_max=draw(st.integers(1, 6)), delta_max=draw(st.integers(1, 5)),
+                       n_cal=draw(st.integers(1, 4)), n_rej=draw(st.integers(1, 3)),
+                       l_max=draw(st.integers(3, 40)),
+                       tau=draw(st.sampled_from([0.5, 0.9, 0.98])))
+    low_prefix = draw(st.integers(0, 4))
+    steps = draw(st.lists(st.tuples(
+        st.integers(1, 3),                                   # id gap
+        st.integers(0, 2 ** 32 - 1),                         # geometry seed
+        st.sampled_from([1e-3, 0.05, 1.0, 30.0]),            # confidence
+        st.sampled_from(["exact", "shuffled", "dropped", "duplicated",
+                         "extra", "stale id"]),
+        st.booleans()),                                      # forced reset after
+        min_size=1, max_size=40))
+    return cfg, low_prefix, steps
+
+
+class TestProcessFrameProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(stream_runs())
+    def test_random_streams_keep_the_invariants(self, run):
+        cfg, low_prefix, steps = run
+        state = StreamState(cfg)
+        tokens, last = {}, None
+        for k, (gap, seed, conf, how, reset_after) in enumerate(steps):
+            rng = np.random.default_rng(seed)
+            fid = gap if last is None else last + gap
+            tokens[fid] = tk = FrameToken(fid, rng.normal(size=8))
+            conf = 1e-3 if k < low_prefix else conf
+            edges = context_batch(state.context_ids, fid, conf, rng)
+            if how == "shuffled":
+                edges = edges.take(rng.permutation(len(edges)))
+            elif last is not None and how != "exact":
+                before = snapshot(state)
+                if how == "stale id":
+                    bad, error = (FrameToken(last - int(rng.integers(3)), tk.features),
+                                  edges), NonMonotoneFrameId
+                else:
+                    bad, error = (tk, corrupt(edges, how, rng)), MissingContextEdges
+                with pytest.raises(error):
+                    process_frame(state, *bad)
+                assert snapshot(state) == before
+            process_frame(state, tk, edges)
+            last = fid
+            check_invariants(state)
+            if state.reset_pending or reset_after:
+                ids = sorted(state.trajectory)[-5:]
+                if len(ids) >= 3:
+                    segment_reset(state, [(i, state.trajectory[i], tokens[i]) for i in ids])
+                    check_invariants(state)
+                state.reset_pending = False
 
 
 class TestScaleAnchor:

@@ -13,14 +13,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "relpose"
-# names kept for the tests alone: the loss the oracle's confidences are
-# calibrated to, acceptance criterion 02's candidate type, and independent
-# references for refinement's residuals and the oracle's noise
+# the only names the guard allows, kept for the tests alone: the loss the
+# oracle's confidences are calibrated to, acceptance criterion 02's
+# candidate type, and independent references for refinement's residuals
+# and the oracle's noise
 TEST_REFERENCES = {"conf_loss", "CandidatePose", "edge_residuals", "noise_scales"}
-# the posegraph edge text format (format_edge, parse_edge and these two):
-# nothing in the program reads or writes edge files, and it is the next
-# deletion on ROADMAP item 4, together with its tests
-EDGE_TEXT_FORMAT = {"dump_edges", "load_edges"}
 
 
 def definitions(path):
@@ -59,4 +56,4 @@ def unused_names():
 
 
 def test_the_program_uses_every_name_it_defines():
-    assert unused_names() == TEST_REFERENCES | EDGE_TEXT_FORMAT
+    assert unused_names() == TEST_REFERENCES
