@@ -10,7 +10,6 @@ weights, bank utilities, and gate scores.
 import numpy as np
 
 from relpose import metrics
-from relpose.geom import pose_relative, quat_geodesic_deg
 from relpose.oracle import OracleConfig, generate_scene
 
 
@@ -25,12 +24,10 @@ def main():
         if a != b:
             pairs.append((ids[a], ids[b]))
 
-    rot, trans = [], []
-    for (i, j), e in zip(pairs, scene.emit_pairs(pairs)):
-        gt = pose_relative(scene.poses[i], scene.poses[j])
-        rot.append((e.conf_rot, quat_geodesic_deg(e.rel_rotation, gt.rotation)))
-        trans.append((e.conf_trans,
-                      float(np.linalg.norm(e.rel_translation - gt.translation))))
+    edges = scene.emit_pairs(pairs)
+    rot_err, trans_err = metrics.edge_errors(edges, scene.poses)
+    rot = np.column_stack([edges.conf_rot, rot_err])
+    trans = np.column_stack([edges.conf_trans, trans_err])
 
     for name, samples in (("rotation (deg)", rot), ("translation", trans)):
         s = metrics.confidence_bins(samples, n_bins=5)

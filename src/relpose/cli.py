@@ -15,7 +15,6 @@ import numpy as np
 
 from . import __version__, io, metrics
 from .config import (RunConfig, config_hash, load_config)
-from .geom import pose_relative, quat_geodesic_deg
 from .oracle import generate_scene
 from .runner import (offline_trajectory, refine_trajectory, robustness_run,
                      stream_scene)
@@ -131,6 +130,8 @@ def cmd_robust(cfg: RunConfig, out_dir):
 
 
 def _diag_samples(cfg: RunConfig):
+    """(confidence, error) rows of random oracle edges, as one (n, 2) array
+    for rotation (degrees) and one for translation."""
     scene = generate_scene(cfg.oracle, cfg.seed)
     rng = np.random.default_rng([cfg.seed, 0xD1A6])
     ids = scene.frame_ids
@@ -139,15 +140,10 @@ def _diag_samples(cfg: RunConfig):
         chunk = min(cfg.diag_edges - len(pairs), 2000)
         drawn = rng.integers(0, len(ids), size=(chunk, 2)).tolist()
         pairs += [(ids[a], ids[b]) for a, b in drawn if a != b]
-    rot_samples, trans_samples = [], []
-    for (i, j), edge in zip(pairs, scene.emit_pairs(pairs)):
-        gt = pose_relative(scene.poses[i], scene.poses[j])
-        rot_samples.append((edge.conf_rot,
-                            quat_geodesic_deg(edge.rel_rotation, gt.rotation)))
-        trans_samples.append((edge.conf_trans,
-                              float(np.linalg.norm(edge.rel_translation
-                                                   - gt.translation))))
-    return rot_samples, trans_samples
+    edges = scene.emit_pairs(pairs)
+    rot_err, trans_err = metrics.edge_errors(edges, scene.poses)
+    return (np.column_stack([edges.conf_rot, rot_err]),
+            np.column_stack([edges.conf_trans, trans_err]))
 
 
 def cmd_diag(cfg: RunConfig, out_dir, assert_monotone=False):

@@ -156,7 +156,10 @@ def config_from_dict(data) -> RunConfig:
 def load_config(path) -> RunConfig:
     import yaml  # only YAML files need it; importing it costs about 1 MB
     with open(path) as f:
-        data = yaml.safe_load(f)
+        try:
+            data = yaml.safe_load(f)
+        except (yaml.YAMLError, RecursionError) as exc:
+            raise ConfigError(f"malformed YAML: {exc}") from None
     if data is not None and not isinstance(data, dict):
         raise ConfigError("config file must contain a mapping")
     return config_from_dict(data)

@@ -8,8 +8,9 @@ Conventions, fixed repo-wide:
 Scalar objects (UnitQuaternion, Pose) serve the per-pose paths; the
 batched section at the end works on (..., 4) wxyz arrays and (..., 3)
 vectors and is the one definition of the quaternion product,
-normalization, vector rotation, the exponential map, quaternion-to-matrix,
-skew and the SO(3) right Jacobian.
+normalization, vector rotation and norms, the exponential map,
+quaternion-to-matrix, skew and the SO(3) right Jacobian; its relative
+poses and geodesic angles restate pose_relative and quat_geodesic_deg.
 
 Everything here is immutable after construction; no function mutates its
 arguments.
@@ -101,11 +102,11 @@ class UnitQuaternion:
         return quat_to_matrix(self.as_array())
 
 
-# quat_multiply and quat_rotate keep scalar bodies, restating quat_product
-# and quat_apply below: they serve one pose at a time (trajectory
-# generation, pose algebra, metrics), where a scalar call takes about 3 us
-# and the same operation as a one-row array call, with its conversions,
-# about 19 us.
+# quat_multiply, quat_rotate and quat_geodesic_deg keep scalar bodies,
+# restating quat_product, quat_apply and quat_angle_deg below: they serve
+# one pose at a time (trajectory generation, pose algebra), where a scalar
+# call takes about 3-5 us and the same operation as a one-row array call,
+# with its conversions, 19-100 us.
 
 def quat_multiply(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     """Hamilton product a ⊗ b, renormalized."""
@@ -280,21 +281,49 @@ def quat_apply(q, v):
                      v2 + w * tz + (x * ty - y * tx)], axis=-1)
 
 
+def norms(v):
+    """Euclidean norms of (..., 3) vectors, sqrt(v . v) as a matrix product:
+    like np.linalg.norm of one vector (unlike np.linalg.norm along an
+    axis), it gives a vector the same bits alone or inside a batch."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def quat_exp(v):
     """Exponential map: rotation vectors (axis * angle) to unit quaternions.
 
     Below 1e-12 rad the first-order expansion keeps it smooth through zero.
-    The angle is sqrt(v . v) taken as a matrix product, which rounds like
-    np.linalg.norm of one vector (np.linalg.norm along an axis does not
-    always), so a vector gives the same bits alone or inside a batch.
     """
     v = np.asarray(v, dtype=float)
-    angle = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+    angle = norms(v)
     half = 0.5 * angle
     small = angle < 1e-12
     s = np.where(small, 0.5, np.sin(half))
     axis = v / np.where(small, 1.0, angle)[..., None]
     return np.concatenate([np.cos(half)[..., None], s[..., None] * axis], axis=-1)
+
+
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def relative_poses(qa, ta, qb, tb):
+    """Relative transforms a^-1 b of (..., 4) wxyz rotations and (..., 3)
+    translations (broadcast), by pose_relative's expressions: the
+    conjugate of a and the product are renormalized."""
+    inv = quat_normalize(np.asarray(qa, dtype=float) * _CONJUGATE)
+    return (quat_normalize(quat_product(inv, qb)),
+            quat_apply(inv, tb) - quat_apply(inv, ta))
+
+
+def quat_angle_deg(a, b):
+    """Geodesic angles in degrees between (..., 4) unit quaternions
+    (broadcast), by quat_geodesic_deg's expressions; only np.arctan2 may
+    round differently from math.atan2, by an ulp."""
+    inv = quat_normalize(np.asarray(a, dtype=float) * _CONJUGATE)
+    r = quat_normalize(quat_product(inv, b))
+    x, y, z = r[..., 1], r[..., 2], r[..., 3]
+    vn = np.sqrt(x * x + y * y + z * z)
+    return np.degrees(2.0 * np.arctan2(vn, np.abs(r[..., 0])))
 
 
 def quat_to_matrix(q):

@@ -2,14 +2,15 @@
 
 ATE after Sim(3) (or SE(3)) alignment, RPE over fixed frame deltas,
 equal-mass confidence-vs-error binning, and the distractor filtering
-scores.
+scores.  Relative poses and their errors are computed on stacked poses
+with geom's batched layer.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (Pose, pose_relative, quat_geodesic_deg, umeyama_sim3)
+from .geom import norms, quat_angle_deg, relative_poses, umeyama_sim3
 
 
 class TooFewPoses(ValueError):
@@ -83,17 +84,22 @@ def ate(estimated, reference, alignment="sim3"):
     return ate_rmse, ate_norm
 
 
+def _relative(trajectory, ids, a, b):
+    """Relative poses (rotations (n, 4) wxyz, translations (n, 3)) from the
+    poses at positions a to those at positions b of ids."""
+    q = np.reshape([trajectory[i].rotation.as_array() for i in ids], (-1, 4))
+    t = np.reshape([trajectory[i].translation for i in ids], (-1, 3))
+    return relative_poses(q[a], t[a], q[b], t[b])
+
+
 def rot_rmse_deg(estimated, reference) -> float:
     """RMSE of per-frame rotation error (degrees) after removing the
     best-fit global rotation offset between the two trajectories."""
     ids = _common_ids(estimated, reference)
     # gauge-align rotations through frame pairs relative to the first frame
-    first = ids[0]
-    errs = []
-    for i in ids:
-        rel_est = pose_relative(estimated[first], estimated[i])
-        rel_ref = pose_relative(reference[first], reference[i])
-        errs.append(quat_geodesic_deg(rel_est.rotation, rel_ref.rotation))
+    rel_est = _relative(estimated, ids, 0, slice(None))[0]
+    rel_ref = _relative(reference, ids, 0, slice(None))[0]
+    errs = quat_angle_deg(rel_est, rel_ref)
     return float(np.sqrt(np.mean(np.square(errs))))
 
 
@@ -105,15 +111,24 @@ def rpe(estimated, reference, delta=1):
     ids = _common_ids(estimated, reference)
     if len(ids) <= delta:
         raise TooFewPoses("too few poses for the requested delta")
-    t_err, r_err = [], []
-    for a, b in zip(ids, ids[delta:]):
-        rel_est = pose_relative(estimated[a], estimated[b])
-        rel_ref = pose_relative(reference[a], reference[b])
-        t_err.append(np.linalg.norm(rel_est.translation - rel_ref.translation))
-        r_err.append(quat_geodesic_deg(rel_est.rotation, rel_ref.rotation))
-    rpe_t = float(np.sqrt(np.mean(np.square(t_err))))
-    rpe_r = float(np.sqrt(np.mean(np.square(r_err))))
+    a, b = slice(None, -delta), slice(delta, None)
+    q_e, t_e = _relative(estimated, ids, a, b)
+    q_r, t_r = _relative(reference, ids, a, b)
+    rpe_t = float(np.sqrt(np.mean(np.square(norms(t_e - t_r)))))
+    rpe_r = float(np.sqrt(np.mean(np.square(quat_angle_deg(q_e, q_r)))))
     return rpe_t, rpe_r
+
+
+def edge_errors(edges, poses):
+    """Rotation (degrees) and translation errors of each edge of an
+    EdgeBatch against the relative pose of its endpoints in poses (frame
+    id -> Pose)."""
+    ids = sorted(poses)
+    if not np.isin(np.concatenate([edges.src, edges.dst]), ids).all():
+        raise MismatchedIds("every edge endpoint needs a pose")
+    a, b = np.searchsorted(ids, edges.src), np.searchsorted(ids, edges.dst)
+    gt_q, gt_t = _relative(poses, ids, a, b)
+    return quat_angle_deg(edges.rotation, gt_q), norms(edges.translation - gt_t)
 
 
 def trajectory_report(estimated, reference, alignment="sim3", rpe_delta=1):
@@ -125,12 +140,12 @@ def trajectory_report(estimated, reference, alignment="sim3", rpe_delta=1):
 
 
 def confidence_bins(samples, n_bins=5, component="") -> ConfidenceBinSummary:
-    """Equal-mass confidence quantile bins with per-bin error statistics."""
-    samples = list(samples)
-    if len(samples) < n_bins:
+    """Equal-mass confidence quantile bins with per-bin error statistics,
+    from (confidence, error) samples: pairs, or the rows of an (n, 2)
+    array."""
+    conf, err = np.asarray(samples, dtype=float).reshape(-1, 2).T
+    if len(conf) < n_bins:
         raise TooFewSamples(f"need at least {n_bins} samples")
-    conf = np.array([s[0] for s in samples])
-    err = np.array([s[1] for s in samples])
     order = np.argsort(conf, kind="stable")
     chunks = np.array_split(order, n_bins)
     centers = np.array([conf[c].mean() for c in chunks])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .geom import (Pose, UnitQuaternion, quat_exp, quat_multiply, quat_product,
                    quat_rotate, quat_to_matrix)
-from .posegraph import EdgeBatch, PoseEdge
+from .posegraph import EdgeBatch
 from .stream import FrameToken
 
 
@@ -205,11 +205,6 @@ class SyntheticScene:
         b_t = max(self.config.base_trans_noise * growth, _EPS_SCALE)
         return b_r, b_t
 
-    def emit_edge(self, i, j) -> PoseEdge:
-        if i == j:
-            raise ValueError("edge endpoints must differ")
-        return self.emit_edges([i], j)[0]
-
     def emit_edges(self, sources, j) -> EdgeBatch:
         """Noisy confidence-carrying edges src -> j, one row per src in the
         order given."""
@@ -293,7 +288,7 @@ def _emit_grouped(groups):
     emit_edges call per group, its edges put at their rows.  A single
     group's batch is returned as it is, since its rows are in order."""
     if not groups:
-        return EdgeBatch.of([])
+        return EdgeBatch([], [], np.empty((0, 4)), np.empty((0, 3)), [], [])
     batches = [scene.emit_edges(sources, dst)
                for (scene, dst), (_, sources) in groups.items()]
     if len(batches) == 1:

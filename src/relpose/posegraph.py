@@ -2,12 +2,12 @@
 
 An edge (i -> j) carries a predicted relative rotation/translation and two
 positive confidences, one per component.  Edges travel as an EdgeBatch, a
-struct of arrays with one row per edge; a PoseEdge is one row, for the
-callers that handle single edges.  Every reference frame i with a known
-pose proposes one absolute candidate for frame j by composing its pose
-with the edge (compose_candidate does a whole batch in one call);
-candidates are fused with softmax confidence weights, top-K selected by
-averaged confidence.
+struct of arrays with one row per edge and the one edge input of every
+path; indexing it gives a PoseEdge, a read-only view of one row.  Every
+reference frame i with a known pose proposes one absolute candidate for
+frame j by composing its pose with the edge (compose_candidate does a
+whole batch in one call); a frame's CandidateBatch is fused with softmax
+confidence weights, top-K selected by averaged confidence.
 """
 
 import math
@@ -50,10 +50,10 @@ class EdgeBatch:
 
     The constructor is the boundary: it normalizes the rotations (as
     UnitQuaternion does) and rejects self-loops and non-finite or
-    non-positive values.  Rows taken from edges or batches that were
-    checked already are not checked or normalized again.  The arrays are
-    read-only; len(), iteration and indexing work row-wise, a row being a
-    PoseEdge.
+    non-positive values.  Rows taken from batches that were checked
+    already are not checked or normalized again.  The arrays are
+    read-only; len() and indexing work row-wise, a row being a PoseEdge
+    (iteration goes through indexing).
     """
 
     _COLUMNS = ("src", "dst", "rotation", "translation", "conf_rot", "conf_trans")
@@ -93,20 +93,6 @@ class EdgeBatch:
         return batch
 
     @classmethod
-    def of(cls, edges):
-        """The edges as one batch: a batch passes through, PoseEdges are
-        stacked row by row."""
-        if isinstance(edges, cls):
-            return edges
-        edges = list(edges)
-        return cls._checked(
-            *_ids([e.src for e in edges], [e.dst for e in edges]),
-            np.reshape([e.rel_rotation.as_array() for e in edges], (-1, 4)),
-            np.reshape([e.rel_translation for e in edges], (-1, 3)),
-            np.array([e.conf_rot for e in edges], dtype=float),
-            np.array([e.conf_trans for e in edges], dtype=float))
-
-    @classmethod
     def concat(cls, batches):
         """The rows of several batches, in order, as one batch."""
         return cls._checked(*(np.concatenate([getattr(b, name) for b in batches])
@@ -134,9 +120,6 @@ class EdgeBatch:
                         self.translation[k], float(self.conf_rot[k]),
                         float(self.conf_trans[k]))
 
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
 
 def _ids(src, dst):
     """src as an id array, dst as one of the same length (a single id is
@@ -145,14 +128,6 @@ def _ids(src, dst):
     if np.ndim(dst) == 0:
         return src, np.full(len(src), dst, dtype=np.int64)
     return src, np.array(dst, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class CandidatePose:
-    proposed: Pose
-    conf_rot: float
-    conf_trans: float
-    reference: int
 
 
 @dataclass(frozen=True)
@@ -165,18 +140,6 @@ class CandidateBatch:
     conf_rot: np.ndarray
     conf_trans: np.ndarray
     reference: np.ndarray
-
-    @classmethod
-    def of(cls, candidates):
-        """A batch passes through; CandidatePoses are stacked row by row."""
-        if isinstance(candidates, cls):
-            return candidates
-        cs = list(candidates)
-        return cls(np.array([c.proposed.rotation.as_array() for c in cs]).reshape(-1, 4),
-                   np.array([c.proposed.translation for c in cs]).reshape(-1, 3),
-                   np.array([c.conf_rot for c in cs], dtype=float),
-                   np.array([c.conf_trans for c in cs], dtype=float),
-                   np.array([c.reference for c in cs], dtype=np.int64))
 
     def __len__(self):
         return len(self.reference)
@@ -202,28 +165,27 @@ def _softmax(values):
     return e / e.sum()
 
 
-def fuse_candidates(candidates, k=None, log_weights=False):
-    """Confidence-weighted fusion of candidate poses into one pose.
+def fuse_candidates(candidates: CandidateBatch, k=None, log_weights=False):
+    """Confidence-weighted fusion of a frame's candidate poses, the
+    CandidateBatch that compose_candidate returns, into one pose.
 
-    Takes the CandidateBatch of compose_candidate, or CandidatePoses,
-    which are stacked into one.  The top-k candidates by averaged
-    confidence are retained (k=None keeps all; ties break by ascending
-    reference id).  Translation is their softmax(conf_trans)-weighted
-    mean; rotation is the renormalized softmax(conf_rot)-weighted
-    quaternion sum, candidates sign-aligned to the retained candidate with
-    the highest rotation confidence.  log_weights switches the softmax to
-    log-confidences (weights proportional to the raw confidences) for
-    experimentation.
+    The top-k candidates by averaged confidence are retained (k=None keeps
+    all; ties break by ascending reference id).  Translation is their
+    softmax(conf_trans)-weighted mean; rotation is the renormalized
+    softmax(conf_rot)-weighted quaternion sum, candidates sign-aligned to
+    the retained candidate with the highest rotation confidence.  On
+    oracle confidences the softmax is nearly an argmax (README, Fusion).
+    log_weights switches the softmax to log-confidences (weights
+    proportional to the raw confidences) for experimentation.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be None or at least 1, got {k}")
-    c = CandidateBatch.of(candidates)
-    if not len(c):
+    if not len(candidates):
         raise EmptyCandidates("no candidate poses to fuse")
-    mean_conf = 0.5 * (c.conf_rot + c.conf_trans)
-    keep = np.lexsort((c.reference, -mean_conf))[:k]
-    c_rot, c_trans, refs = c.conf_rot[keep], c.conf_trans[keep], c.reference[keep]
-    qs = c.rotation[keep]
+    mean_conf = 0.5 * (candidates.conf_rot + candidates.conf_trans)
+    keep = np.lexsort((candidates.reference, -mean_conf))[:k]
+    c_rot, c_trans = candidates.conf_rot[keep], candidates.conf_trans[keep]
+    refs, qs = candidates.reference[keep], candidates.rotation[keep]
 
     # sign-align to the retained candidate with highest conf_rot
     anchor = qs[np.lexsort((refs, -c_rot))[0]]
@@ -233,7 +195,7 @@ def fuse_candidates(candidates, k=None, log_weights=False):
     w_rot = _softmax(c_rot)
     w_trans = _softmax(c_trans)
 
-    t = w_trans @ c.translation[keep]
+    t = w_trans @ candidates.translation[keep]
     signs = np.where(qs @ anchor < 0.0, -1.0, 1.0)
     q_sum = (w_rot[:, None] * signs[:, None] * qs).sum(axis=0)
     if np.linalg.norm(q_sum) < 1e-9:

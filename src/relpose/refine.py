@@ -41,20 +41,18 @@ class NonFiniteObjective(ValueError):
 @dataclass(frozen=True)
 class RefinementProblem:
     poses: dict                    # frame id -> Pose, the initialization
-    edges: EdgeBatch               # a PoseEdge sequence is stacked into one
+    edges: EdgeBatch
     delta_rot: float = 0.05        # Huber knee for rotation residuals, rad
     delta_trans: float = 0.1       # Huber knee for translation residuals
 
     def __post_init__(self):
         if self.delta_rot <= 0 or self.delta_trans <= 0:
             raise ValueError("Huber deltas must be positive")
-        edges = EdgeBatch.of(self.edges)
-        object.__setattr__(self, "edges", edges)
         ids = np.fromiter(self.poses, dtype=np.int64, count=len(self.poses))
-        unknown = ~np.isin(np.stack([edges.src, edges.dst]), ids).all(axis=0)
+        unknown = ~np.isin(np.stack([self.edges.src, self.edges.dst]), ids).all(axis=0)
         if unknown.any():
             k = int(np.argmax(unknown))
-            raise ValueError(f"edge ({edges.src[k]},{edges.dst[k]}) "
+            raise ValueError(f"edge ({self.edges.src[k]},{self.edges.dst[k]}) "
                              "references an unknown node")
 
 

@@ -58,8 +58,14 @@ class StreamConfig:
     def __post_init__(self):
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be None or at least 1, got {self.k}")
-        if self.m_max < 1:
-            raise ValueError(f"m_max must be at least 1, got {self.m_max}")
+        for name, low in (("m_max", 1), ("n_cal", 1), ("n_rej", 1), ("l_max", 1),
+                          ("delta_max", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
+        if not 0 <= self.tau_out < math.inf:
+            raise ValueError(f"tau_out must be non-negative and finite, got {self.tau_out}")
 
 
 @dataclass(frozen=True)
@@ -145,9 +151,8 @@ def cull(bank: KeyframeBank) -> int:
     return bank.evict(1 + int(np.argmin(u[1:])))
 
 
-def gate_score(edges_into_j) -> float:
+def gate_score(edges: EdgeBatch) -> float:
     """Mean averaged-pair confidence of a frame against its context."""
-    edges = EdgeBatch.of(edges_into_j)
     if not len(edges):
         raise ValueError("need at least one edge")
     return float(np.mean(edges.mean_conf))
@@ -233,12 +238,13 @@ class StreamState:
         return self.bank.ids()
 
 
-def process_frame(state: StreamState, token: FrameToken, edges):
+def process_frame(state: StreamState, token: FrameToken, edges: EdgeBatch):
     """Advance the stream by one frame; returns the emitted events.
 
-    edges (an EdgeBatch, or PoseEdges, which are stacked into one) must
-    cover exactly the active context.  Raises NonMonotoneFrameId /
-    MissingContextEdges on malformed input, before any state changes.
+    edges must cover exactly the active context; the first frame of a
+    stream, whose context is empty, becomes the origin without reading
+    them.  Raises NonMonotoneFrameId / MissingContextEdges on malformed
+    input, before any state changes.
     """
     cfg = state.config
     frame_id = token.id
@@ -262,7 +268,6 @@ def process_frame(state: StreamState, token: FrameToken, edges):
         events.append(StreamEvent("AdmittedToBank", frame_id))
         return events
 
-    edges = EdgeBatch.of(edges)
     edges = edges.take(np.argsort(edges.src, kind="stable"))
     if not (np.array_equal(edges.src, context) and np.all(edges.dst == frame_id)):
         raise MissingContextEdges(

@@ -21,12 +21,13 @@ from relpose.geom import (Pose, UnitQuaternion, pose_relative, quat_multiply,
                           quat_rotate, quat_geodesic_deg, umeyama_sim3)
 from relpose.loss import conf_loss
 from relpose.oracle import OracleConfig, generate_scene
-from relpose.posegraph import CandidatePose, PoseEdge, fuse_candidates
+from relpose.posegraph import PoseEdge, fuse_candidates
 from relpose.refine import (RefinementProblem, _Workspace, solve)
 from relpose.runner import (offline_trajectory, refine_trajectory,
                             robustness_run, stream_scene)
 from relpose.stream import StreamConfig, StreamState, process_frame, segment_reset
-from conftest import random_pose, random_quat
+from conftest import (CandidatePose, candidate_batch, edge_batch, random_pose,
+                      random_quat)
 
 
 def _ok(msg):
@@ -89,24 +90,24 @@ def test_criterion_02_fusion_contracts():
 
     for _ in range(2500):  # permutation invariance
         cs = cands(int(rng.integers(2, 7)))
-        a = fuse_candidates(cs)
-        b = fuse_candidates([cs[i] for i in rng.permutation(len(cs))])
+        a = fuse_candidates(candidate_batch(cs))
+        b = fuse_candidates(candidate_batch([cs[i] for i in rng.permutation(len(cs))]))
         assert np.allclose(a.translation, b.translation, atol=1e-12)
         assert quat_geodesic_deg(a.rotation, b.rotation) < 1e-10
     for _ in range(2500):  # single-candidate identity
         c = cands(1)[0]
-        fused = fuse_candidates([c])
+        fused = fuse_candidates(candidate_batch([c]))
         assert np.allclose(fused.translation, c.proposed.translation, atol=1e-12)
         assert quat_geodesic_deg(fused.rotation, c.proposed.rotation) < 1e-10
     for _ in range(2500):  # convex-hull (bounding box) containment
         cs = cands(int(rng.integers(2, 7)))
-        fused = fuse_candidates(cs)
+        fused = fuse_candidates(candidate_batch(cs))
         ts = np.array([c.proposed.translation for c in cs])
         assert np.all(fused.translation >= ts.min(axis=0) - 1e-12)
         assert np.all(fused.translation <= ts.max(axis=0) + 1e-12)
     for _ in range(2500):  # equal confidences reduce to the plain mean
         cs = cands(int(rng.integers(2, 7)), equal_conf=True)
-        fused = fuse_candidates(cs)
+        fused = fuse_candidates(candidate_batch(cs))
         mean_t = np.mean([c.proposed.translation for c in cs], axis=0)
         assert np.allclose(fused.translation, mean_t, atol=1e-12)
     _ok("criterion 2: fusion contracts hold on 10,000 randomized cases")
@@ -135,12 +136,13 @@ def test_criterion_04_confidence_reliability_bins():
     rng = np.random.default_rng(404)
     rot_samples, trans_samples = [], []
     ids = scene.frame_ids
-    while len(rot_samples) < 10000:
+    pairs = []
+    while len(pairs) < 10000:
         a, b = rng.integers(0, len(ids), size=2)
         if a == b:
             continue
-        i, j = ids[a], ids[b]
-        e = scene.emit_edge(i, j)
+        pairs.append((ids[a], ids[b]))
+    for (i, j), e in zip(pairs, scene.emit_pairs(pairs)):
         gt = pose_relative(scene.poses[i], scene.poses[j])
         rot_samples.append((e.conf_rot,
                             quat_geodesic_deg(e.rel_rotation, gt.rotation)))
@@ -249,7 +251,7 @@ def test_criterion_08_refinement_contracts():
                                   rel.translation + rng.normal(scale=0.05, size=3),
                                   float(rng.uniform(0.5, 3)),
                                   float(rng.uniform(0.5, 3))))
-        return RefinementProblem(poses, edges)
+        return RefinementProblem(poses, edge_batch(edges))
 
     # gradient vs central finite differences
     for _ in range(50):
@@ -279,7 +281,7 @@ def test_criterion_08_refinement_contracts():
         dq = UnitQuaternion.from_rotvec(rng.normal(scale=0.02, size=3))
         init[i] = Pose(quat_multiply(truth[i].rotation, dq),
                        truth[i].translation + rng.normal(scale=0.05, size=3))
-    result = solve(RefinementProblem(init, edges))
+    result = solve(RefinementProblem(init, edge_batch(edges)))
     assert result.final_objective <= result.initial_objective
     for i in range(6):
         assert math.radians(quat_geodesic_deg(result.poses[i].rotation,

@@ -1,13 +1,15 @@
+import contextlib
 import json
 import math
 import os
 import subprocess
 import sys
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import yaml
@@ -304,6 +306,9 @@ class TestDiagCommand:
                      "--assert-monotone"]) == 0
 
     def test_grouped_samples_equal_per_edge_samples_in_order(self, cfg_file):
+        # one emission and one scalar error per edge; the confidences are
+        # the same bits, and the errors differ at most by np.arctan2's
+        # rounding against math.atan2
         cfg = load_config(cfg_file)
         scene = generate_scene(cfg.oracle, cfg.seed)
         rng = np.random.default_rng([cfg.seed, 0xD1A6])
@@ -315,13 +320,18 @@ class TestDiagCommand:
                 if a == b:
                     continue
                 i, j = ids[a], ids[b]
-                edge = scene.emit_edge(i, j)
+                edge = scene.emit_edges([i], j)[0]
                 gt = pose_relative(scene.poses[i], scene.poses[j])
                 rot.append((edge.conf_rot,
                             quat_geodesic_deg(edge.rel_rotation, gt.rotation)))
                 trans.append((edge.conf_trans, float(np.linalg.norm(
                     edge.rel_translation - gt.translation))))
-        assert _diag_samples(cfg) == (rot, trans)
+        got_rot, got_trans = _diag_samples(cfg)
+        rot, trans = np.array(rot), np.array(trans)
+        assert got_rot.shape == rot.shape == (cfg.diag_edges, 2)
+        assert np.array_equal(got_rot[:, 0], rot[:, 0])
+        assert np.allclose(got_rot[:, 1], rot[:, 1], rtol=1e-14, atol=0)
+        assert np.array_equal(got_trans, trans)
 
     def test_bins_flag(self, cfg_file, tmp_path):
         out = str(tmp_path / "out")
@@ -429,8 +439,11 @@ class TestErrors:
         {"stream": {"m_max": 2.5}}, {"oracle": {"frames": 1}},
         {"robust": {"noise_mult": 0}}, {"robust": {"noise_mult": -1}},
         {"robust": {"n_distract": [4, 50]}}, {"robust": {"n_clean": 2}},
-        {"robust": {"trials": 0}}])
-    @pytest.mark.parametrize("command", ["offline", "robust"])
+        {"robust": {"trials": 0}}, {"stream": {"tau": float("nan")}},
+        {"stream": {"tau_out": float("nan")}}, {"stream": {"tau_out": -1.0}},
+        {"stream": {"l_max": 0}}, {"stream": {"n_cal": -3}},
+        {"stream": {"n_rej": 0}}, {"stream": {"delta_max": -1}}])
+    @pytest.mark.parametrize("command", ["offline", "robust", "stream"])
     def test_invalid_value_fails_before_writing(self, tmp_path, capsys,
                                                  override, command):
         data = yaml.safe_load(SMALL_CFG)
@@ -443,3 +456,43 @@ class TestErrors:
                      "--refine"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["seed: [1", "seed: !!python/tuple [1]",
+                                      "[" * 2000 + "]" * 2000],
+                             ids=["unclosed", "python-tag", "deep-nesting"])
+    def test_malformed_yaml_writes_nothing(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text + "\n")
+        out = tmp_path / "out"
+        assert main(["stream", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed YAML")
+        assert not out.exists()
+
+
+def loads_as_empty(text):
+    """Whether YAML reads the text as no config at all, which a run
+    accepts (every value at its default)."""
+    try:
+        return yaml.safe_load(text) in (None, {})
+    except Exception:
+        return False
+
+
+class TestConfigProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=80)
+           | st.text(st.sampled_from(list("[]{}:,-?!&*|>'\"%@#~ \n\tab01.e")),
+                     max_size=40))
+    def test_garbage_exits_with_error_and_writes_nothing(self, tmp_path_factory, text):
+        assume(not loads_as_empty(text))
+        tmp = tmp_path_factory.mktemp("garbage")
+        path, out = tmp / "run.yaml", tmp / "out"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_config(path)
+        stderr = StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["stream", "--config", str(path), "--out", str(out)])
+        assert code == 1 and stderr.getvalue().startswith("error: ")
+        assert not out.exists()
+

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from relpose.geom import (DegenerateInput, Pose, Sim3Alignment, UnitQuaternion,
-                          pose_compose, pose_inverse, pose_relative, quat_apply,
-                          quat_exp, quat_geodesic_deg, quat_multiply,
-                          quat_normalize, quat_product, quat_rotate,
-                          quat_to_matrix, right_jacobian, skew, umeyama_sim3)
+                          norms, pose_compose, pose_inverse, pose_relative,
+                          quat_angle_deg, quat_apply, quat_exp,
+                          quat_geodesic_deg, quat_multiply, quat_normalize,
+                          quat_product, quat_rotate, quat_to_matrix,
+                          relative_poses, right_jacobian, skew, umeyama_sim3)
 from conftest import random_pose, random_quat
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -145,6 +146,34 @@ class TestBatchedRotations:
         vs = rng.normal(size=(300, 3))
         out = quat_apply([q.as_array() for q in qs], vs)
         assert np.array_equal(out, [quat_rotate(q, v) for q, v in zip(qs, vs)])
+
+    def test_relative_poses_match_pose_relative_bitwise(self, rng):
+        a = [random_pose(rng) for _ in range(300)]
+        b = [random_pose(rng) for _ in range(300)]
+        q, t = relative_poses([p.rotation.as_array() for p in a],
+                              [p.translation for p in a],
+                              [p.rotation.as_array() for p in b],
+                              [p.translation for p in b])
+        rel = [pose_relative(x, y) for x, y in zip(a, b)]
+        assert np.array_equal(q, [r.rotation.as_array() for r in rel])
+        assert np.array_equal(t, [r.translation for r in rel])
+
+    def test_angle_matches_scalar_geodesic(self, rng):
+        a = [random_quat(rng) for _ in range(2000)]
+        # half the pairs far apart, half within about 1e-6 rad
+        b = [random_quat(rng) if k % 2 else
+             UnitQuaternion(*(q.as_array() + rng.normal(scale=1e-7, size=4)))
+             for k, q in enumerate(a)]
+        out = quat_angle_deg([q.as_array() for q in a], [q.as_array() for q in b])
+        expect = [quat_geodesic_deg(p, q) for p, q in zip(a, b)]
+        # the same expressions; np.arctan2 may round an ulp from math.atan2
+        assert np.allclose(out, expect, rtol=4 * np.finfo(float).eps, atol=0)
+        assert quat_angle_deg(a[0].as_array(), -a[0].as_array()) < 1e-12   # double cover
+
+    def test_norms_match_linalg_norm_bitwise(self, rng):
+        v = rng.normal(size=(1000, 3)) * np.exp(rng.uniform(-20, 20, size=(1000, 1)))
+        assert np.array_equal(norms(v), [np.linalg.norm(x) for x in v])
+        assert norms(v[3]) == np.linalg.norm(v[3])
 
     def test_from_unit_keeps_the_bits(self, rng):
         for row in quat_normalize(rng.normal(size=(200, 4))).tolist():

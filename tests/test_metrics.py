@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from relpose.geom import Pose, UnitQuaternion, pose_compose
+from relpose.geom import (Pose, UnitQuaternion, pose_compose, pose_relative,
+                          quat_geodesic_deg)
 from relpose.metrics import (MismatchedIds, PlanMismatch, TooFewPoses,
-                             TooFewSamples, ate, confidence_bins, path_length,
-                             robustness_score, rot_rmse_deg, rpe,
+                             TooFewSamples, ate, confidence_bins, edge_errors,
+                             path_length, robustness_score, rot_rmse_deg, rpe,
                              trajectory_report)
+from relpose.posegraph import PoseEdge
 from relpose.stream import StreamEvent
-from conftest import random_pose
+from conftest import edge_batch, random_pose, random_quat
 
 
 def line_trajectory(n, step=1.0, start=0.0):
@@ -107,6 +109,59 @@ class TestRpe:
             rpe(traj, traj, delta=0)
         with pytest.raises(TooFewPoses):
             rpe(traj, traj, delta=5)
+
+
+def scalar_relative_errors(estimated, reference, pairs):
+    """Translation and rotation (degrees) errors between the relative poses
+    of both trajectories over id pairs, one pose_relative at a time: the
+    loop the batched metrics replaced."""
+    t_err, r_err = [], []
+    for a, b in pairs:
+        rel_est = pose_relative(estimated[a], estimated[b])
+        rel_ref = pose_relative(reference[a], reference[b])
+        t_err.append(np.linalg.norm(rel_est.translation - rel_ref.translation))
+        r_err.append(quat_geodesic_deg(rel_est.rotation, rel_ref.rotation))
+    return np.array(t_err), np.array(r_err)
+
+
+class TestBatchedMatchesScalarLoop:
+    @pytest.mark.parametrize("delta", [1, 3])
+    def test_rpe_and_rot_rmse(self, rng, delta):
+        ref = {i: random_pose(rng) for i in range(1, 301)}
+        est = {i: Pose(UnitQuaternion(*(p.rotation.as_array()
+                                        + rng.normal(scale=0.01, size=4))),
+                       p.translation + rng.normal(scale=0.05, size=3))
+               for i, p in ref.items()}
+        ids = sorted(ref)
+        t_err, r_err = scalar_relative_errors(est, ref, zip(ids, ids[delta:]))
+        rpe_t, rpe_r = rpe(est, ref, delta=delta)
+        # the same arithmetic, but np.arctan2 may round an ulp from math.atan2
+        assert rpe_t == float(np.sqrt(np.mean(np.square(t_err))))
+        assert rpe_r == pytest.approx(float(np.sqrt(np.mean(np.square(r_err)))),
+                                      rel=1e-14, abs=0)
+        _, r_err = scalar_relative_errors(est, ref, [(ids[0], i) for i in ids])
+        assert rot_rmse_deg(est, ref) == pytest.approx(
+            float(np.sqrt(np.mean(np.square(r_err)))), rel=1e-14, abs=0)
+
+
+class TestEdgeErrors:
+    def test_match_per_edge_scalar_errors(self, rng):
+        poses = {i: random_pose(rng) for i in (2, 5, 9, 14)}
+        pairs = [(2, 5), (14, 2), (9, 5), (5, 14)]
+        edges = edge_batch(PoseEdge(i, j, random_quat(rng), rng.normal(size=3),
+                                    1.0, 1.0) for i, j in pairs)
+        rot, trans = edge_errors(edges, poses)
+        for k, (i, j) in enumerate(pairs):
+            gt = pose_relative(poses[i], poses[j])
+            assert rot[k] == pytest.approx(
+                quat_geodesic_deg(edges[k].rel_rotation, gt.rotation), rel=1e-14, abs=0)
+            assert trans[k] == np.linalg.norm(edges[k].rel_translation - gt.translation)
+
+    def test_endpoint_without_a_pose_raises(self, rng):
+        poses = {i: random_pose(rng) for i in (2, 5, 9)}
+        edges = edge_batch([PoseEdge(2, 7, random_quat(rng), np.zeros(3), 1.0, 1.0)])
+        with pytest.raises(MismatchedIds):
+            edge_errors(edges, poses)
 
 
 class TestTrajectoryReport:

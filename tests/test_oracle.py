@@ -166,16 +166,16 @@ class TestEdgeEmission:
     def test_unknown_frame_raises(self):
         s = scene(frames=10)
         with pytest.raises(UnknownFrame):
-            s.emit_edge(1, 99)
+            s.emit_edges([1], 99)
 
     def test_self_edge_raises(self):
         s = scene(frames=10)
         with pytest.raises(ValueError):
-            s.emit_edge(4, 4)
+            s.emit_edges([4], 4)
 
     def test_deterministic_and_order_independent(self):
         s = scene(frames=30)
-        single = s.emit_edge(3, 9)
+        single = s.emit_edges([3], 9)[0]
         batched = {e.src: e for e in s.emit_edges([7, 3, 5], 9)}[3]
         assert np.array_equal(single.rel_translation, batched.rel_translation)
         assert single.conf_rot == batched.conf_rot
@@ -184,7 +184,7 @@ class TestEdgeEmission:
 
     def test_noise_free_edge_is_exact(self):
         s = scene(frames=20, base_rot_noise=0.0, base_trans_noise=0.0)
-        e = s.emit_edge(2, 7)
+        e = s.emit_edges([2], 7)[0]
         gt = pose_relative(s.poses[2], s.poses[7])
         assert quat_geodesic_deg(e.rel_rotation, gt.rotation) < 1e-9
         assert np.allclose(e.rel_translation, gt.translation, atol=1e-12)
@@ -195,7 +195,7 @@ class TestEdgeEmission:
             s = scene(frames=60, base_trans_noise=0.01 * mult)
             tot = 0.0
             for j in range(10, 40):
-                e = s.emit_edge(j - 5, j)
+                e = s.emit_edges([j - 5], j)[0]
                 gt = pose_relative(s.poses[j - 5], s.poses[j])
                 tot += np.linalg.norm(e.rel_translation - gt.translation)
             errs.append(tot)
@@ -203,7 +203,7 @@ class TestEdgeEmission:
 
     def test_confidence_is_calibrated_inverse_scale(self):
         s = scene(frames=50)
-        e = s.emit_edge(4, 9)
+        e = s.emit_edges([4], 9)[0]
         b_r, b_t = s.noise_scales(4, 9)
         assert e.conf_rot == pytest.approx(s.config.alpha / b_r)
         assert e.conf_trans == pytest.approx(s.config.alpha / b_t)
@@ -211,7 +211,7 @@ class TestEdgeEmission:
     def test_outlier_channel_rate_and_calibration(self):
         s = scene(family="circle", frames=300, outlier_prob=0.3,
                   outlier_mult=20.0, noise_gap_growth=0.0)
-        confs = np.array([s.emit_edge(j - 1, j).conf_trans
+        confs = np.array([s.emit_edges([j - 1], j)[0].conf_trans
                           for j in s.frame_ids[1:]])
         clean = confs.max()
         flagged = confs < clean / 2
@@ -221,8 +221,8 @@ class TestEdgeEmission:
 
     def test_confidence_decays_with_gap(self):
         s = scene(family="circle", frames=120)
-        near = s.emit_edge(10, 12)
-        far = s.emit_edge(10, 40)
+        near = s.emit_edges([10], 12)[0]
+        far = s.emit_edges([10], 40)[0]
         assert far.conf_rot < near.conf_rot
 
     def test_mean_edge_error_tracks_scale(self):
@@ -232,7 +232,7 @@ class TestEdgeEmission:
                   noise_gap_growth=0.0, outlier_prob=0.0)
         errs = []
         for j in s.frame_ids[1:]:
-            e = s.emit_edge(j - 1, j)
+            e = s.emit_edges([j - 1], j)[0]
             gt = pose_relative(s.poses[j - 1], s.poses[j])
             errs.extend(np.abs(e.rel_translation - gt.translation))
         _, b_t = s.noise_scales(1, 2)
@@ -375,7 +375,7 @@ class TestDistractorStream:
         ea = self.plan.entries[a - 1]
         eb = self.plan.entries[b - 1]
         got = self.stream.edges([a], b)[0]
-        want = self.scene.emit_edge(ea.scene_frame, eb.scene_frame)
+        want = self.scene.emit_edges([ea.scene_frame], eb.scene_frame)[0]
         assert np.array_equal(got.rel_translation, want.rel_translation)
         assert (got.src, got.dst) == (a, b)
 

@@ -6,9 +6,10 @@ import pytest
 from relpose.geom import (Pose, UnitQuaternion, quat_geodesic_deg, quat_multiply,
                           quat_rotate)
 from relpose.oracle import OracleConfig, generate_scene
-from relpose.posegraph import (CandidatePose, EdgeBatch, EmptyCandidates,
-                               PoseEdge, compose_candidate, fuse_candidates)
-from conftest import random_pose, random_quat
+from relpose.posegraph import (EdgeBatch, EmptyCandidates, PoseEdge, _softmax,
+                               compose_candidate, fuse_candidates)
+from conftest import (CandidatePose, candidate_batch, edge_batch, random_pose,
+                      random_quat)
 
 
 def edge(src, dst, q=None, t=(0, 0, 0), cr=1.0, ct=1.0):
@@ -20,10 +21,15 @@ def candidate(pose, cr=1.0, ct=1.0, ref=0):
     return CandidatePose(pose, cr, ct, ref)
 
 
+def fuse(cands, **kwargs):
+    """fuse_candidates on CandidatePoses stacked into one batch."""
+    return fuse_candidates(candidate_batch(cands), **kwargs)
+
+
 def compose_one(ref: Pose, e: PoseEdge):
     """compose_candidate on a one-row batch."""
     return compose_candidate(ref.rotation.as_array()[None], ref.translation[None],
-                             EdgeBatch.of([e]))
+                             edge_batch([e]))
 
 
 class TestPoseEdge:
@@ -71,14 +77,6 @@ class TestEdgeBatch:
             assert (e.src, e.dst, e.conf_rot, e.conf_trans) == (
                 batch.src[k], 0, batch.conf_rot[k], batch.conf_trans[k])
         assert batch[-1].src == rows[-1].src == 200
-
-    def test_of_passes_a_batch_and_stacks_edges_bitwise(self):
-        batch = EdgeBatch(*batch_columns(n=50))
-        assert EdgeBatch.of(batch) is batch
-        stacked = EdgeBatch.of(list(batch))
-        for name in ("src", "dst", "rotation", "translation", "conf_rot", "conf_trans"):
-            assert np.array_equal(getattr(stacked, name), getattr(batch, name)), name
-        assert len(EdgeBatch.of([])) == 0 and not EdgeBatch.of([])
 
     def test_arrays_read_only(self):
         batch = EdgeBatch(*batch_columns())
@@ -198,7 +196,8 @@ class TestBatchedPathMatchesScalar:
             assert np.array_equal(batch.translation,
                                   [c.proposed.translation for c in scalar])
             fused = [fuse_candidates(batch, k=k, log_weights=log_weights),
-                     fuse_candidates(scalar, k=k, log_weights=log_weights),
+                     fuse_candidates(candidate_batch(scalar), k=k,
+                                     log_weights=log_weights),
                      scalar_fuse(scalar, k=k, log_weights=log_weights)]
             for p in fused[1:]:
                 assert p.rotation.as_array().tolist() == fused[0].rotation.as_array().tolist()
@@ -208,47 +207,47 @@ class TestBatchedPathMatchesScalar:
 class TestFusion:
     def test_empty_raises(self):
         with pytest.raises(EmptyCandidates):
-            fuse_candidates([])
+            fuse([])
 
     @pytest.mark.parametrize("k", [0, -1, -2])
     def test_non_positive_k_raises(self, rng, k):
         # k=-2 used to drop the two lowest-confidence candidates silently
         cands = [candidate(random_pose(rng), 1.0 + i, 1.0, i) for i in range(4)]
         with pytest.raises(ValueError, match="k must be"):
-            fuse_candidates(cands, k=k)
+            fuse(cands, k=k)
 
     def test_single_candidate_identity(self, rng):
         p = random_pose(rng)
-        fused = fuse_candidates([candidate(p, 2.0, 0.3)])
+        fused = fuse([candidate(p, 2.0, 0.3)])
         assert quat_geodesic_deg(fused.rotation, p.rotation) < 1e-12
         assert np.allclose(fused.translation, p.translation)
 
     def test_idempotent_on_identical_poses(self, rng):
         p = random_pose(rng)
-        fused = fuse_candidates([candidate(p, 1.0, 5.0, 0),
-                                 candidate(p, 4.0, 0.2, 1)])
+        fused = fuse([candidate(p, 1.0, 5.0, 0),
+                      candidate(p, 4.0, 0.2, 1)])
         assert quat_geodesic_deg(fused.rotation, p.rotation) < 1e-9
         assert np.allclose(fused.translation, p.translation)
 
     def test_equal_confidence_midpoint(self):
         a = candidate(Pose.identity(), ref=0)
         b = candidate(Pose(UnitQuaternion.identity(), np.array([2.0, 0, 0])), ref=1)
-        fused = fuse_candidates([a, b])
+        fused = fuse([a, b])
         assert np.allclose(fused.translation, [1, 0, 0])
 
     def test_double_cover_alignment(self, rng):
         q = random_quat(rng)
         neg = UnitQuaternion(-q.w, -q.x, -q.y, -q.z)
-        fused = fuse_candidates([candidate(Pose(q), ref=0),
-                                 candidate(Pose(neg), ref=1)])
+        fused = fuse([candidate(Pose(q), ref=0),
+                      candidate(Pose(neg), ref=1)])
         assert quat_geodesic_deg(fused.rotation, q) < 1e-9
 
     def test_permutation_invariance(self, rng):
         cands = [candidate(random_pose(rng), float(rng.uniform(0.5, 2)),
                            float(rng.uniform(0.5, 2)), i) for i in range(6)]
-        a = fuse_candidates(cands, k=3)
+        a = fuse(cands, k=3)
         perm = [cands[i] for i in rng.permutation(6)]
-        b = fuse_candidates(perm, k=3)
+        b = fuse(perm, k=3)
         assert np.allclose(a.translation, b.translation, atol=1e-12)
         assert quat_geodesic_deg(a.rotation, b.rotation) < 1e-12
 
@@ -257,7 +256,7 @@ class TestFusion:
                            float(rng.uniform(0.5, 2)), i) for i in range(5)]
         shifted = [candidate(c.proposed, c.conf_rot + 3.0, c.conf_trans + 3.0,
                              c.reference) for c in cands]
-        a, b = fuse_candidates(cands), fuse_candidates(shifted)
+        a, b = fuse(cands), fuse(shifted)
         assert np.allclose(a.translation, b.translation, atol=1e-12)
         assert quat_geodesic_deg(a.rotation, b.rotation) < 1e-10
 
@@ -268,14 +267,14 @@ class TestFusion:
                            float(rng.uniform(0.1, 5)),
                            float(rng.uniform(0.1, 5)), i)
                  for i, x in enumerate(xs)]
-        fused = fuse_candidates(cands)
+        fused = fuse(cands)
         assert xs.min() - 1e-12 <= fused.translation[0] <= xs.max() + 1e-12
 
     def test_top_k_restricts_to_best(self):
         far = candidate(Pose(UnitQuaternion.identity(), np.array([9.0, 0, 0])),
                         0.1, 0.1, 0)
         near = candidate(Pose.identity(), 5.0, 5.0, 1)
-        fused = fuse_candidates([far, near], k=1)
+        fused = fuse([far, near], k=1)
         assert np.allclose(fused.translation, 0)
 
     def test_top_k_tie_break_by_reference_id(self):
@@ -286,22 +285,48 @@ class TestFusion:
         high = candidate(Pose(UnitQuaternion.identity(), np.array([2.0, 0, 0])),
                          1.0, 3.0, 7)
         for cands in ([low, high], [high, low]):
-            assert np.allclose(fuse_candidates(cands, k=1).translation, [1, 0, 0])
+            assert np.allclose(fuse(cands, k=1).translation, [1, 0, 0])
 
     def test_log_weights_weight_translations_by_raw_confidence(self, rng):
         cands = [candidate(random_pose(rng), float(rng.uniform(0.1, 5)),
                            float(rng.uniform(0.1, 5)), i) for i in range(6)]
-        fused = fuse_candidates(cands, log_weights=True)
+        fused = fuse(cands, log_weights=True)
         c_t = np.array([c.conf_trans for c in cands])
         ts = np.array([c.proposed.translation for c in cands])
         assert np.allclose(fused.translation, c_t @ ts / c_t.sum(), rtol=0, atol=1e-12)
         # raw-confidence softmax weights differ from proportional ones
-        assert not np.allclose(fuse_candidates(cands).translation, fused.translation)
+        assert not np.allclose(fuse(cands).translation, fused.translation)
 
     def test_equal_conf_k_all_is_plain_mean(self, rng):
         poses = [random_pose(rng, scale=0.1) for _ in range(5)]
         cands = [candidate(p, 1.0, 1.0, i) for i, p in enumerate(poses)]
-        fused = fuse_candidates(cands)
+        fused = fuse(cands)
         mean_t = np.mean([p.translation for p in poses], axis=0)
         assert np.allclose(fused.translation, mean_t, atol=1e-12)
+
+
+class TestSoftmaxOnOracleConfidences:
+    """Fusion applies softmax to raw confidences, and on oracle edges at the
+    default alpha=0.2 those span 0.11-89 (rotation) and 0.02-17.8
+    (translation).  This pins what that does over the 99 fused frames of a
+    default 100-frame scene: the rotation fusion is nearly an argmax, and
+    one reference carries most of the translation weight."""
+
+    @pytest.mark.parametrize("seed", [0, 1009])
+    def test_largest_weight_per_frame(self, seed):
+        scene = generate_scene(OracleConfig(), seed)
+        ids = scene.frame_ids
+        largest = {"rot": [], "trans": []}
+        for pos, j in enumerate(ids[1:], start=1):
+            edges = scene.emit_edges(ids[:pos], j)   # as offline fusion asks
+            largest["rot"].append(_softmax(edges.conf_rot).max())
+            largest["trans"].append(_softmax(edges.conf_trans).max())
+        rot, trans = np.array(largest["rot"]), np.array(largest["trans"])
+        assert len(rot) == len(trans) == 99
+        assert rot.min() > 0.99                       # 0.998 on both seeds
+        assert 0.75 < np.median(trans) < 0.9          # 0.82 on both seeds
+        assert trans.min() > 0.6                      # 0.697 and 0.701
+        both = np.concatenate([rot, trans])
+        assert np.median(both) > 0.99                 # 0.998 and 0.999
+        assert 0.4 < (both > 0.99).mean() < 0.6       # 0.505 and 0.510
 

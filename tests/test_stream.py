@@ -16,6 +16,7 @@ from relpose.stream import (BridgeTooLong, BridgeTooShort,
                             admit_check, anchor_scale, cull, gate_score,
                             process_frame, scale_trajectory,
                             segment_reset, write_event_log)
+from conftest import edge_batch
 
 
 def token(fid, direction, dim=8):
@@ -33,8 +34,8 @@ def basis_token(fid, axis, dim=8):
 
 
 def ctx_edges(context, fid, conf=1.0, t=(0.1, 0, 0)):
-    return [PoseEdge(s, fid, UnitQuaternion.identity(), np.array(t, float),
-                     conf, conf) for s in context]
+    return edge_batch(PoseEdge(s, fid, UnitQuaternion.identity(),
+                               np.array(t, float), conf, conf) for s in context)
 
 
 def run_frames(state, n, start=1, conf=None, tok=None):
@@ -191,13 +192,14 @@ class TestOutlierGate:
 
 class TestGateScore:
     def test_mean_of_pair_means(self):
-        edges = [PoseEdge(1, 9, UnitQuaternion.identity(), np.zeros(3), 1.0, 3.0),
-                 PoseEdge(2, 9, UnitQuaternion.identity(), np.zeros(3), 2.0, 2.0)]
+        edges = edge_batch([
+            PoseEdge(1, 9, UnitQuaternion.identity(), np.zeros(3), 1.0, 3.0),
+            PoseEdge(2, 9, UnitQuaternion.identity(), np.zeros(3), 2.0, 2.0)])
         assert gate_score(edges) == pytest.approx(2.0)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            gate_score([])
+            gate_score(edge_batch([]))
 
 
 class TestProcessFrame:
@@ -263,7 +265,8 @@ class TestProcessFrame:
         assert state.bank.best_conf.tolist() == [3.0, 3.0]
         # an admitted frame starts from its strongest edge
         process_frame(state, basis_token(5, 2),
-                      ctx_edges([1], 5, conf=2.5) + ctx_edges([4], 5, conf=5.0))
+                      EdgeBatch.concat([ctx_edges([1], 5, conf=2.5),
+                                        ctx_edges([4], 5, conf=5.0)]))
         assert state.bank.best_conf.tolist() == [3.0, 5.0, 5.0]
 
     def test_bank_respects_capacity(self):

@@ -14,10 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "relpose"
 # the only names the guard allows, kept for the tests alone: the loss the
-# oracle's confidences are calibrated to, acceptance criterion 02's
-# candidate type, and independent references for refinement's residuals
-# and the oracle's noise
-TEST_REFERENCES = {"conf_loss", "CandidatePose", "edge_residuals", "noise_scales"}
+# oracle's confidences are calibrated to, and independent references for
+# refinement's residuals and the oracle's noise
+TEST_REFERENCES = {"conf_loss", "edge_residuals", "noise_scales"}
 
 
 def definitions(path):
