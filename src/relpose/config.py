@@ -82,6 +82,10 @@ class RunConfig:
         for name in ("bins", "rpe_delta", "diag_edges"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.bins > self.diag_edges:
+            # every bin of `relpose diag` needs at least one of its edges
+            raise ValueError(f"bins must not exceed diag_edges ({self.diag_edges}), "
+                             f"got {self.bins}")
 
     def resolved_out_dir(self):
         if self.out_dir:

@@ -12,9 +12,10 @@ computes the per-frame parts of those keys once, at construction (the
 source half of every key and the destination multiplier of every frame),
 so an emission call only combines them; it draws only the uniforms the
 config uses.  A scene's noisier twin (`noisier`) shares all of this with
-it.  Callers with pairs into many destinations (`emit_pairs`, which
-`relpose diag` samples through, and the distractor stream) make one
-emit_edges call per destination frame.
+it.  Every step of an emission is row-wise, so one emit_edges call takes
+either one destination frame or one per source row: offline fusion, the
+all-pair refinement set and `emit_pairs` (which `relpose diag` samples
+through) are each one call, and a distractor-stream frame one per scene.
 """
 
 import copy
@@ -162,6 +163,7 @@ class SyntheticScene:
         self._trans = np.array([self.poses[i].translation for i in self.frame_ids])
         self._rots = quat_to_matrix(self._quats)
         self._index = {fid: k for k, fid in enumerate(self.frame_ids)}
+        self._id_array = np.array(self.frame_ids, dtype=np.int64)
         self._tokens = _generate_tokens(config, rng, self._trans, self._rots)
         # per-frame emission constants: pair-key halves, inverse rotations
         rows = np.arange(len(self.frame_ids))
@@ -187,6 +189,15 @@ class SyntheticScene:
         if i not in self._index:
             raise UnknownFrame(i)
 
+    def _rows(self, ids):
+        """Row positions of the given frame ids, an iterable of them."""
+        if isinstance(ids, np.ndarray):
+            ids = ids.tolist()      # names an unknown id as a plain int
+        try:
+            return np.array([self._index[i] for i in ids], dtype=np.int64)
+        except KeyError as unknown:
+            raise UnknownFrame(unknown.args[0]) from None
+
     def ground_truth(self):
         return dict(self.poses)
 
@@ -205,17 +216,21 @@ class SyntheticScene:
         b_t = max(self.config.base_trans_noise * growth, _EPS_SCALE)
         return b_r, b_t
 
-    def emit_edges(self, sources, j) -> EdgeBatch:
-        """Noisy confidence-carrying edges src -> j, one row per src in the
-        order given."""
-        self._check(j)
-        sources = list(sources)
-        try:
-            si = np.array([self._index[s] for s in sources], dtype=np.int64)
-        except KeyError as unknown:
-            raise UnknownFrame(unknown.args[0]) from None
+    def emit_edges(self, sources, dst) -> EdgeBatch:
+        """Noisy confidence-carrying edges, one row per source in the order
+        given, into dst: one frame id for every row, or a sequence of them
+        with one per source row (an int64 array, say), as EdgeBatch takes
+        its dst column.  Every step is row-wise, so a row's bits do not
+        depend on which call or batch it is emitted in."""
+        if np.ndim(dst) == 0:
+            self._check(dst)
+            ji = self._index[dst]
+        else:
+            ji = self._rows(dst)
+        si = self._rows(sources)
+        if isinstance(ji, np.ndarray) and len(ji) != len(si):
+            raise ValueError(f"{len(si)} sources but {len(ji)} destinations")
         cfg = self.config
-        ji = self._index[j]
 
         gaps = np.abs(ji - si)
         d = self._trans[ji] - self._trans[si]
@@ -252,17 +267,13 @@ class SyntheticScene:
             conf_r = conf_r * np.exp(cfg.conf_jitter * g1)
             conf_t = conf_t * np.exp(cfg.conf_jitter * g2)
 
-        return EdgeBatch(sources, j, q_noisy, t_noisy, conf_r, conf_t)
+        return EdgeBatch(self._id_array[si], self._id_array[ji],
+                         q_noisy, t_noisy, conf_r, conf_t)
 
     def emit_pairs(self, pairs) -> EdgeBatch:
-        """Edges for (src, dst) pairs, one row per pair in the order given,
-        emitted with one emit_edges call per destination frame."""
-        groups = {}      # (scene, dst frame) -> ([row], [src frame])
-        for row, (i, j) in enumerate(pairs):
-            rows, sources = groups.setdefault((self, j), ([], []))
-            rows.append(row)
-            sources.append(i)
-        return _emit_grouped(groups)
+        """Edges for (src, dst) pairs, one row per pair in the order given."""
+        pairs = np.asarray(pairs).reshape(-1, 2)
+        return self.emit_edges(pairs[:, 0], pairs[:, 1])
 
     def emit_token(self, i) -> FrameToken:
         self._check(i)
@@ -281,20 +292,6 @@ class SyntheticScene:
 
 def generate_scene(config: OracleConfig, seed: int) -> SyntheticScene:
     return SyntheticScene(config, seed)
-
-
-def _emit_grouped(groups):
-    """One batch from {(scene, dst frame): ([row], [src frame])}: one
-    emit_edges call per group, its edges put at their rows.  A single
-    group's batch is returned as it is, since its rows are in order."""
-    if not groups:
-        return EdgeBatch([], [], np.empty((0, 4)), np.empty((0, 3)), [], [])
-    batches = [scene.emit_edges(sources, dst)
-               for (scene, dst), (_, sources) in groups.items()]
-    if len(batches) == 1:
-        return batches[0]
-    rows = [row for rows, _ in groups.values() for row in rows]
-    return EdgeBatch.concat(batches).take(np.argsort(rows))
 
 
 def _generate_trajectory(cfg: OracleConfig, rng):
@@ -411,10 +408,9 @@ class DistractorStream:
 
     def edges(self, context_stream_ids, stream_id) -> EdgeBatch:
         """Context edges into stream_id, one row per context id in the
-        order given, emitted with one emit_edges call per (scene,
-        destination frame)."""
+        order given, emitted with one emit_edges call per scene."""
         entry = self._by_id[stream_id]
-        groups = {}      # (scene, dst frame) -> ([row], [src frame])
+        groups = {}      # scene -> ([row], [src frame], [dst frame])
         for row, src in enumerate(context_stream_ids):
             src_entry = self._by_id[src]
             a, b = src_entry.scene_frame, entry.scene_frame
@@ -426,7 +422,17 @@ class DistractorStream:
                 scene = self._noisy_other
                 if a == b:
                     b = a % len(self.other.frame_ids) + 1
-            rows, sources = groups.setdefault((scene, b), ([], []))
+            rows, sources, dsts = groups.setdefault(scene, ([], [], []))
             rows.append(row)
             sources.append(a)
-        return _emit_grouped(groups).relabel(list(context_stream_ids), stream_id)
+            dsts.append(b)
+        if not groups:
+            return EdgeBatch([], [], np.empty((0, 4)), np.empty((0, 3)), [], [])
+        batches = [scene.emit_edges(sources, np.array(dsts, dtype=np.int64))
+                   for scene, (_, sources, dsts) in groups.items()]
+        if len(batches) == 1:
+            edges = batches[0]      # its rows are in context order already
+        else:
+            rows = [row for rows, _, _ in groups.values() for row in rows]
+            edges = EdgeBatch.concat(batches).take(np.argsort(rows))
+        return edges.relabel(list(context_stream_ids), stream_id)

@@ -8,7 +8,7 @@ import numpy as np
 from . import metrics
 from .geom import Pose
 from .oracle import DistractorStream, make_distractor_stream
-from .posegraph import EdgeBatch, compose_candidate, fuse_candidates
+from .posegraph import compose_candidate, fuse_candidates
 from .refine import RefinementProblem, solve
 from .stream import StreamState, process_frame, segment_reset
 
@@ -52,8 +52,14 @@ def offline_trajectory(scene, k=None, log_weights=False, uniform=False):
     translations = np.zeros((len(ids), 3))
     traj = {ids[0]: Pose.identity()}
     rotations[0, 0] = 1.0
+    # every pair i < j in one emission, by j and then i: frame j (at
+    # position pos) owns the pos rows that start at pos * (pos - 1) / 2
+    dst, src = np.tril_indices(len(ids), -1)
+    id_array = np.array(ids, dtype=np.int64)
+    all_edges = scene.emit_edges(id_array[src], id_array[dst])
     for pos, j in enumerate(ids[1:], start=1):
-        edges = scene.emit_edges(ids[:pos], j)
+        start = pos * (pos - 1) // 2
+        edges = all_edges.take(slice(start, start + pos))
         cands = compose_candidate(rotations[:pos], translations[:pos], edges)
         if uniform:
             ones = np.ones(len(cands))
@@ -66,10 +72,10 @@ def offline_trajectory(scene, k=None, log_weights=False, uniform=False):
 
 def all_pair_edges(scene):
     """Every directed pair (i, j), i != j, as one EdgeBatch grouped by
-    destination in frame order."""
-    ids = scene.frame_ids
-    return EdgeBatch.concat([scene.emit_edges([i for i in ids if i != j], j)
-                             for j in ids])
+    destination in frame order, sources in frame order within a group."""
+    ids = np.array(scene.frame_ids, dtype=np.int64)
+    dst, src = np.nonzero(~np.eye(len(ids), dtype=bool))
+    return scene.emit_edges(ids[src], ids[dst])
 
 
 def refine_trajectory(scene, initialization, delta_rot=0.05, delta_trans=0.1,

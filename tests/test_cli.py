@@ -393,7 +393,8 @@ class TestErrors:
     @pytest.mark.parametrize("command, config, flags", [
         ("stream", "", ["--seed", "-1"]), ("diag", "", ["--bins", "0"]),
         ("stream", "rpe_delta: 0", []), ("diag", "diag_edges: 0", []),
-        ("offline", "bins: -2", [])])
+        ("offline", "bins: -2", []), ("diag", "", ["--bins", "20000"]),
+        ("diag", "diag_edges: 3\nbins: 5", [])])
     def test_invalid_top_level_value_writes_nothing(self, tmp_path, capsys,
                                                     command, config, flags):
         path = tmp_path / "run.yaml"

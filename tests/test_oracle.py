@@ -257,6 +257,67 @@ class TestEmissionMatchesPerCallFormula:
         assert_same_bits(s.emit_edges(sources, 20), reference_edges(s, sources, 20))
 
 
+def per_destination(s, sources, dsts):
+    """Edges src -> dst for row-aligned sources and destinations, by one
+    emit_edges call per destination, put back at their rows."""
+    rows = {}
+    for row, (i, j) in enumerate(zip(sources, dsts)):
+        rows.setdefault(j, []).append((row, i))
+    batches = [s.emit_edges([i for _, i in members], j) for j, members in rows.items()]
+    order = [row for members in rows.values() for row, _ in members]
+    return EdgeBatch.concat(batches).take(np.argsort(order))
+
+
+class TestPerRowDestinations:
+    @pytest.mark.parametrize("family", ["circle", "random-walk", "figure-eight"])
+    @pytest.mark.parametrize("conf_jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1009])
+    def test_bit_equal_to_one_call_per_destination(self, family, conf_jitter,
+                                                    noise, seed):
+        s = scene(seed=seed, family=family, frames=30, conf_jitter=conf_jitter,
+                  base_rot_noise=0.002 * noise, base_trans_noise=0.01 * noise)
+        rng = np.random.default_rng(seed)
+        drawn = rng.integers(1, 31, size=(400, 2))
+        pairs = drawn[drawn[:, 0] != drawn[:, 1]]     # shuffled, with repeats
+        pairs = np.concatenate([pairs, pairs[:50]])   # and repeated rows
+        src, dst = pairs[:, 0], pairs[:, 1]
+        assert len({(a, b) for a, b in pairs.tolist()}) < len(pairs)
+        want = per_destination(s, src.tolist(), dst.tolist())
+        assert_same_bits(s.emit_edges(src, dst), want)
+        assert_same_bits(s.emit_edges(src.tolist(), dst.tolist()), want)
+        twin = s.noisier(10.0)
+        assert_same_bits(twin.emit_edges(src, dst),
+                         per_destination(twin, src.tolist(), dst.tolist()))
+
+    def test_one_destination_per_row_equals_one_destination(self):
+        s = scene(frames=20)
+        sources = [4, 1, 17, 9]
+        assert_same_bits(s.emit_edges(sources, np.full(4, 12)), s.emit_edges(sources, 12))
+
+    def test_unknown_destination_is_named(self):
+        s = scene(frames=10)
+        with pytest.raises(UnknownFrame) as info:
+            s.emit_edges([1, 2, 3], np.array([5, 99, 6]))
+        assert info.value.args == (99,)
+
+    def test_length_mismatch_raises(self):
+        s = scene(frames=10)
+        with pytest.raises(ValueError, match="3 sources but 2 destinations"):
+            s.emit_edges([1, 2, 3], np.array([5, 6]))
+
+    def test_self_pair_raises(self):
+        s = scene(frames=10)
+        with pytest.raises(ValueError, match="endpoints must differ"):
+            s.emit_edges([1, 4, 3], np.array([5, 4, 6]))
+
+    def test_empty_input_gives_an_empty_batch(self):
+        s = scene(frames=10)
+        edges = s.emit_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        assert len(edges) == 0
+        assert edges.rotation.shape == (0, 4) and edges.translation.shape == (0, 3)
+
+
 class TestNoisierTwin:
     def test_equals_a_scene_built_from_the_scaled_config(self):
         s = scene(seed=4, frames=30, conf_jitter=0.3)

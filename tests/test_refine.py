@@ -9,7 +9,8 @@ from relpose.geom import (Pose, UnitQuaternion, pose_relative, quat_exp,
                           quat_geodesic_deg, quat_multiply, quat_to_matrix,
                           right_jacobian)
 from relpose.oracle import OracleConfig, generate_scene
-from relpose.posegraph import EdgeBatch, PoseEdge
+from relpose.posegraph import (EdgeBatch, PoseEdge, compose_candidate,
+                               fuse_candidates)
 from relpose.refine import (RefinementProblem, _Workspace, _vee_trace,
                             edge_residuals, huber, solve)
 from relpose.runner import (all_pair_edges, offline_trajectory,
@@ -452,13 +453,10 @@ class TestEdgeBatchInput:
         assert len(edges) == n * (n - 1)
         assert edges.dst.tolist() == [j for j in ids for _ in range(n - 1)]
         assert edges.src.tolist() == [i for j in ids for i in ids if i != j]
-        j = ids[3]
-        emitted = scene.emit_edges([i for i in ids if i != j], j)
-        rows = slice(3 * (n - 1), 4 * (n - 1))
-        assert np.array_equal(edges.rotation[rows], emitted.rotation)
-        assert np.array_equal(edges.translation[rows], emitted.translation)
-        assert np.array_equal(edges.conf_rot[rows], emitted.conf_rot)
-        assert np.array_equal(edges.conf_trans[rows], emitted.conf_trans)
+        per_frame = EdgeBatch.concat([scene.emit_edges([i for i in ids if i != j], j)
+                                      for j in ids])
+        for name in EdgeBatch._COLUMNS:
+            assert getattr(edges, name).tobytes() == getattr(per_frame, name).tobytes()
 
     def test_refine_trajectory_builds_no_pose_edge(self, monkeypatch):
         scene = oracle_scene(30)
@@ -471,3 +469,53 @@ class TestEdgeBatchInput:
         result = refine_trajectory(scene, init)
         assert result.converged
         assert result.final_objective < result.initial_objective
+
+
+class CountingScene:
+    """Delegates to a scene and counts its emit_edges calls."""
+
+    def __init__(self, scene):
+        self._scene = scene
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._scene, name)
+
+    def emit_edges(self, sources, dst):
+        self.calls += 1
+        return self._scene.emit_edges(sources, dst)
+
+
+def per_frame_offline_trajectory(scene):
+    """Offline fusion with one emit_edges call per fused frame."""
+    ids = scene.frame_ids
+    rotations = np.zeros((len(ids), 4))
+    translations = np.zeros((len(ids), 3))
+    traj = {ids[0]: Pose.identity()}
+    rotations[0, 0] = 1.0
+    for pos, j in enumerate(ids[1:], start=1):
+        edges = scene.emit_edges(ids[:pos], j)
+        pose = traj[j] = fuse_candidates(
+            compose_candidate(rotations[:pos], translations[:pos], edges))
+        rotations[pos] = pose.rotation.as_array()
+        translations[pos] = pose.translation
+    return traj
+
+
+class TestOneEmissionPerPath:
+    @pytest.mark.parametrize("seed", [0, 1009])
+    def test_offline_trajectory_equals_the_per_frame_loop(self, seed):
+        scene = oracle_scene(40, seed)
+        got = offline_trajectory(scene)
+        want = per_frame_offline_trajectory(scene)
+        assert list(got) == list(want)
+        for fid in want:
+            assert got[fid].rotation.as_array().tobytes() == \
+                want[fid].rotation.as_array().tobytes()
+            assert got[fid].translation.tobytes() == want[fid].translation.tobytes()
+
+    @pytest.mark.parametrize("path", [offline_trajectory, all_pair_edges])
+    def test_one_emit_edges_call(self, path):
+        scene = CountingScene(oracle_scene(12))
+        path(scene)
+        assert scene.calls == 1
