@@ -2,7 +2,8 @@
 
 Subcommands: stream, offline, robust, diag, eval.  Every run writes a
 manifest recording the config hash, seed, and package version, so two
-runs with identical inputs produce byte-identical artifacts.
+runs with identical inputs on one machine and numpy build produce
+byte-identical artifacts (np.arctan2 may round unlike math.atan2).
 """
 
 import argparse

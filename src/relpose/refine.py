@@ -19,8 +19,11 @@ derived in world-frame increments R -> Exp(phi) R (Sola et al., "A micro
 Lie theory for state estimation in robotics", 2018) and chained to the
 parameters once per node.  The damped system is solved with
 numpy.linalg.solve, and a trial step costs one residual pass: it is
-accepted only if the objective does not increase.  With all-pair edges
-every block of J^T W J is nonzero, so the system is dense.
+taken only if the objective does not increase.  The solve stops when the
+model predicts a step's decrease to be at most 1e-10 relative (the gain
+test of Madsen, Nielsen & Tingleff, 2004), read from g and H, not from
+two rounded objectives.  With all-pair edges every block of J^T W J is
+nonzero, so the system is dense.
 """
 
 import math
@@ -64,12 +67,9 @@ _LAMBDA_UP = 10.0      # after a rejected step
 _LAMBDA_DOWN = 0.1     # after an accepted step
 _LAMBDA_MIN = 1e-12
 _DIAG_FLOOR = 1e-9
-# Converged when an accepted step lowers the objective by at most _FTOL
-# relative (the ftol L-BFGS used), or when a step is rejected although the
-# model predicted a relative decrease of at most _ROUNDING: a decrease that
-# small is lost in the rounding error of the objective's sum over edges.
-_FTOL = 1e-15
-_ROUNDING = 1e-12
+# Converged when a trial step's predicted decrease is at most _RTOL
+# relative: unlike an actual decrease, it is not lost in rounding.
+_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,8 @@ class RefinementResult:
     final_objective: float
     iterations: int        # accepted steps
     converged: bool        # stop_reason is "grad_tol" or "ftol"
-    stop_reason: str       # "grad_tol" | "ftol" | "max_iters" | "trivial"
+    stop_reason: str       # "grad_tol" | "ftol" | "max_iters" | "trivial";
+                           # "ftol": a step's predicted decrease <= _RTOL
     evaluations: int       # objective evaluations: x0 and every trial step
 
 
@@ -279,13 +280,13 @@ class _Workspace:
 def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> RefinementResult:
     """Levenberg-Marquardt on the dense normal equations (module docstring).
 
-    Stops at "grad_tol" when the largest gradient component is below
-    grad_tol, at "ftol" when the objective stops decreasing (see _FTOL),
-    or at "max_iters" after max_iters accepted steps.  A problem without
-    edges has nothing to refine and stops at "trivial".  The initialization
-    and every accepted iterate that does not stop at "ftol" are linearized
-    once; the result's evaluations counts objective evaluations, the one at
-    the initialization and one per trial step.
+    Stops at "grad_tol" when max|g| is below grad_tol (absolute), at
+    "ftol" when a trial step's predicted decrease -g.dx - dx.H.dx / 2 is
+    at most _RTOL * max(|f|, 1) (the step is taken if f does not rise),
+    or at "max_iters" after max_iters accepted steps; a problem without
+    edges stops at "trivial".  The initialization and every accepted
+    iterate that does not stop are linearized once; evaluations counts
+    the objective at the initialization and at each trial step.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
@@ -306,28 +307,24 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
             break
         diag = np.diag(H).copy()
         damping = np.maximum(diag, _DIAG_FLOOR)
-        while True:
+        while stop is None:
             # damp H in place and restore its diagonal, rather than hold a
             # damped copy beside it: at 400 frames H is 46 MB
             np.fill_diagonal(H, diag + lam * damping)
             dx = np.linalg.solve(H, -g)
             np.fill_diagonal(H, diag)
+            predicted = -(g @ dx) - 0.5 * (dx @ H @ dx)
+            if predicted <= _RTOL * max(abs(f), 1.0):
+                stop = "ftol"
             f_new = ws.objective(x + dx)
             evaluations += 1
             if f_new <= f:
-                break
-            predicted = -(g @ dx) - 0.5 * (dx @ H @ dx)
-            if predicted <= _ROUNDING * max(abs(f), 1.0):
-                stop = "ftol"
+                x, f = x + dx, f_new
+                iterations += 1
+                lam = max(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
                 break
             lam *= _LAMBDA_UP
         if stop is not None:
-            break
-        f_old, x, f = f, x + dx, f_new
-        iterations += 1
-        lam = max(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
-        if f_old - f <= _FTOL * max(abs(f_old), abs(f), 1.0):
-            stop = "ftol"
             break
         del H       # freed before the next linearization builds its own
         _, g, H = ws.objective_and_gradient(x, hessian=True)

@@ -268,6 +268,8 @@ def process_frame(state: StreamState, token: FrameToken, edges: EdgeBatch):
         events.append(StreamEvent("AdmittedToBank", frame_id))
         return events
 
+    if len(edges) != len(context):       # an empty list has no columns
+        raise MissingContextEdges(f"{len(edges)} edges for context {context}")
     edges = edges.take(np.argsort(edges.src, kind="stable"))
     if not (np.array_equal(edges.src, context) and np.all(edges.dst == frame_id)):
         raise MissingContextEdges(

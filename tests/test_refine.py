@@ -194,7 +194,8 @@ class TestObjectivePass:
 
     def test_final_iterate_of_an_ftol_stop_is_not_linearized(self, monkeypatch):
         # exact poses and edges: the objective is 0.0 at x0, so the first
-        # step is accepted with no decrease and the solve stops at "ftol"
+        # step predicts no decrease and stops the solve at "ftol"; it is
+        # accepted, as the objective does not increase
         poses = {i: Pose(UnitQuaternion.identity(), np.array([i, 2.0 * i, 0.0]))
                  for i in range(4)}
         edges = perfect_edges(poses, chain_pairs(list(range(4))) + [(0, 3)])
@@ -384,6 +385,22 @@ class TestLevenbergMarquardt:
         assert result.converged
         assert 1 <= result.iterations <= 30
         assert result.evaluations >= result.iterations + 1
+
+    @pytest.mark.parametrize("seed", [0, 1009])
+    def test_stop_does_not_depend_on_edge_order(self, seed):
+        # reordering the edges changes only the rounding of the objective's
+        # sum, which the stop rule must not read
+        problem = oracle_problem(100, seed)
+        n = len(problem.edges)
+        orders = [np.arange(n), np.arange(n)[::-1],
+                  np.random.default_rng(7).permutation(n)]
+        results = [solve(RefinementProblem(problem.poses, problem.edges.take(order)))
+                   for order in orders]
+        stops = {(r.stop_reason, r.iterations, r.evaluations) for r in results}
+        assert len(stops) == 1 and results[0].converged
+        f = results[0].final_objective
+        for r in results[1:]:
+            assert abs(r.final_objective - f) <= 1e-12 * f
 
     def test_iteration_limit_is_reported(self):
         result = solve(oracle_problem(30), max_iters=1)

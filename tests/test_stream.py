@@ -224,6 +224,16 @@ class TestProcessFrame:
         with pytest.raises(MissingContextEdges):
             process_frame(state, basis_token(3, 2), ctx_edges([1], 3))
 
+    def test_empty_edge_list_with_context_raises(self):
+        # [] is what the runners pass for a first frame; later it names no
+        # context edge, and the frame is refused before any state changes
+        state = StreamState(StreamConfig())
+        process_frame(state, basis_token(1, 0), [])
+        with pytest.raises(MissingContextEdges):
+            process_frame(state, basis_token(2, 1), [])
+        events = process_frame(state, basis_token(2, 1), ctx_edges([1], 2))
+        assert events[0].kind == "Accepted" and 2 in state.trajectory
+
     def test_extra_edge_raises(self):
         state = StreamState(StreamConfig())
         process_frame(state, basis_token(1, 0), [])
