@@ -5,12 +5,13 @@ Conventions, fixed repo-wide:
   - poses are camera-to-world: the rotation maps camera-frame vectors into
     the world frame and the translation is the camera center in the world.
 
-Scalar objects (UnitQuaternion, Pose) serve the per-pose paths; the
-batched section at the end works on (..., 4) wxyz arrays and (..., 3)
-vectors and is the one definition of the quaternion product,
-normalization, vector rotation and norms, the exponential map,
-quaternion-to-matrix, skew and the SO(3) right Jacobian; its relative
-poses and geodesic angles restate pose_relative and quat_geodesic_deg.
+The batched section at the end is the one pose algebra.  It works on
+(..., 4) wxyz arrays and (..., 3) vectors: the quaternion product,
+normalization, vector rotation and norms, the exponential map, relative
+poses, geodesic angles, quaternion-to-matrix, skew and the SO(3) right
+Jacobian.  UnitQuaternion and Pose are the validated records that
+trajectories hold.  Only quat_multiply keeps a scalar body, for the random
+walk's heading chain, which is sequential.
 
 Everything here is immutable after construction; no function mutates its
 arguments.
@@ -58,19 +59,6 @@ class UnitQuaternion:
         return q
 
     @classmethod
-    def from_axis_angle(cls, axis, angle_rad):
-        axis = np.asarray(axis, dtype=float)
-        n = np.linalg.norm(axis)
-        if n < 1e-12:
-            raise ValueError("axis must be nonzero")
-        return cls.from_rotvec(axis * (angle_rad / n))
-
-    @classmethod
-    def from_rotvec(cls, rotvec):
-        """Exponential map: rotation-vector (axis * angle) to quaternion."""
-        return cls(*quat_exp(rotvec).tolist())
-
-    @classmethod
     def from_matrix(cls, R):
         """Shepperd's method for rotation-matrix to quaternion conversion."""
         R = np.asarray(R, dtype=float)
@@ -95,19 +83,10 @@ class UnitQuaternion:
     def as_array(self):
         return np.array([self.w, self.x, self.y, self.z])
 
-    def conjugate(self):
-        return UnitQuaternion(self.w, -self.x, -self.y, -self.z)
 
-    def to_matrix(self):
-        return quat_to_matrix(self.as_array())
-
-
-# quat_multiply, quat_rotate and quat_geodesic_deg keep scalar bodies,
-# restating quat_product, quat_apply and quat_angle_deg below: they serve
-# one pose at a time (trajectory generation, pose algebra), where a scalar
-# call takes about 3-5 us and the same operation as a one-row array call,
-# with its conversions, 19-100 us.
-
+# The one scalar operation: the random walk's heading chain multiplies one
+# pose at a time, 14 ms per 2,000 frames here against 92 ms through
+# one-row quat_product/quat_normalize calls (2-core Xeon, numpy 2.4).
 def quat_multiply(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     """Hamilton product a ⊗ b, renormalized."""
     return UnitQuaternion(
@@ -116,34 +95,6 @@ def quat_multiply(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
         a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
         a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
     )
-
-
-def quat_rotate(q: UnitQuaternion, v):
-    """Rotate a 3-vector by the quaternion (q v q*)."""
-    v = np.asarray(v, dtype=float)
-    w, x, y, z = q.w, q.x, q.y, q.z
-    # t = 2 (u x v), v' = v + w t + u x t
-    tx = 2.0 * (y * v[2] - z * v[1])
-    ty = 2.0 * (z * v[0] - x * v[2])
-    tz = 2.0 * (x * v[1] - y * v[0])
-    return np.array([
-        v[0] + w * tx + (y * tz - z * ty),
-        v[1] + w * ty + (z * tx - x * tz),
-        v[2] + w * tz + (x * ty - y * tx),
-    ])
-
-
-def quat_geodesic_deg(a: UnitQuaternion, b: UnitQuaternion) -> float:
-    """Geodesic angle between two rotations in degrees, in [0, 180].
-
-    Computed via atan2 of the relative quaternion's vector/scalar parts,
-    which stays accurate near zero where acos loses precision.  Invariant
-    under the quaternion double cover (a vs -a).
-    """
-    r = quat_multiply(a.conjugate(), b)
-    vn = math.sqrt(r.x * r.x + r.y * r.y + r.z * r.z)
-    angle = 2.0 * math.atan2(vn, abs(r.w))
-    return math.degrees(angle)
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,21 +116,6 @@ class Pose:
         return Pose(UnitQuaternion.identity(), np.zeros(3))
 
 
-def pose_compose(a: Pose, b: Pose) -> Pose:
-    return Pose(quat_multiply(a.rotation, b.rotation),
-                a.translation + quat_rotate(a.rotation, b.translation))
-
-
-def pose_inverse(p: Pose) -> Pose:
-    rinv = p.rotation.conjugate()
-    return Pose(rinv, -quat_rotate(rinv, p.translation))
-
-
-def pose_relative(a: Pose, b: Pose) -> Pose:
-    """Relative transform a -> b, i.e. a^-1 b."""
-    return pose_compose(pose_inverse(a), b)
-
-
 @dataclass(frozen=True)
 class Sim3Alignment:
     scale: float
@@ -195,7 +131,7 @@ class Sim3Alignment:
 
     def apply(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        R = self.rotation.to_matrix()
+        R = quat_to_matrix(self.rotation.as_array())
         return self.scale * points @ R.T + self.translation
 
 
@@ -267,7 +203,7 @@ def quat_normalize(q):
 
 def quat_apply(q, v):
     """Rotate (..., 3) vectors by (..., 4) unit quaternions (broadcast),
-    q v q*, by the same expression as quat_rotate."""
+    q v q*."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
@@ -308,17 +244,21 @@ _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 
 def relative_poses(qa, ta, qb, tb):
     """Relative transforms a^-1 b of (..., 4) wxyz rotations and (..., 3)
-    translations (broadcast), by pose_relative's expressions: the
-    conjugate of a and the product are renormalized."""
+    translations (broadcast): the conjugate of a and the product are
+    renormalized."""
     inv = quat_normalize(np.asarray(qa, dtype=float) * _CONJUGATE)
     return (quat_normalize(quat_product(inv, qb)),
             quat_apply(inv, tb) - quat_apply(inv, ta))
 
 
 def quat_angle_deg(a, b):
-    """Geodesic angles in degrees between (..., 4) unit quaternions
-    (broadcast), by quat_geodesic_deg's expressions; only np.arctan2 may
-    round differently from math.atan2, by an ulp."""
+    """Geodesic angles in degrees, in [0, 180], between (..., 4) unit
+    quaternions (broadcast).
+
+    Computed via atan2 of the relative quaternion's vector/scalar parts,
+    which stays accurate near zero where acos loses precision.  Invariant
+    under the quaternion double cover (a vs -a).
+    """
     inv = quat_normalize(np.asarray(a, dtype=float) * _CONJUGATE)
     r = quat_normalize(quat_product(inv, b))
     x, y, z = r[..., 1], r[..., 2], r[..., 3]

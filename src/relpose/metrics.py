@@ -70,7 +70,10 @@ def path_length(trajectory) -> float:
 
 
 def ate(estimated, reference, alignment="sim3"):
-    """ATE-RMSE and ATE-norm (%) after optimal trajectory alignment."""
+    """ATE-RMSE and ATE-norm (%) after optimal trajectory alignment:
+    "sim3" (with scale) or "se3" (rigid)."""
+    if alignment not in ("sim3", "se3"):
+        raise ValueError(f'alignment must be "sim3" or "se3", got {alignment!r}')
     ids = _common_ids(estimated, reference)
     if len(ids) < 3:
         raise TooFewPoses("need at least 3 poses")

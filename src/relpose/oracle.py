@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geom import (Pose, UnitQuaternion, quat_exp, quat_multiply, quat_product,
-                   quat_rotate, quat_to_matrix)
+from .geom import (Pose, UnitQuaternion, quat_apply, quat_exp, quat_multiply,
+                   quat_normalize, quat_product, quat_to_matrix)
 from .posegraph import EdgeBatch
 from .stream import FrameToken
 
@@ -156,11 +156,10 @@ class SyntheticScene:
         self.config = config
         self.seed = int(seed)
         rng = np.random.default_rng([self.seed, 0xA11CE])
-        self.poses = _generate_trajectory(config, rng)
-        self.frame_ids = sorted(self.poses)
-        # precomputed arrays for batch edge emission
-        self._quats = np.array([self.poses[i].rotation.as_array() for i in self.frame_ids])
-        self._trans = np.array([self.poses[i].translation for i in self.frame_ids])
+        self._quats, self._trans = _generate_trajectory(config, rng)
+        self.frame_ids = list(range(1, len(self._quats) + 1))
+        self.poses = {fid: Pose(UnitQuaternion.from_unit(*q), t) for fid, q, t
+                      in zip(self.frame_ids, self._quats.tolist(), self._trans)}
         self._rots = quat_to_matrix(self._quats)
         self._index = {fid: k for k, fid in enumerate(self.frame_ids)}
         self._id_array = np.array(self.frame_ids, dtype=np.int64)
@@ -295,31 +294,29 @@ def generate_scene(config: OracleConfig, seed: int) -> SyntheticScene:
 
 
 def _generate_trajectory(cfg: OracleConfig, rng):
+    """Ground-truth rotations (n, 4) wxyz and camera centers (n, 3)."""
     n = cfg.frames
-    poses = {}
+    if cfg.family == "random-walk":
+        # the heading chain is sequential, so it runs on scalar quaternions
+        turns = quat_exp(rng.normal(0.0, cfg.rot_step, (n, 3))).tolist()
+        q = UnitQuaternion.identity()
+        quats = [(q.w, q.x, q.y, q.z)]
+        for turn in turns[:n - 1]:
+            q = quat_multiply(q, UnitQuaternion(*turn))
+            quats.append((q.w, q.x, q.y, q.z))
+        quats = np.array(quats)
+        steps = quat_apply(quats[1:], [cfg.step, 0.0, 0.0])
+        return quats, np.cumsum(np.concatenate([np.zeros((1, 3)), steps]), axis=0)
+    t = 2.0 * math.pi * np.arange(n) / n
     if cfg.family == "circle":
         # unit circle, headings tangent (body x-axis along travel direction)
-        for k in range(n):
-            theta = 2.0 * math.pi * k / n
-            pos = np.array([math.cos(theta), math.sin(theta), 0.0])
-            q = UnitQuaternion.from_axis_angle([0, 0, 1], theta + math.pi / 2)
-            poses[k + 1] = Pose(q, pos)
-    elif cfg.family == "figure-eight":
-        for k in range(n):
-            t = 2.0 * math.pi * k / n
-            pos = np.array([math.sin(t), math.sin(t) * math.cos(t), 0.0])
-            heading = math.atan2(math.cos(2 * t), math.cos(t))
-            q = UnitQuaternion.from_axis_angle([0, 0, 1], heading)
-            poses[k + 1] = Pose(q, pos)
-    else:  # random-walk
-        q = UnitQuaternion.identity()
-        pos = np.zeros(3)
-        turns = quat_exp(rng.normal(0.0, cfg.rot_step, (n, 3))).tolist()
-        for k in range(n):
-            poses[k + 1] = Pose(q, pos.copy())
-            q = quat_multiply(q, UnitQuaternion(*turns[k]))
-            pos = pos + quat_rotate(q, np.array([cfg.step, 0.0, 0.0]))
-    return poses
+        trans = np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=1)
+        heading = t + math.pi / 2
+    else:  # figure-eight
+        trans = np.stack([np.sin(t), np.sin(t) * np.cos(t), np.zeros(n)], axis=1)
+        # math.atan2, not np.arctan2, which rounds ~7% of these an ulp away
+        heading = np.array(list(map(math.atan2, np.cos(2 * t).tolist(), np.cos(t).tolist())))
+    return quat_normalize(quat_exp(np.array([0.0, 0.0, 1.0]) * heading[:, None])), trans
 
 
 def _generate_tokens(cfg: OracleConfig, rng, trans, rots):

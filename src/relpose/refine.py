@@ -26,15 +26,13 @@ two rounded objectives.  With all-pair edges every block of J^T W J is
 nonzero, so the system is dense.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (Pose, UnitQuaternion, pose_relative, quat_exp,
-                   quat_geodesic_deg, quat_product, quat_to_matrix,
+from .geom import (Pose, UnitQuaternion, quat_exp, quat_product, quat_to_matrix,
                    right_jacobian, skew)
-from .posegraph import EdgeBatch, PoseEdge
+from .posegraph import EdgeBatch
 
 
 class NonFiniteObjective(ValueError):
@@ -89,15 +87,6 @@ def huber(r, delta):
     r = np.asarray(r, dtype=float)
     out = np.where(r <= delta, 0.5 * r * r, delta * (r - 0.5 * delta))
     return out if out.ndim else float(out)
-
-
-def edge_residuals(pose_i: Pose, pose_j: Pose, edge: PoseEdge):
-    """(rotation residual in radians, translation residual) of one edge
-    against the relative pose induced by the two node poses."""
-    rel = pose_relative(pose_i, pose_j)
-    e_r = math.radians(quat_geodesic_deg(rel.rotation, edge.rel_rotation))
-    e_t = float(np.linalg.norm(rel.translation - edge.rel_translation))
-    return e_r, e_t
 
 
 def _huber_weights(c, e, delta, direction):

@@ -345,13 +345,15 @@ def segment_reset(state: StreamState, bridge):
 
 def anchor_scale(predicted_depth_summary, metric_depth_summary) -> float:
     """Per-segment scale from two depth medians: metric / predicted."""
-    if predicted_depth_summary <= 0 or metric_depth_summary <= 0:
-        raise NonPositiveDepth("depth summaries must be positive")
+    if not (0 < predicted_depth_summary < math.inf and 0 < metric_depth_summary < math.inf):
+        raise NonPositiveDepth("depth summaries must be positive and finite")
     return metric_depth_summary / predicted_depth_summary
 
 
 def scale_trajectory(trajectory, scale):
-    """Apply one scalar uniformly to all translations."""
+    """Apply one positive, finite scalar uniformly to all translations."""
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     return {fid: replace(p, translation=p.translation * scale)
             for fid, p in trajectory.items()}
 

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from relpose.geom import Pose, UnitQuaternion
+from relpose.geom import Pose, UnitQuaternion, quat_angle_deg, relative_poses
 from relpose.posegraph import CandidateBatch, EdgeBatch
 
 
@@ -13,6 +13,19 @@ def random_quat(rng):
 
 def random_pose(rng, scale=1.0):
     return Pose(random_quat(rng), rng.normal(scale=scale, size=3))
+
+
+def relative_pose(a, b):
+    """The relative pose a^-1 b of two Poses, by geom.relative_poses."""
+    q, t = relative_poses(a.rotation.as_array(), a.translation,
+                          b.rotation.as_array(), b.translation)
+    return Pose(UnitQuaternion.from_unit(*q.tolist()), t)
+
+
+def angle_deg(a, b):
+    """Geodesic angle in degrees between two UnitQuaternions, by
+    geom.quat_angle_deg."""
+    return float(quat_angle_deg(a.as_array(), b.as_array()))
 
 
 def edge_batch(edges):

@@ -18,9 +18,9 @@ from relpose import io
 from relpose.cli import _diag_samples, main
 from relpose.config import (ConfigError, OUT_ROOT_ENV, RunConfig,
                             config_from_dict, config_hash, load_config)
-from relpose.geom import Pose, UnitQuaternion, pose_relative, quat_geodesic_deg
+from relpose.geom import Pose, UnitQuaternion
 from relpose.oracle import generate_scene
-from conftest import random_pose
+from conftest import angle_deg, random_pose, relative_pose
 
 
 SMALL_CFG = """\
@@ -306,9 +306,8 @@ class TestDiagCommand:
                      "--assert-monotone"]) == 0
 
     def test_grouped_samples_equal_per_edge_samples_in_order(self, cfg_file):
-        # one emission and one scalar error per edge; the confidences are
-        # the same bits, and the errors differ at most by np.arctan2's
-        # rounding against math.atan2
+        # one emission and one error per edge; the confidences are the
+        # same bits, and the errors agree to rounding
         cfg = load_config(cfg_file)
         scene = generate_scene(cfg.oracle, cfg.seed)
         rng = np.random.default_rng([cfg.seed, 0xD1A6])
@@ -321,9 +320,8 @@ class TestDiagCommand:
                     continue
                 i, j = ids[a], ids[b]
                 edge = scene.emit_edges([i], j)[0]
-                gt = pose_relative(scene.poses[i], scene.poses[j])
-                rot.append((edge.conf_rot,
-                            quat_geodesic_deg(edge.rel_rotation, gt.rotation)))
+                gt = relative_pose(scene.poses[i], scene.poses[j])
+                rot.append((edge.conf_rot, angle_deg(edge.rel_rotation, gt.rotation)))
                 trans.append((edge.conf_trans, float(np.linalg.norm(
                     edge.rel_translation - gt.translation))))
         got_rot, got_trans = _diag_samples(cfg)

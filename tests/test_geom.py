@@ -8,16 +8,25 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from relpose.geom import (DegenerateInput, Pose, Sim3Alignment, UnitQuaternion,
-                          norms, pose_compose, pose_inverse, pose_relative,
-                          quat_angle_deg, quat_apply, quat_exp,
-                          quat_geodesic_deg, quat_multiply, quat_normalize,
-                          quat_product, quat_rotate, quat_to_matrix,
-                          relative_poses, right_jacobian, skew, umeyama_sim3)
-from conftest import random_pose, random_quat
+                          norms, quat_angle_deg, quat_apply, quat_exp,
+                          quat_multiply, quat_normalize, quat_product,
+                          quat_to_matrix, relative_poses, right_jacobian, skew,
+                          umeyama_sim3)
+from conftest import angle_deg, random_pose, random_quat
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 quats = st.tuples(finite, finite, finite, finite).filter(
     lambda t: sum(v * v for v in t) > 1e-6).map(lambda t: UnitQuaternion(*t))
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def matrix(q):
+    return quat_to_matrix(q.as_array())
+
+
+def about_z(angle):
+    """The rotation by angle (radians) about the z axis."""
+    return UnitQuaternion(*quat_exp([0.0, 0.0, angle]).tolist())
 
 
 class TestUnitQuaternion:
@@ -46,8 +55,8 @@ class TestUnitQuaternion:
     def test_matrix_round_trip(self, rng):
         for _ in range(100):
             q = random_quat(rng)
-            r = UnitQuaternion.from_matrix(q.to_matrix())
-            assert quat_geodesic_deg(q, r) < 1e-9
+            r = UnitQuaternion.from_matrix(matrix(q))
+            assert angle_deg(q, r) < 1e-9
 
     def test_rotvec_round_trip(self, rng):
         for _ in range(100):
@@ -55,58 +64,60 @@ class TestUnitQuaternion:
             norm = np.linalg.norm(v)
             if norm >= np.pi:  # beyond pi the canonical rotvec wraps
                 v *= (np.pi - 1e-3) / norm
-            q = UnitQuaternion.from_rotvec(v)
-            rotvec = Rotation.from_quat([q.x, q.y, q.z, q.w]).as_rotvec()  # xyzw
+            w, x, y, z = quat_exp(v)
+            rotvec = Rotation.from_quat([x, y, z, w]).as_rotvec()  # xyzw
             assert np.allclose(rotvec, v, atol=1e-10)
 
 
 class TestQuatOps:
     def test_identity_product(self):
         e = UnitQuaternion.identity()
-        assert quat_geodesic_deg(quat_multiply(e, e), e) == 0.0
+        assert angle_deg(quat_multiply(e, e), e) == 0.0
 
     def test_inverse_product(self, rng):
         for _ in range(20):
             q = random_quat(rng)
-            assert quat_geodesic_deg(quat_multiply(q, q.conjugate()),
-                                     UnitQuaternion.identity()) < 1e-9
+            conjugate = UnitQuaternion(q.w, -q.x, -q.y, -q.z)
+            assert angle_deg(quat_multiply(q, conjugate),
+                             UnitQuaternion.identity()) < 1e-9
 
     def test_two_quarter_turns(self):
-        q90 = UnitQuaternion.from_axis_angle([0, 0, 1], math.pi / 2)
-        q180 = UnitQuaternion.from_axis_angle([0, 0, 1], math.pi)
+        q90 = about_z(math.pi / 2)
+        q180 = about_z(math.pi)
         prod = quat_multiply(q90, q90)
         # oracle: product of the 3x3 rotation matrices
-        assert np.allclose(prod.to_matrix(), q90.to_matrix() @ q90.to_matrix(),
+        assert np.allclose(matrix(prod), matrix(q90) @ matrix(q90),
                            atol=1e-12)
-        assert quat_geodesic_deg(prod, q180) < 1e-9
+        assert angle_deg(prod, q180) < 1e-9
 
     def test_multiply_matches_matrix_oracle(self, rng):
         for _ in range(200):
             a, b = random_quat(rng), random_quat(rng)
-            assert np.allclose(quat_multiply(a, b).to_matrix(),
-                               a.to_matrix() @ b.to_matrix(), atol=1e-9)
+            assert np.allclose(matrix(quat_multiply(a, b)),
+                               matrix(a) @ matrix(b), atol=1e-9)
 
     @given(quats, quats, quats)
     @settings(max_examples=50)
     def test_multiply_associative(self, a, b, c):
         lhs = quat_multiply(quat_multiply(a, b), c)
         rhs = quat_multiply(a, quat_multiply(b, c))
-        assert quat_geodesic_deg(lhs, rhs) < 1e-9
+        assert angle_deg(lhs, rhs) < 1e-9
 
     def test_rotate_identity(self):
-        assert np.allclose(quat_rotate(UnitQuaternion.identity(), [1, 2, 3]),
-                           [1, 2, 3])
+        assert np.allclose(quat_apply(IDENTITY, [1, 2, 3]), [1, 2, 3])
 
     def test_rotate_half_turn(self):
-        q = UnitQuaternion.from_axis_angle([0, 0, 1], math.pi)
-        assert np.allclose(quat_rotate(q, [1, 0, 0]), [-1, 0, 0], atol=1e-12)
+        q = about_z(math.pi).as_array()
+        assert np.allclose(quat_apply(q, [1, 0, 0]), [-1, 0, 0], atol=1e-12)
 
     def test_rotate_matches_matrix_oracle(self, rng):
-        for _ in range(200):
-            q = random_quat(rng)
-            v = rng.normal(size=3)
-            assert np.allclose(quat_rotate(q, v), q.to_matrix() @ v, atol=1e-9)
-            assert abs(np.linalg.norm(quat_rotate(q, v)) - np.linalg.norm(v)) < 1e-9
+        q = np.array([random_quat(rng).as_array() for _ in range(200)])
+        v = rng.normal(size=(200, 3))
+        out = quat_apply(q, v)
+        assert np.allclose(out, (quat_to_matrix(q) @ v[:, :, None])[:, :, 0], atol=1e-9)
+        assert np.allclose(norms(out), norms(v), rtol=0, atol=1e-9)
+        # one rotation broadcasts against many vectors
+        assert np.array_equal(quat_apply(q[0], v), quat_apply(np.tile(q[0], (200, 1)), v))
 
 
 def random_rotvecs(rng, n):
@@ -140,35 +151,6 @@ class TestBatchedRotations:
     def test_normalize_rejects_degenerate_rows(self, row):
         with pytest.raises(ValueError):
             quat_normalize([(1.0, 0.0, 0.0, 0.0), row])
-
-    def test_apply_matches_scalar_bitwise(self, rng):
-        qs = [random_quat(rng) for _ in range(300)]
-        vs = rng.normal(size=(300, 3))
-        out = quat_apply([q.as_array() for q in qs], vs)
-        assert np.array_equal(out, [quat_rotate(q, v) for q, v in zip(qs, vs)])
-
-    def test_relative_poses_match_pose_relative_bitwise(self, rng):
-        a = [random_pose(rng) for _ in range(300)]
-        b = [random_pose(rng) for _ in range(300)]
-        q, t = relative_poses([p.rotation.as_array() for p in a],
-                              [p.translation for p in a],
-                              [p.rotation.as_array() for p in b],
-                              [p.translation for p in b])
-        rel = [pose_relative(x, y) for x, y in zip(a, b)]
-        assert np.array_equal(q, [r.rotation.as_array() for r in rel])
-        assert np.array_equal(t, [r.translation for r in rel])
-
-    def test_angle_matches_scalar_geodesic(self, rng):
-        a = [random_quat(rng) for _ in range(2000)]
-        # half the pairs far apart, half within about 1e-6 rad
-        b = [random_quat(rng) if k % 2 else
-             UnitQuaternion(*(q.as_array() + rng.normal(scale=1e-7, size=4)))
-             for k, q in enumerate(a)]
-        out = quat_angle_deg([q.as_array() for q in a], [q.as_array() for q in b])
-        expect = [quat_geodesic_deg(p, q) for p, q in zip(a, b)]
-        # the same expressions; np.arctan2 may round an ulp from math.atan2
-        assert np.allclose(out, expect, rtol=4 * np.finfo(float).eps, atol=0)
-        assert quat_angle_deg(a[0].as_array(), -a[0].as_array()) < 1e-12   # double cover
 
     def test_norms_match_linalg_norm_bitwise(self, rng):
         v = rng.normal(size=(1000, 3)) * np.exp(rng.uniform(-20, 20, size=(1000, 1)))
@@ -215,60 +197,81 @@ class TestBatchedRotations:
 
 class TestGeodesic:
     def test_self_distance_zero(self, rng):
-        q = random_quat(rng)
-        assert quat_geodesic_deg(q, q) < 1e-12
+        q = quat_normalize(rng.normal(size=(100, 4)))
+        assert quat_angle_deg(q, q).max() < 1e-12
 
     def test_double_cover(self, rng):
-        q = random_quat(rng)
-        neg = UnitQuaternion(-q.w, -q.x, -q.y, -q.z)
-        assert quat_geodesic_deg(q, neg) < 1e-9
+        q = quat_normalize(rng.normal(size=(100, 4)))
+        assert quat_angle_deg(q, -q).max() < 1e-9
+        assert quat_angle_deg(q[0], -q[0]) < 1e-12
 
     def test_quarter_turn(self):
-        q = UnitQuaternion.from_axis_angle([1, 0, 0], math.pi / 2)
-        assert abs(quat_geodesic_deg(UnitQuaternion.identity(), q) - 90.0) < 1e-9
+        q = quat_exp([math.pi / 2, 0.0, 0.0])
+        assert abs(quat_angle_deg(IDENTITY, q) - 90.0) < 1e-9
+
+    def test_small_angles_keep_their_precision(self, rng):
+        # atan2 of the relative quaternion's parts, where acos would lose
+        # the angle below about 1e-8 rad
+        v = rng.normal(size=(100, 3))
+        v *= np.exp(rng.uniform(np.log(1e-10), np.log(1e-3), size=(100, 1)))
+        got = quat_angle_deg(IDENTITY, quat_exp(v))
+        assert np.allclose(got, np.degrees(norms(v)), rtol=1e-12, atol=0)
 
     def test_metric_properties(self, rng):
-        for _ in range(100):
-            a, b, c = (random_quat(rng) for _ in range(3))
-            dab = quat_geodesic_deg(a, b)
-            assert abs(dab - quat_geodesic_deg(b, a)) < 1e-7
-            assert dab <= quat_geodesic_deg(a, c) + quat_geodesic_deg(c, b) + 1e-7
+        a, b, c = (quat_normalize(rng.normal(size=(100, 4))) for _ in range(3))
+        dab = quat_angle_deg(a, b)
+        assert np.abs(dab - quat_angle_deg(b, a)).max() < 1e-7
+        assert np.all(dab <= quat_angle_deg(a, c) + quat_angle_deg(c, b) + 1e-7)
+        assert np.all((0 <= dab) & (dab <= 180))
+
+
+def random_poses(rng, n):
+    """n random poses as (n, 4) wxyz rotations and (n, 3) translations."""
+    return quat_normalize(rng.normal(size=(n, 4))), rng.normal(size=(n, 3))
+
+
+def inverse(q, t):
+    """p^-1, as the relative transform p^-1 * identity."""
+    return relative_poses(q, t, IDENTITY, np.zeros(3))
+
+
+def compose(qa, ta, qb, tb):
+    """a b, as the relative transform (a^-1)^-1 b."""
+    return relative_poses(*inverse(qa, ta), qb, tb)
 
 
 class TestPose:
     def test_relative_self_is_identity(self, rng):
-        p = random_pose(rng)
-        rel = pose_relative(p, p)
-        assert quat_geodesic_deg(rel.rotation, UnitQuaternion.identity()) < 1e-8
-        assert np.linalg.norm(rel.translation) < 1e-8
+        q, t = random_poses(rng, 100)
+        rq, rt = relative_poses(q, t, q, t)
+        assert quat_angle_deg(rq, IDENTITY).max() < 1e-8
+        assert norms(rt).max() < 1e-8
 
     def test_identity_compose(self, rng):
-        p = random_pose(rng)
-        q = pose_compose(Pose.identity(), p)
-        assert quat_geodesic_deg(p.rotation, q.rotation) < 1e-12
-        assert np.allclose(p.translation, q.translation)
+        q, t = random_poses(rng, 100)
+        cq, ct = compose(IDENTITY, np.zeros(3), q, t)
+        assert quat_angle_deg(q, cq).max() < 1e-12
+        assert np.allclose(t, ct)
 
     def test_compose_inverse(self, rng):
-        for _ in range(50):
-            p = random_pose(rng)
-            ident = pose_compose(p, pose_inverse(p))
-            assert quat_geodesic_deg(ident.rotation, UnitQuaternion.identity()) < 1e-8 * 180 / math.pi
-            assert np.linalg.norm(ident.translation) < 1e-8
+        q, t = random_poses(rng, 50)
+        iq, it = compose(*inverse(q, t), q, t)     # (p^-1)^-1 p
+        assert quat_angle_deg(iq, IDENTITY).max() < 1e-8 * 180 / math.pi
+        assert norms(it).max() < 1e-8
 
     def test_relative_round_trip(self, rng):
-        for _ in range(100):
-            a, b = random_pose(rng), random_pose(rng)
-            back = pose_compose(a, pose_relative(a, b))
-            assert quat_geodesic_deg(back.rotation, b.rotation) < 1e-8
-            assert np.linalg.norm(back.translation - b.translation) < 1e-8
+        qa, ta = random_poses(rng, 100)
+        qb, tb = random_poses(rng, 100)
+        back_q, back_t = compose(qa, ta, *relative_poses(qa, ta, qb, tb))
+        assert quat_angle_deg(back_q, qb).max() < 1e-8
+        assert norms(back_t - tb).max() < 1e-8
 
     def test_compose_associative(self, rng):
-        for _ in range(50):
-            a, b, c = (random_pose(rng) for _ in range(3))
-            lhs = pose_compose(pose_compose(a, b), c)
-            rhs = pose_compose(a, pose_compose(b, c))
-            assert quat_geodesic_deg(lhs.rotation, rhs.rotation) < 1e-8
-            assert np.linalg.norm(lhs.translation - rhs.translation) < 1e-8
+        a, b, c = (random_poses(rng, 50) for _ in range(3))
+        lhs_q, lhs_t = compose(*compose(*a, *b), *c)
+        rhs_q, rhs_t = compose(*a, *compose(*b, *c))
+        assert quat_angle_deg(lhs_q, rhs_q).max() < 1e-8
+        assert norms(lhs_t - rhs_t).max() < 1e-8
 
     def test_translation_immutable(self, rng):
         p = random_pose(rng)
@@ -290,14 +293,14 @@ class TestUmeyama:
         pts = rng.normal(size=(10, 3))
         a = umeyama_sim3(pts, pts)
         assert abs(a.scale - 1.0) < 1e-9
-        assert quat_geodesic_deg(a.rotation, UnitQuaternion.identity()) < 1e-6
+        assert angle_deg(a.rotation, UnitQuaternion.identity()) < 1e-6
         assert np.linalg.norm(a.translation) < 1e-9
 
     def test_pure_scale(self, rng):
         pts = rng.normal(size=(10, 3))
         a = umeyama_sim3(pts, 2.0 * pts)
         assert abs(a.scale - 2.0) < 1e-9
-        assert quat_geodesic_deg(a.rotation, UnitQuaternion.identity()) < 1e-6
+        assert angle_deg(a.rotation, UnitQuaternion.identity()) < 1e-6
 
     def test_construct_and_recover(self, rng):
         for _ in range(50):
@@ -306,7 +309,7 @@ class TestUmeyama:
                                  random_quat(rng), rng.normal(size=3))
             a = umeyama_sim3(src, true.apply(src))
             assert abs(a.scale - true.scale) < 1e-6
-            assert quat_geodesic_deg(a.rotation, true.rotation) < 1e-6
+            assert angle_deg(a.rotation, true.rotation) < 1e-6
             assert np.linalg.norm(a.translation - true.translation) < 1e-6
 
     def test_beats_identity_alignment(self, rng):

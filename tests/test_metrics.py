@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from relpose.geom import (Pose, UnitQuaternion, pose_compose, pose_relative,
-                          quat_geodesic_deg)
+from relpose.geom import Pose, UnitQuaternion, quat_exp
 from relpose.metrics import (MismatchedIds, PlanMismatch, TooFewPoses,
                              TooFewSamples, ate, confidence_bins, edge_errors,
                              path_length, robustness_score, rot_rmse_deg, rpe,
                              trajectory_report)
 from relpose.posegraph import PoseEdge
 from relpose.stream import StreamEvent
-from conftest import edge_batch, random_pose, random_quat
+from conftest import angle_deg, edge_batch, random_pose, random_quat, relative_pose
 
 
 def line_trajectory(n, step=1.0, start=0.0):
@@ -35,7 +34,8 @@ class TestAte:
     def test_invariant_to_rigid_transform(self, rng):
         traj = {i: random_pose(rng) for i in range(1, 8)}
         g = random_pose(rng)
-        moved = {i: pose_compose(g, p) for i, p in traj.items()}
+        g_inv = relative_pose(g, Pose.identity())
+        moved = {i: relative_pose(g_inv, p) for i, p in traj.items()}   # g p
         rmse, _ = ate(moved, traj)
         assert rmse < 1e-9
 
@@ -56,6 +56,14 @@ class TestAte:
         est[5] = Pose(est[5].rotation, est[5].translation + [0, 1.0, 0])
         rmse, norm = ate(est, ref)
         assert norm == pytest.approx(100.0 * rmse / 10.0)
+
+    @pytest.mark.parametrize("alignment", ["Sim3", "se(3)", "rigid", None])
+    def test_unknown_alignment_rejected(self, rng, alignment):
+        traj = {i: random_pose(rng) for i in range(1, 6)}
+        with pytest.raises(ValueError, match='"sim3" or "se3"'):
+            ate(traj, traj, alignment=alignment)
+        with pytest.raises(ValueError, match='"sim3" or "se3"'):
+            trajectory_report(traj, traj, alignment=alignment)
 
     def test_too_few_poses(self):
         with pytest.raises(TooFewPoses):
@@ -78,7 +86,7 @@ class TestRotRmse:
         est = {}
         for i, p in ref.items():
             # each frame rotated 10 deg more than the last
-            q = UnitQuaternion.from_axis_angle([0, 0, 1], np.radians(10.0 * (i - 1)))
+            q = UnitQuaternion(*quat_exp([0, 0, np.radians(10.0 * (i - 1))]).tolist())
             est[i] = Pose(q, p.translation)
         errs = [10.0 * (i - 1) for i in range(1, 6)]
         assert rot_rmse_deg(est, ref) == pytest.approx(
@@ -113,14 +121,14 @@ class TestRpe:
 
 def scalar_relative_errors(estimated, reference, pairs):
     """Translation and rotation (degrees) errors between the relative poses
-    of both trajectories over id pairs, one pose_relative at a time: the
-    loop the batched metrics replaced."""
+    of both trajectories over id pairs, one pair at a time: the loop the
+    batched metrics replaced."""
     t_err, r_err = [], []
     for a, b in pairs:
-        rel_est = pose_relative(estimated[a], estimated[b])
-        rel_ref = pose_relative(reference[a], reference[b])
+        rel_est = relative_pose(estimated[a], estimated[b])
+        rel_ref = relative_pose(reference[a], reference[b])
         t_err.append(np.linalg.norm(rel_est.translation - rel_ref.translation))
-        r_err.append(quat_geodesic_deg(rel_est.rotation, rel_ref.rotation))
+        r_err.append(angle_deg(rel_est.rotation, rel_ref.rotation))
     return np.array(t_err), np.array(r_err)
 
 
@@ -135,7 +143,7 @@ class TestBatchedMatchesScalarLoop:
         ids = sorted(ref)
         t_err, r_err = scalar_relative_errors(est, ref, zip(ids, ids[delta:]))
         rpe_t, rpe_r = rpe(est, ref, delta=delta)
-        # the same arithmetic, but np.arctan2 may round an ulp from math.atan2
+        # the same arithmetic, one pair at a time
         assert rpe_t == float(np.sqrt(np.mean(np.square(t_err))))
         assert rpe_r == pytest.approx(float(np.sqrt(np.mean(np.square(r_err)))),
                                       rel=1e-14, abs=0)
@@ -152,9 +160,9 @@ class TestEdgeErrors:
                                     1.0, 1.0) for i, j in pairs)
         rot, trans = edge_errors(edges, poses)
         for k, (i, j) in enumerate(pairs):
-            gt = pose_relative(poses[i], poses[j])
+            gt = relative_pose(poses[i], poses[j])
             assert rot[k] == pytest.approx(
-                quat_geodesic_deg(edges[k].rel_rotation, gt.rotation), rel=1e-14, abs=0)
+                angle_deg(edges[k].rel_rotation, gt.rotation), rel=1e-14, abs=0)
             assert trans[k] == np.linalg.norm(edges[k].rel_translation - gt.translation)
 
     def test_endpoint_without_a_pose_raises(self, rng):

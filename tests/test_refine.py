@@ -5,23 +5,23 @@ import pytest
 
 from scipy.spatial.transform import Rotation
 
-from relpose.geom import (Pose, UnitQuaternion, pose_relative, quat_exp,
-                          quat_geodesic_deg, quat_multiply, quat_to_matrix,
-                          right_jacobian)
+from relpose.geom import (Pose, UnitQuaternion, quat_exp, quat_multiply,
+                          quat_to_matrix, right_jacobian)
+from relpose.metrics import edge_errors
 from relpose.oracle import OracleConfig, generate_scene
 from relpose.posegraph import (EdgeBatch, PoseEdge, compose_candidate,
                                fuse_candidates)
-from relpose.refine import (RefinementProblem, _Workspace, _vee_trace,
-                            edge_residuals, huber, solve)
+from relpose.refine import (RefinementProblem, _Workspace, _vee_trace, huber,
+                            solve)
 from relpose.runner import (all_pair_edges, offline_trajectory,
                             refine_trajectory)
-from conftest import edge_batch, random_pose, random_quat
+from conftest import angle_deg, edge_batch, random_pose, random_quat, relative_pose
 
 
 def perfect_edges(poses, pairs, conf=1.0):
     edges = []
     for i, j in pairs:
-        rel = pose_relative(poses[i], poses[j])
+        rel = relative_pose(poses[i], poses[j])
         edges.append(PoseEdge(i, j, rel.rotation, rel.translation, conf, conf))
     return edge_batch(edges)
 
@@ -35,8 +35,8 @@ def random_problem(rng, n=6, noise=0.05):
     pairs = chain_pairs(list(range(n))) + [(0, n - 1), (1, n - 2)]
     edges = []
     for i, j in pairs:
-        rel = pose_relative(poses[i], poses[j])
-        dq = UnitQuaternion.from_rotvec(rng.normal(scale=noise, size=3))
+        rel = relative_pose(poses[i], poses[j])
+        dq = UnitQuaternion(*quat_exp(rng.normal(scale=noise, size=3)).tolist())
         edges.append(PoseEdge(
             i, j, UnitQuaternion(*_mul(rel.rotation, dq)),
             rel.translation + rng.normal(scale=noise, size=3),
@@ -47,6 +47,15 @@ def random_problem(rng, n=6, noise=0.05):
 def _mul(a, b):
     q = quat_multiply(a, b)
     return (q.w, q.x, q.y, q.z)
+
+
+def edge_residuals(poses, edges):
+    """(rotation residuals in radians, translation residuals) of each edge
+    against the relative pose of its endpoints, by metrics.edge_errors:
+    through quaternions and atan2, independent of refinement's
+    matrix/arccos residual pass."""
+    rot_deg, trans = edge_errors(edges, poses)
+    return np.radians(rot_deg), trans
 
 
 def oracle_scene(frames, seed=0):
@@ -90,24 +99,23 @@ class TestHuber:
 
 class TestEdgeResiduals:
     def test_zero_on_consistent_edge(self, rng):
-        pi, pj = random_pose(rng), random_pose(rng)
-        e = perfect_edges({0: pi, 1: pj}, [(0, 1)])[0]
-        er, et = edge_residuals(pi, pj, e)
+        poses = {0: random_pose(rng), 1: random_pose(rng)}
+        [er], [et] = edge_residuals(poses, perfect_edges(poses, [(0, 1)]))
         assert er < 1e-10 and et < 1e-10
 
     def test_translation_residual_norm(self):
-        pi = Pose.identity()
-        pj = Pose(UnitQuaternion.identity(), np.array([1.0, 0, 0]))
+        poses = {0: Pose.identity(),
+                 1: Pose(UnitQuaternion.identity(), np.array([1.0, 0, 0]))}
         e = PoseEdge(0, 1, UnitQuaternion.identity(),
                      np.array([1.0, 2.0, 0.0]), 1.0, 1.0)
-        er, et = edge_residuals(pi, pj, e)
+        _, [et] = edge_residuals(poses, edge_batch([e]))
         assert et == pytest.approx(2.0)
 
     def test_rotation_residual_radians(self):
-        pi = Pose.identity()
-        pj = Pose(UnitQuaternion.from_axis_angle([0, 0, 1], 0.3))
+        poses = {0: Pose.identity(),
+                 1: Pose(UnitQuaternion(*quat_exp([0, 0, 0.3]).tolist()))}
         e = PoseEdge(0, 1, UnitQuaternion.identity(), np.zeros(3), 1.0, 1.0)
-        er, _ = edge_residuals(pi, pj, e)
+        [er], _ = edge_residuals(poses, edge_batch([e]))
         assert er == pytest.approx(0.3, abs=1e-9)
 
 
@@ -120,8 +128,7 @@ class TestObjective:
     def test_matches_manual_sum(self, rng):
         prob = random_problem(rng, n=5)
         total = 0.0
-        for e in prob.edges:
-            er, et = edge_residuals(prob.poses[e.src], prob.poses[e.dst], e)
+        for e, er, et in zip(prob.edges, *edge_residuals(prob.poses, prob.edges)):
             total += e.conf_rot * huber(er, prob.delta_rot)
             total += e.conf_trans * huber(et, prob.delta_trans)
         assert objective(prob) == pytest.approx(total, rel=1e-9)
@@ -299,14 +306,14 @@ class TestSolve:
         init = {0: truth[0]}
         for i in range(1, 6):
             q = random_quat(rng)
-            dq = UnitQuaternion.from_rotvec(rng.normal(scale=0.02, size=3))
+            dq = UnitQuaternion(*quat_exp(rng.normal(scale=0.02, size=3)).tolist())
             init[i] = Pose(UnitQuaternion(*_mul(truth[i].rotation, dq)),
                            truth[i].translation + rng.normal(scale=0.05, size=3))
         result = solve(RefinementProblem(init, edges))
         assert result.final_objective < 1e-12
         for i in range(6):
-            assert quat_geodesic_deg(result.poses[i].rotation,
-                                     truth[i].rotation) * math.pi / 180 < 1e-6
+            assert angle_deg(result.poses[i].rotation,
+                             truth[i].rotation) * math.pi / 180 < 1e-6
             assert np.linalg.norm(result.poses[i].translation
                                   - truth[i].translation) < 1e-6
 
@@ -332,18 +339,18 @@ class TestNormalMatrix:
         truth = {i: random_pose(rng) for i in range(5)}
         edges = perfect_edges(truth, chain_pairs(list(range(5))) + [(0, 3), (4, 1)],
                               conf=2.0)
-        init = {i: Pose(quat_multiply(UnitQuaternion.from_rotvec(
-                            rng.normal(scale=0.3, size=3)), truth[i].rotation),
+        init = {i: Pose(quat_multiply(UnitQuaternion(*quat_exp(
+                            rng.normal(scale=0.3, size=3)).tolist()), truth[i].rotation),
                         truth[i].translation + rng.normal(size=3))
                 for i in range(5)}
         init[0] = truth[0]
         ws = _Workspace(RefinementProblem(init, edges))
 
-        def rotvec(q):
-            return Rotation.from_quat([q.x, q.y, q.z, q.w]).as_rotvec()  # xyzw
+        def rotation(q):
+            return Rotation.from_quat([q.x, q.y, q.z, q.w])  # xyzw
 
         x = np.concatenate([np.concatenate([
-            rotvec(quat_multiply(truth[i].rotation, init[i].rotation.conjugate())),
+            (rotation(truth[i].rotation) * rotation(init[i].rotation).inv()).as_rotvec(),
             truth[i].translation - init[i].translation]) for i in range(1, 5)])
         f, _, H = ws.objective_and_gradient(x, hessian=True)
         assert f < 1e-20
@@ -361,8 +368,7 @@ class TestNormalMatrix:
         # parameters J^T W J is the exact Hessian, inside the Huber knee and
         # beyond it, where the weight keeps no curvature along the residual
         prob = random_problem(rng, n=6, noise=0.08)
-        e_t = [edge_residuals(prob.poses[e.src], prob.poses[e.dst], e)[1]
-               for e in prob.edges]
+        e_t = edge_residuals(prob.poses, prob.edges)[1]
         assert min(e_t) < prob.delta_trans < max(e_t)
         ws = _Workspace(prob)
         x = ws.initial_params()

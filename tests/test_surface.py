@@ -14,9 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "relpose"
 # the only names the guard allows, kept for the tests alone: the loss the
-# oracle's confidences are calibrated to, and independent references for
-# refinement's residuals and the oracle's noise
-TEST_REFERENCES = {"conf_loss", "edge_residuals", "noise_scales"}
+# oracle's confidences are calibrated to, and an independent reference for
+# the oracle's noise
+TEST_REFERENCES = {"conf_loss", "noise_scales"}
 
 
 def definitions(path):
