@@ -2,9 +2,10 @@
 
 Frames arrive one at a time. Each new frame is paired only against the
 active context (frame 1 plus a bounded keyframe bank), its candidate
-poses are fused with confidence-softmax weights, and the bank admits the
-frame only when its token is novel. Run it and watch the bank stay small
-while the trajectory stays accurate.
+poses are fused with inverse-variance weights (proportional to the
+squared confidences), and the bank admits the frame only when its token
+is novel. Run it and watch the bank stay small while the trajectory
+stays accurate.
 """
 
 import numpy as np

@@ -8,8 +8,6 @@ This mirrors the streaming engine's design choice of fusing everything
 and letting the confidence weights sort it out.
 """
 
-import numpy as np
-
 from relpose import metrics
 from relpose.oracle import OracleConfig, generate_scene
 from relpose.runner import offline_trajectory, refine_trajectory

@@ -8,7 +8,6 @@ byte-identical artifacts (np.arctan2 may round unlike math.atan2).
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -72,8 +71,7 @@ def cmd_stream(cfg: RunConfig, out_dir):
 
 def cmd_offline(cfg: RunConfig, out_dir):
     scene = generate_scene(cfg.oracle, cfg.seed)
-    traj = offline_trajectory(scene, k=cfg.stream.k,
-                              log_weights=cfg.stream.log_weights)
+    traj = offline_trajectory(scene, k=cfg.stream.k)
     io.write_tum(traj, os.path.join(out_dir, "trajectory_pre.tum"))
     pre = _score(traj, scene, cfg.rpe_delta)
     _write_report(out_dir, "report_pre", pre)

@@ -19,6 +19,7 @@ through) are each one call, and a distractor-stream frame one per scene.
 """
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -158,8 +159,6 @@ class SyntheticScene:
         rng = np.random.default_rng([self.seed, 0xA11CE])
         self._quats, self._trans = _generate_trajectory(config, rng)
         self.frame_ids = list(range(1, len(self._quats) + 1))
-        self.poses = {fid: Pose(UnitQuaternion.from_unit(*q), t) for fid, q, t
-                      in zip(self.frame_ids, self._quats.tolist(), self._trans)}
         self._rots = quat_to_matrix(self._quats)
         self._index = {fid: k for k, fid in enumerate(self.frame_ids)}
         self._id_array = np.array(self.frame_ids, dtype=np.int64)
@@ -169,6 +168,12 @@ class SyntheticScene:
         self._src_keys = _source_keys(self.seed, rows)
         self._dst_mults = _dest_mults(rows)
         self._conj_quats = self._quats * np.array([1.0, -1.0, -1.0, -1.0])
+
+    @functools.cached_property
+    def poses(self):
+        """Ground-truth Pose per frame id, built on first read."""
+        return {fid: Pose(UnitQuaternion.from_unit(*q), t) for fid, q, t
+                in zip(self.frame_ids, self._quats.tolist(), self._trans)}
 
     def noisier(self, mult):
         """This scene with both base noise scales multiplied by mult >= 1:

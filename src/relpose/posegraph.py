@@ -6,8 +6,8 @@ struct of arrays with one row per edge and the one edge input of every
 path; indexing it gives a PoseEdge, a read-only view of one row.  Every
 reference frame i with a known pose proposes one absolute candidate for
 frame j by composing its pose with the edge (compose_candidate does a
-whole batch in one call); a frame's CandidateBatch is fused with softmax
-confidence weights, top-K selected by averaged confidence.
+whole batch in one call); a frame's CandidateBatch is fused with c^2
+(inverse-variance) weights, top-K selected by averaged confidence.
 """
 
 import math
@@ -165,18 +165,18 @@ def _softmax(values):
     return e / e.sum()
 
 
-def fuse_candidates(candidates: CandidateBatch, k=None, log_weights=False):
+def fuse_candidates(candidates: CandidateBatch, k=None):
     """Confidence-weighted fusion of a frame's candidate poses, the
     CandidateBatch that compose_candidate returns, into one pose.
 
     The top-k candidates by averaged confidence are retained (k=None keeps
-    all; ties break by ascending reference id).  Translation is their
-    softmax(conf_trans)-weighted mean; rotation is the renormalized
-    softmax(conf_rot)-weighted quaternion sum, candidates sign-aligned to
-    the retained candidate with the highest rotation confidence.  On
-    oracle confidences the softmax is nearly an argmax (README, Fusion).
-    log_weights switches the softmax to log-confidences (weights
-    proportional to the raw confidences) for experimentation.
+    all; ties break by ascending reference id).  Each component is
+    weighted by its squared confidence, the inverse variance of Laplace
+    noise of scale alpha/c up to a common factor, computed as a softmax of
+    2 log c so that no square overflows or underflows.  Translation is the
+    c_trans^2-weighted mean; rotation is the renormalized c_rot^2-weighted
+    quaternion sum, candidates sign-aligned to the retained candidate with
+    the highest rotation confidence.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be None or at least 1, got {k}")
@@ -189,11 +189,8 @@ def fuse_candidates(candidates: CandidateBatch, k=None, log_weights=False):
 
     # sign-align to the retained candidate with highest conf_rot
     anchor = qs[np.lexsort((refs, -c_rot))[0]]
-    if log_weights:
-        c_rot = np.log(c_rot)
-        c_trans = np.log(c_trans)
-    w_rot = _softmax(c_rot)
-    w_trans = _softmax(c_trans)
+    w_rot = _softmax(2.0 * np.log(c_rot))
+    w_trans = _softmax(2.0 * np.log(c_trans))
 
     t = w_trans @ candidates.translation[keep]
     signs = np.where(qs @ anchor < 0.0, -1.0, 1.0)

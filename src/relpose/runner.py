@@ -43,7 +43,7 @@ def stream_scene(scene, config, forced_reset_at=None, bridge_len=5):
     return state, events
 
 
-def offline_trajectory(scene, k=None, log_weights=False, uniform=False):
+def offline_trajectory(scene, k=None, uniform=False):
     """Full-context aggregation: every frame fuses candidates from all
     earlier frames.  uniform=True replaces the confidence weights with
     equal weights (ablation baseline)."""
@@ -64,7 +64,7 @@ def offline_trajectory(scene, k=None, log_weights=False, uniform=False):
         if uniform:
             ones = np.ones(len(cands))
             cands = replace(cands, conf_rot=ones, conf_trans=ones)
-        pose = traj[j] = fuse_candidates(cands, k=k, log_weights=log_weights)
+        pose = traj[j] = fuse_candidates(cands, k=k)
         rotations[pos] = pose.rotation.as_array()
         translations[pos] = pose.translation
     return traj

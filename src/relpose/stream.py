@@ -53,7 +53,6 @@ class StreamConfig:
     n_rej: int = 3               # consecutive rejections before reset
     l_max: int = 2000            # accepted frames per segment before scheduled reset
     k: int | None = None         # fusion top-K; None = all references
-    log_weights: bool = False    # softmax over log-confidences instead of raw
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
@@ -288,7 +287,7 @@ def process_frame(state: StreamState, token: FrameToken, edges: EdgeBatch):
         return events
 
     candidates = compose_candidate(bank.rotations, bank.translations, edges)
-    pose = fuse_candidates(candidates, k=cfg.k, log_weights=cfg.log_weights)
+    pose = fuse_candidates(candidates, k=cfg.k)
     state.trajectory[frame_id] = pose
     events.append(StreamEvent("Accepted", frame_id, {"score": score}))
 

@@ -4,13 +4,11 @@ Each test prints a single PASS line on success; thresholds are stated
 inline next to the asserts.
 """
 
-import dataclasses
 import math
 import os
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import minimize_scalar
 from scipy.spatial.transform import Rotation
 from scipy.stats import binomtest

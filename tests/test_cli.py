@@ -441,7 +441,8 @@ class TestErrors:
         {"robust": {"trials": 0}}, {"stream": {"tau": float("nan")}},
         {"stream": {"tau_out": float("nan")}}, {"stream": {"tau_out": -1.0}},
         {"stream": {"l_max": 0}}, {"stream": {"n_cal": -3}},
-        {"stream": {"n_rej": 0}}, {"stream": {"delta_max": -1}}])
+        {"stream": {"n_rej": 0}}, {"stream": {"delta_max": -1}},
+        {"stream": {"log_weights": True}}])
     @pytest.mark.parametrize("command", ["offline", "robust", "stream"])
     def test_invalid_value_fails_before_writing(self, tmp_path, capsys,
                                                  override, command):

@@ -8,6 +8,7 @@ from relpose.geom import (Pose, UnitQuaternion, quat_apply, quat_exp, quat_multi
 from relpose.oracle import OracleConfig, generate_scene
 from relpose.posegraph import (EdgeBatch, EmptyCandidates, PoseEdge, _softmax,
                                compose_candidate, fuse_candidates)
+from relpose.runner import offline_trajectory
 from conftest import (CandidatePose, angle_deg, candidate_batch, edge_batch,
                       random_pose, random_quat)
 
@@ -148,18 +149,16 @@ class TestComposeCandidate:
         assert (c.conf_rot[0], c.conf_trans[0], c.reference[0]) == (3.0, 0.5, 1)
 
 
-def scalar_fuse(cands, k=None, log_weights=False):
+def scalar_fuse(cands, k=None):
     """Fusion written out one candidate object at a time: the reference
     the batched fusion must reproduce bit for bit."""
     ranked = sorted(cands, key=lambda c: (-0.5 * (c.conf_rot + c.conf_trans), c.reference))
     retained = ranked if k is None else ranked[:k]
-    c_rot = np.array([c.conf_rot for c in retained])
-    c_trans = np.array([c.conf_trans for c in retained])
-    if log_weights:
-        c_rot, c_trans = np.log(c_rot), np.log(c_trans)
-    w_rot = np.exp(c_rot - c_rot.max())
+    logits_rot = 2.0 * np.log([c.conf_rot for c in retained])
+    logits_trans = 2.0 * np.log([c.conf_trans for c in retained])
+    w_rot = np.exp(logits_rot - logits_rot.max())
     w_rot = w_rot / w_rot.sum()
-    w_trans = np.exp(c_trans - c_trans.max())
+    w_trans = np.exp(logits_trans - logits_trans.max())
     w_trans = w_trans / w_trans.sum()
     t = w_trans @ np.array([c.proposed.translation for c in retained])
     anchor = min(retained, key=lambda c: (-c.conf_rot, c.reference))
@@ -174,9 +173,8 @@ class TestBatchedPathMatchesScalar:
     quat_apply per edge, CandidatePose objects and the scalar fusion, on
     oracle frames: equal to the last bit."""
 
-    @pytest.mark.parametrize("log_weights", [False, True])
     @pytest.mark.parametrize("k", [None, 3])
-    def test_oracle_frames_bitwise(self, k, log_weights):
+    def test_oracle_frames_bitwise(self, k):
         scene = generate_scene(OracleConfig(frames=40), 7)
         rng = np.random.default_rng(7)
         poses = [random_pose(rng) for _ in scene.frame_ids]
@@ -195,10 +193,9 @@ class TestBatchedPathMatchesScalar:
                                   [c.proposed.rotation.as_array() for c in scalar])
             assert np.array_equal(batch.translation,
                                   [c.proposed.translation for c in scalar])
-            fused = [fuse_candidates(batch, k=k, log_weights=log_weights),
-                     fuse_candidates(candidate_batch(scalar), k=k,
-                                     log_weights=log_weights),
-                     scalar_fuse(scalar, k=k, log_weights=log_weights)]
+            fused = [fuse_candidates(batch, k=k),
+                     fuse_candidates(candidate_batch(scalar), k=k),
+                     scalar_fuse(scalar, k=k)]
             for p in fused[1:]:
                 assert p.rotation.as_array().tolist() == fused[0].rotation.as_array().tolist()
                 assert p.translation.tolist() == fused[0].translation.tolist()
@@ -251,14 +248,17 @@ class TestFusion:
         assert np.allclose(a.translation, b.translation, atol=1e-12)
         assert angle_deg(a.rotation, b.rotation) < 1e-12
 
-    def test_confidence_shift_invariance(self, rng):
+    def test_confidence_scale_invariance(self, rng):
+        # inverse-variance weights: a common factor on every confidence,
+        # such as the oracle's loss weight alpha, cancels
         cands = [candidate(random_pose(rng), float(rng.uniform(0.5, 2)),
                            float(rng.uniform(0.5, 2)), i) for i in range(5)]
-        shifted = [candidate(c.proposed, c.conf_rot + 3.0, c.conf_trans + 3.0,
-                             c.reference) for c in cands]
-        a, b = fuse(cands), fuse(shifted)
-        assert np.allclose(a.translation, b.translation, atol=1e-12)
-        assert angle_deg(a.rotation, b.rotation) < 1e-10
+        scaled = [candidate(c.proposed, 3.0 * c.conf_rot, 3.0 * c.conf_trans,
+                            c.reference) for c in cands]
+        a, b = fuse(cands), fuse(scaled)
+        assert np.allclose(a.translation, b.translation, rtol=0, atol=1e-12)
+        assert np.allclose(a.rotation.as_array(), b.rotation.as_array(),
+                           rtol=0, atol=1e-12)
 
     def test_convex_hull_containment_1d(self, rng):
         xs = rng.uniform(-3, 3, size=4)
@@ -287,15 +287,13 @@ class TestFusion:
         for cands in ([low, high], [high, low]):
             assert np.allclose(fuse(cands, k=1).translation, [1, 0, 0])
 
-    def test_log_weights_weight_translations_by_raw_confidence(self, rng):
+    def test_translations_weighted_by_squared_confidence(self, rng):
         cands = [candidate(random_pose(rng), float(rng.uniform(0.1, 5)),
                            float(rng.uniform(0.1, 5)), i) for i in range(6)]
-        fused = fuse(cands, log_weights=True)
         c_t = np.array([c.conf_trans for c in cands])
         ts = np.array([c.proposed.translation for c in cands])
-        assert np.allclose(fused.translation, c_t @ ts / c_t.sum(), rtol=0, atol=1e-12)
-        # raw-confidence softmax weights differ from proportional ones
-        assert not np.allclose(fuse(cands).translation, fused.translation)
+        expect = c_t ** 2 @ ts / np.sum(c_t ** 2)
+        assert np.allclose(fuse(cands).translation, expect, rtol=0, atol=1e-12)
 
     def test_equal_conf_k_all_is_plain_mean(self, rng):
         poses = [random_pose(rng, scale=0.1) for _ in range(5)]
@@ -306,27 +304,43 @@ class TestFusion:
 
 
 class TestSoftmaxOnOracleConfidences:
-    """Fusion applies softmax to raw confidences, and on oracle edges at the
-    default alpha=0.2 those span 0.11-89 (rotation) and 0.02-17.8
-    (translation).  This pins what that does over the 99 fused frames of a
-    default 100-frame scene: the rotation fusion is nearly an argmax, and
-    one reference carries most of the translation weight."""
+    """Fusion weights are a softmax of 2 log c, so proportional to c^2.  On
+    oracle edges at the default alpha=0.2 the confidences span 0.11-89
+    (rotation) and 0.02-17.8 (translation).  This pins what the weights do
+    over the 99 fused frames of a default 100-frame scene: no reference
+    dominates, and about 13 references count once a frame has 10 or more."""
 
     @pytest.mark.parametrize("seed", [0, 1009])
     def test_largest_weight_per_frame(self, seed):
         scene = generate_scene(OracleConfig(), seed)
         ids = scene.frame_ids
-        largest = {"rot": [], "trans": []}
+        largest, effective = [], []
         for pos, j in enumerate(ids[1:], start=1):
             edges = scene.emit_edges(ids[:pos], j)   # as offline fusion asks
-            largest["rot"].append(_softmax(edges.conf_rot).max())
-            largest["trans"].append(_softmax(edges.conf_trans).max())
-        rot, trans = np.array(largest["rot"]), np.array(largest["trans"])
-        assert len(rot) == len(trans) == 99
-        assert rot.min() > 0.99                       # 0.998 on both seeds
-        assert 0.75 < np.median(trans) < 0.9          # 0.82 on both seeds
-        assert trans.min() > 0.6                      # 0.697 and 0.701
-        both = np.concatenate([rot, trans])
-        assert np.median(both) > 0.99                 # 0.998 and 0.999
-        assert 0.4 < (both > 0.99).mean() < 0.6       # 0.505 and 0.510
+            w_rot = _softmax(2.0 * np.log(edges.conf_rot))
+            w_trans = _softmax(2.0 * np.log(edges.conf_trans))
+            # c_rot / c_trans is the same on every edge without jitter
+            assert np.allclose(w_rot, w_trans, rtol=0, atol=1e-15)
+            assert np.allclose(w_rot, edges.conf_rot ** 2 / np.sum(edges.conf_rot ** 2),
+                               rtol=0, atol=1e-15)
+            largest.append(w_rot.max())
+            if pos >= 10:
+                effective.append(1.0 / np.sum(w_rot ** 2))
+        largest, effective = np.array(largest), np.array(effective)
+        assert len(largest) == 99 and len(effective) == 90
+        assert 0.14 < np.median(largest) < 0.18       # 0.157 and 0.159
+        assert (largest > 0.5).sum() == 2             # frames with 1-2 references
+        assert 12 < np.median(effective) < 15         # 13.5 and 13.3
+        assert effective.min() > 5                    # 6.2 and 6.1
 
+    @pytest.mark.parametrize("seed", [0, 1009])
+    def test_offline_trajectory_independent_of_alpha(self, seed):
+        # alpha scales every confidence alike and draws no randomness, so
+        # the weights and the fused poses must not move with it
+        a = offline_trajectory(generate_scene(OracleConfig(alpha=0.2), seed))
+        b = offline_trajectory(generate_scene(OracleConfig(alpha=1.0), seed))
+        assert a.keys() == b.keys()
+        for fid in a:
+            assert np.allclose(a[fid].translation, b[fid].translation, rtol=0, atol=1e-12)
+            assert np.allclose(a[fid].rotation.as_array(), b[fid].rotation.as_array(),
+                               rtol=0, atol=1e-12)

@@ -1,10 +1,12 @@
 """Every function, class and method that src/relpose defines is used by
-the program itself, not only by the tests.
+the program itself, not only by the tests, and every name a file under
+src/, tests/ or demos/ imports is used in that file.
 
-A name counts as used when it appears as a whole word in a Python file
-under src/, demos/ or perfbench/ (the benchmark's own tests excepted)
-outside the lines of its own definition.  Dunder methods are called by
-Python and are not checked.
+A defined name counts as used when it appears as a whole word in a
+Python file under src/, demos/ or perfbench/ (the benchmark's own tests
+excepted) outside the lines of its own definition.  Dunder methods are
+called by Python and are not checked.  An imported name counts as used
+when the file's syntax tree reads it anywhere.
 """
 
 import ast
@@ -56,3 +58,23 @@ def unused_names():
 
 def test_the_program_uses_every_name_it_defines():
     assert unused_names() == TEST_REFERENCES
+
+
+def unused_imports(path):
+    """Names that the module at path imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {f"{name} (line {line})" for name, line in imported.items()
+            if name not in read}
+
+
+def test_every_import_is_used():
+    files = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+    found = {str(p.relative_to(ROOT)): unused_imports(p) for p in files}
+    assert {path: names for path, names in found.items() if names} == {}
