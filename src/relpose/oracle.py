@@ -44,6 +44,10 @@ class InvalidCounts(ValueError):
 
 
 _EPS_SCALE = 1e-9
+# From this many ids on, SyntheticScene._rows looks an integer id array up
+# by arithmetic; for fewer (a distractor frame's 1-30), one dict lookup per
+# id is faster.
+_ARRAY_LOOKUP_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -196,6 +200,13 @@ class SyntheticScene:
     def _rows(self, ids):
         """Row positions of the given frame ids, an iterable of them."""
         if isinstance(ids, np.ndarray):
+            if ids.ndim == 1 and len(ids) >= _ARRAY_LOOKUP_MIN and ids.dtype.kind == "i":
+                # frame ids are consecutive, so a row is an id's offset
+                rows = ids.astype(np.int64, copy=False) - self.frame_ids[0]
+                unknown = (rows < 0) | (rows >= len(self.frame_ids))
+                if unknown.any():
+                    raise UnknownFrame(int(ids[np.argmax(unknown)]))
+                return rows
             ids = ids.tolist()      # names an unknown id as a plain int
         try:
             return np.array([self._index[i] for i in ids], dtype=np.int64)

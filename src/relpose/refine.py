@@ -19,13 +19,16 @@ derived in world-frame increments R -> Exp(phi) R (Sola et al., "A micro
 Lie theory for state estimation in robotics", 2018) and chained to the
 parameters once per node.  The damped system is solved with
 numpy.linalg.solve, and a trial step costs one residual pass: it is
-taken only if the objective does not increase.  The solve stops when the
-model predicts a step's decrease to be at most 1e-10 relative (the gain
-test of Madsen, Nielsen & Tingleff, 2004), read from g and H, not from
-two rounded objectives.  With all-pair edges every block of J^T W J is
-nonzero, so the system is dense.
+taken only if the objective does not increase, and then the next
+linearization starts from that same pass, so no iterate's residuals are
+computed twice.  The solve stops when the model predicts a step's
+decrease to be at most 1e-10 relative (the gain test of Madsen, Nielsen
+& Tingleff, 2004), read from g and H, not from two rounded objectives.
+With all-pair edges every block of J^T W J is nonzero, so the system is
+dense.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +50,10 @@ class RefinementProblem:
     delta_trans: float = 0.1       # Huber knee for translation residuals
 
     def __post_init__(self):
-        if self.delta_rot <= 0 or self.delta_trans <= 0:
-            raise ValueError("Huber deltas must be positive")
+        for name in ("delta_rot", "delta_trans"):
+            delta = getattr(self, name)
+            if not 0 < delta < math.inf:
+                raise ValueError(f"{name} must satisfy 0 < delta < inf, got {delta}")
         ids = np.fromiter(self.poses, dtype=np.int64, count=len(self.poses))
         unknown = ~np.isin(np.stack([self.edges.src, self.edges.dst]), ids).all(axis=0)
         if unknown.any():
@@ -95,8 +100,14 @@ def _huber_weights(c, e, delta, direction):
     e, the weight keeps no curvature along the residual's unit direction."""
     w = c * delta / np.maximum(e, delta)
     radial = np.where(e > delta, w, 0.0)
-    return (w[:, None, None] * np.eye(3)
-            - radial[:, None, None] * direction[:, :, None] * direction[:, None, :])
+    # w I - radial u u^T without broadcast temporaries: the outer product in
+    # the same multiplication order, subtracted from zero in place (so that
+    # zero entries keep the sign 0.0 - p gives them), then w added on the
+    # diagonal.  Every entry rounds as in the broadcast formula.
+    W = (radial[:, None] * direction)[:, :, None] * direction[:, None, :]
+    np.subtract(0.0, W, out=W)
+    W.reshape(-1, 9)[:, ::4] += w[:, None]
+    return W
 
 
 def _vee_trace(M):
@@ -132,6 +143,9 @@ class _Workspace:
         self.that = edges.translation
         self.cR = edges.conf_rot
         self.cT = edges.conf_trans
+        # (x, _residuals(x)) of the latest objective call, until the next
+        # pass or until objective_and_gradient(x) takes it
+        self._kept = None
 
     def initial_params(self):
         return np.zeros(6 * len(self.free))
@@ -168,7 +182,22 @@ class _Workspace:
         return total, (w, A, Ri, Rj, d, r, eT, E, tr, eR)
 
     def objective(self, x):
-        return self._residuals(x)[0]
+        """The objective at x.  Its residual pass is kept, in one slot, for
+        objective_and_gradient(x) to linearize from: an accepted trial step
+        costs one pass, not two."""
+        self._kept = None       # at most one pass is alive
+        out = self._residuals(x)
+        self._kept = (x.copy(), out)
+        return out[0]
+
+    def _pass(self, x):
+        """_residuals(x), taken from the slot if objective(x) was the latest
+        pass, else computed; either way the slot is emptied."""
+        kept, self._kept = self._kept, None
+        if kept is not None and np.array_equal(kept[0], x):
+            return kept[1]
+        del kept
+        return self._residuals(x)
 
     def objective_and_gradient(self, x, hessian=False):
         """(f, g) at x, or (f, g, H) with H the Gauss-Newton matrix J^T W J,
@@ -188,15 +217,17 @@ class _Workspace:
         prob = self.problem
         n = len(self.ids)
         ei, ej = self.ei, self.ej
-        f, (w, A, Ri, Rj, d, r, eT, E, tr, eR) = self._residuals(x)
+        f, (w, A, Ri, Rj, d, r, eT, E, tr, eR) = self._pass(x)
 
+        # each 3x3 stack is freed once read, and before the next is built
         r_world = np.einsum("nij,nj->ni", Ri, r)
-        wT = self.cT * prob.delta_trans / np.maximum(eT, prob.delta_trans)
-        g_t = wT[:, None] * r_world                  # R_i dLoss/dr per edge
+        del Ri, r
         # the residual's rotation axis in the world frame, scaled by
         # 2 sin(theta): R_j vee_trace(E)
         axis = np.einsum("nij,nj->ni", Rj, _vee_trace(E))
-        del Ri, Rj, E, r
+        del Rj, E
+        wT = self.cT * prob.delta_trans / np.maximum(eT, prob.delta_trans)
+        g_t = wT[:, None] * r_world                  # R_i dLoss/dr per edge
         cos_e = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
         # dLoss/dtr = cR * rho'(e) * (-1 / (2 sin e)); the small-angle
         # branch uses the smooth e/sin(e) factor
@@ -207,7 +238,7 @@ class _Workspace:
         g_rot = g_tr[:, None] * axis
         g = (_sums(ej, np.concatenate([g_rot, g_t], axis=1), n)
              + _sums(ei, np.concatenate([np.cross(g_t, d) - g_rot, -g_t], axis=1), n))
-        del g_t, g_rot
+        del g_t, g_rot, wT, cos_e, sin_e, ratio, g_tr, tr
         Q = A @ right_jacobian(w)
         g[:, :3] = np.einsum("nji,nj->ni", Q, g[:, :3])
         g = g.ravel()[6:]
@@ -219,7 +250,7 @@ class _Workspace:
         del r_world
         axis /= np.maximum(np.linalg.norm(axis, axis=1), 1e-300)[:, None]
         WR = _huber_weights(self.cR, eR, prob.delta_rot, axis)
-        del axis
+        del axis, eT, eR
 
         pair = ei * n + ej
         k = np.arange(n)
@@ -275,7 +306,9 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
     or at "max_iters" after max_iters accepted steps; a problem without
     edges stops at "trivial".  The initialization and every accepted
     iterate that does not stop are linearized once; evaluations counts
-    the objective at the initialization and at each trial step.
+    the objective at the initialization and at each trial step.  Each
+    trial step's residual pass is computed once: when the step is taken,
+    the linearization at the new iterate starts from that pass.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")

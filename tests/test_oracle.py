@@ -301,6 +301,18 @@ class TestPerRowDestinations:
             s.emit_edges([1, 2, 3], np.array([5, 99, 6]))
         assert info.value.args == (99,)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("end", ["sources", "dst"])
+    @pytest.mark.parametrize("bad", [0, 11, -3])
+    def test_unknown_id_in_a_long_array_is_named(self, dtype, end, bad):
+        # long integer arrays are looked up by arithmetic, not per id
+        s = scene(frames=10)
+        ids = {"sources": np.arange(200) % 9 + 1, "dst": np.full(200, 10)}
+        ids[end][137] = bad
+        with pytest.raises(UnknownFrame) as info:
+            s.emit_edges(ids["sources"].astype(dtype), ids["dst"].astype(dtype))
+        assert info.value.args == (bad,) and type(info.value.args[0]) is int
+
     def test_length_mismatch_raises(self):
         s = scene(frames=10)
         with pytest.raises(ValueError, match="3 sources but 2 destinations"):

@@ -11,8 +11,8 @@ from relpose.metrics import edge_errors
 from relpose.oracle import OracleConfig, generate_scene
 from relpose.posegraph import (EdgeBatch, PoseEdge, compose_candidate,
                                fuse_candidates)
-from relpose.refine import (RefinementProblem, _Workspace, _vee_trace, huber,
-                            solve)
+from relpose.refine import (RefinementProblem, _huber_weights, _Workspace,
+                            _vee_trace, huber, solve)
 from relpose.runner import (all_pair_edges, offline_trajectory,
                             refine_trajectory)
 from conftest import angle_deg, edge_batch, random_pose, random_quat, relative_pose
@@ -95,6 +95,36 @@ class TestHuber:
         d = 0.05
         g = (huber(2.0 + 1e-6, d) - huber(2.0, d)) / 1e-6
         assert g == pytest.approx(d, rel=1e-4)
+
+
+def broadcast_huber_weights(c, e, delta, direction):
+    """The IRLS weights c * min(1, delta / e) * (I - [e > delta] u u^T) by
+    the broadcast formula w I - radial u u^T, the reference for the
+    solver's in-place construction."""
+    w = c * delta / np.maximum(e, delta)
+    radial = np.where(e > delta, w, 0.0)
+    return (w[:, None, None] * np.eye(3)
+            - radial[:, None, None] * direction[:, :, None] * direction[:, None, :])
+
+
+class TestHuberWeights:
+    def test_bitwise_equal_to_the_broadcast_formula(self, rng):
+        n, delta = 400, 0.1
+        c = rng.uniform(0.1, 5.0, n)
+        e = rng.uniform(0.0, 3 * delta, n)
+        u = rng.normal(size=(n, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        # the knee itself, just beyond it, a zero residual with a zero
+        # direction, and axis-aligned directions beyond the knee, whose
+        # zero products carry signs
+        e[:6] = [delta, np.nextafter(delta, 1.0), 0.0, 2 * delta, 2 * delta, 0.5 * delta]
+        u[2] = 0.0
+        u[3], u[4], u[5] = [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]
+        assert (e <= delta).sum() > 50 and (e > delta).sum() > 50
+        got = _huber_weights(c, e, delta, u)
+        want = broadcast_huber_weights(c, e, delta, u)
+        assert got.shape == want.shape == (n, 3, 3)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEdgeResiduals:
@@ -198,6 +228,54 @@ class TestObjectivePass:
         assert accepted == result.iterations > 1
         assert result.evaluations == 1 + trials
         assert result.final_objective == f
+
+    @pytest.mark.parametrize("seed", [0, 1009])
+    def test_one_residual_pass_per_evaluation(self, monkeypatch, seed):
+        # an accepted trial step's pass is the one the next linearization
+        # starts from, so no iterate's residuals are computed twice
+        passes = [0]
+        residuals = _Workspace._residuals
+
+        def counted(self, x):
+            passes[0] += 1
+            return residuals(self, x)
+
+        monkeypatch.setattr(_Workspace, "_residuals", counted)
+        result = solve(oracle_problem(100, seed))
+        assert result.iterations > 1
+        assert passes[0] == result.evaluations
+
+    def test_linearizing_from_the_kept_pass_is_bitwise_fresh(self, monkeypatch):
+        problem = oracle_problem(40)
+        ws = _Workspace(problem)
+        x = np.random.default_rng(3).normal(scale=0.01, size=ws.initial_params().shape)
+        y = x.copy()
+        y[4] += 1e-3
+        passes = [0]
+        residuals = ws._residuals
+
+        def counted(x):
+            passes[0] += 1
+            return residuals(x)
+
+        monkeypatch.setattr(ws, "_residuals", counted)
+
+        def assert_fresh(got, at):
+            want = _Workspace(problem).objective_and_gradient(at, hessian=True)
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+        f = ws.objective(x)
+        got = ws.objective_and_gradient(x.copy(), hessian=True)  # x by value
+        assert passes[0] == 1 and got[0] == f
+        assert_fresh(got, x)
+        # the kept pass is used once
+        assert_fresh(ws.objective_and_gradient(x, hessian=True), x)
+        assert passes[0] == 2
+        # and only at its own x
+        ws.objective(x)
+        assert_fresh(ws.objective_and_gradient(y, hessian=True), y)
+        assert passes[0] == 4
 
     def test_final_iterate_of_an_ftol_stop_is_not_linearized(self, monkeypatch):
         # exact poses and edges: the objective is 0.0 at x0, so the first
@@ -464,6 +542,16 @@ class TestValidation:
         poses = {0: Pose.identity(), 1: random_pose(rng)}
         with pytest.raises(ValueError):
             RefinementProblem(poses, edge_batch([]), delta_rot=0.0)
+
+    @pytest.mark.parametrize("field", ["delta_rot", "delta_trans"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_knee_named(self, rng, field, value):
+        # a NaN knee would surface only as NonFiniteObjective, and an
+        # infinite one would make the IRLS weights inf / inf
+        poses = {0: Pose.identity(), 1: random_pose(rng)}
+        edges = perfect_edges(poses, [(0, 1)])
+        with pytest.raises(ValueError, match=field + " must satisfy 0 < delta < inf"):
+            RefinementProblem(poses, edges, **{field: value})
 
 
 class TestEdgeBatchInput:
