@@ -144,7 +144,8 @@ class _Workspace:
         self.cR = edges.conf_rot
         self.cT = edges.conf_trans
         # (x, _residuals(x)) of the latest objective call, until the next
-        # pass or until objective_and_gradient(x) takes it
+        # pass, until objective_and_gradient(x) takes it or until the step
+        # is rejected (drop_pass)
         self._kept = None
 
     def initial_params(self):
@@ -189,6 +190,11 @@ class _Workspace:
         out = self._residuals(x)
         self._kept = (x.copy(), out)
         return out[0]
+
+    def drop_pass(self):
+        """Empty the slot: a rejected trial's pass is never linearized from,
+        so it is not kept alive through the next damped solve."""
+        self._kept = None
 
     def _pass(self, x):
         """_residuals(x), taken from the slot if objective(x) was the latest
@@ -308,7 +314,8 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
     iterate that does not stop are linearized once; evaluations counts
     the objective at the initialization and at each trial step.  Each
     trial step's residual pass is computed once: when the step is taken,
-    the linearization at the new iterate starts from that pass.
+    the linearization at the new iterate starts from that pass; when it
+    is rejected, the pass is dropped before the next damped solve.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
@@ -345,6 +352,7 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
                 iterations += 1
                 lam = max(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
                 break
+            ws.drop_pass()
             lam *= _LAMBDA_UP
         if stop is not None:
             break

@@ -304,11 +304,12 @@ class TestPerRowDestinations:
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
     @pytest.mark.parametrize("end", ["sources", "dst"])
     @pytest.mark.parametrize("bad", [0, 11, -3])
-    def test_unknown_id_in_a_long_array_is_named(self, dtype, end, bad):
-        # long integer arrays are looked up by arithmetic, not per id
+    @pytest.mark.parametrize("length", [3, 200])
+    def test_unknown_id_in_an_integer_array_is_named(self, dtype, end, bad, length):
+        # integer arrays are looked up by offset, not per id
         s = scene(frames=10)
-        ids = {"sources": np.arange(200) % 9 + 1, "dst": np.full(200, 10)}
-        ids[end][137] = bad
+        ids = {"sources": np.arange(length) % 9 + 1, "dst": np.full(length, 10)}
+        ids[end][length // 2] = bad
         with pytest.raises(UnknownFrame) as info:
             s.emit_edges(ids["sources"].astype(dtype), ids["dst"].astype(dtype))
         assert info.value.args == (bad,) and type(info.value.args[0]) is int

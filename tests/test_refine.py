@@ -245,6 +245,32 @@ class TestObjectivePass:
         assert result.iterations > 1
         assert passes[0] == result.evaluations
 
+    def test_rejected_trial_pass_is_dropped_before_the_next_solve(self, monkeypatch):
+        # the first trial step is forced to be rejected; its pass must not
+        # stay alive beside H and its LU copy through the next damped solve
+        problem = oracle_problem(30)
+        workspaces, kept_at_solve, rejected = [], [], []
+        obj, lu_solve = _Workspace.objective, np.linalg.solve
+
+        def rejecting(self, x):
+            workspaces.append(self)
+            f = obj(self, x)
+            if not rejected:
+                rejected.append(f)
+                return math.inf
+            return f
+
+        def traced_solve(a, b):
+            kept_at_solve.append(workspaces[-1]._kept if workspaces else None)
+            return lu_solve(a, b)
+
+        monkeypatch.setattr(_Workspace, "objective", rejecting)
+        monkeypatch.setattr(np.linalg, "solve", traced_solve)
+        result = solve(problem)
+        assert rejected and result.iterations > 1
+        assert len(kept_at_solve) == result.evaluations - 1 > result.iterations
+        assert all(kept is None for kept in kept_at_solve)
+
     def test_linearizing_from_the_kept_pass_is_bitwise_fresh(self, monkeypatch):
         problem = oracle_problem(40)
         ws = _Workspace(problem)
