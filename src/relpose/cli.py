@@ -186,11 +186,15 @@ def build_parser():
         p.add_argument("--config", default=None, help="YAML run config")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--k", default=None,
-                       help="fusion top-K, an integer or 'all'")
-        p.add_argument("--refine", action="store_true", default=None)
-        p.add_argument("--bins", type=int, default=None)
+        # each subcommand takes only the overrides it reads, as an ignored
+        # flag would still change the manifest's config hash
+        if name in ("stream", "offline", "robust"):
+            p.add_argument("--k", default=None,
+                           help="fusion top-K, an integer or 'all'")
+        if name == "offline":
+            p.add_argument("--refine", action="store_true", default=None)
         if name == "diag":
+            p.add_argument("--bins", type=int, default=None)
             p.add_argument("--assert-monotone", action="store_true")
         if name == "eval":
             p.add_argument("estimated", help="estimated trajectory (TUM)")
@@ -204,13 +208,14 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
-    if args.k is not None:
-        k = None if str(args.k).lower() == "all" else int(args.k)
+    k = getattr(args, "k", None)
+    if k is not None:
+        k = None if str(k).lower() == "all" else int(k)
         cfg = dataclasses.replace(cfg, stream=dataclasses.replace(cfg.stream, k=k))
-    if args.refine:
+    if getattr(args, "refine", None):
         cfg = dataclasses.replace(cfg, refine=dataclasses.replace(cfg.refine,
                                                                   enabled=True))
-    if args.bins is not None:
+    if getattr(args, "bins", None) is not None:
         cfg = dataclasses.replace(cfg, bins=args.bins)
     return cfg
 

@@ -147,7 +147,6 @@ def config_from_dict(data) -> RunConfig:
             kwargs[name] = _build(cls, section, f"{name}.")
     top = _build(RunConfig, data, "")
     cfg = dataclasses.replace(top, **kwargs)
-    cfg.oracle.validate()
     frames = cfg.oracle.frames
     for name, counts in (("n_clean", (cfg.robust.n_clean,)),
                          ("n_distract", cfg.robust.n_distract)):

@@ -58,28 +58,6 @@ class UnitQuaternion:
             object.__setattr__(q, name, value)
         return q
 
-    @classmethod
-    def from_matrix(cls, R):
-        """Shepperd's method for rotation-matrix to quaternion conversion."""
-        R = np.asarray(R, dtype=float)
-        t = np.trace(R)
-        if t > 0:
-            s = math.sqrt(t + 1.0) * 2.0
-            return cls(0.25 * s, (R[2, 1] - R[1, 2]) / s,
-                       (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s)
-        i = int(np.argmax(np.diag(R)))
-        if i == 0:
-            s = math.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-            return cls((R[2, 1] - R[1, 2]) / s, 0.25 * s,
-                       (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s)
-        if i == 1:
-            s = math.sqrt(1.0 - R[0, 0] + R[1, 1] - R[2, 2]) * 2.0
-            return cls((R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s,
-                       0.25 * s, (R[1, 2] + R[2, 1]) / s)
-        s = math.sqrt(1.0 - R[0, 0] - R[1, 1] + R[2, 2]) * 2.0
-        return cls((R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s,
-                   (R[1, 2] + R[2, 1]) / s, 0.25 * s)
-
     def as_array(self):
         return np.array([self.w, self.x, self.y, self.z])
 
@@ -116,31 +94,13 @@ class Pose:
         return Pose(UnitQuaternion.identity(), np.zeros(3))
 
 
-@dataclass(frozen=True)
-class Sim3Alignment:
-    scale: float
-    rotation: UnitQuaternion
-    translation: np.ndarray
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        t = np.array(self.translation, dtype=float)
-        t.setflags(write=False)
-        object.__setattr__(self, "translation", t)
-
-    def apply(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        R = quat_to_matrix(self.rotation.as_array())
-        return self.scale * points @ R.T + self.translation
-
-
-def umeyama_sim3(source, target, with_scale=True) -> Sim3Alignment:
-    """Least-squares similarity transform mapping source points onto target.
+def umeyama_sim3(source, target):
+    """Least-squares similarity transform (scale, R, t) mapping source
+    points onto target: target ≈ scale * source @ R.T + t, with R a 3x3
+    rotation matrix (Umeyama, TPAMI 1991).
 
     SVD of the 3x3 cross-covariance; the reflection case is handled by
-    sign-flipping the smallest singular direction.  with_scale=False gives
-    the SE(3) (rigid) variant with scale pinned to 1.
+    sign-flipping the smallest singular direction, so det(R) = +1.
     """
     src = np.asarray(source, dtype=float)
     dst = np.asarray(target, dtype=float)
@@ -166,11 +126,10 @@ def umeyama_sim3(source, target, with_scale=True) -> Sim3Alignment:
     if np.linalg.det(U) * np.linalg.det(Vt) < 0:
         S[2, 2] = -1.0
     R = U @ S @ Vt
-    scale = float(np.trace(np.diag(d) @ S) / var_s) if with_scale else 1.0
+    scale = float(np.trace(np.diag(d) @ S) / var_s)
     if scale <= 0:
         raise DegenerateInput("degenerate geometry produced non-positive scale")
-    t = mu_d - scale * R @ mu_s
-    return Sim3Alignment(scale, UnitQuaternion.from_matrix(R), t)
+    return scale, R, mu_d - scale * R @ mu_s
 
 
 # --- batched rotation algebra: (..., 4) wxyz arrays, (..., 3) vectors ---

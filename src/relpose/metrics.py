@@ -1,6 +1,6 @@
 """Trajectory and robustness metrics.
 
-ATE after Sim(3) (or SE(3)) alignment, RPE over fixed frame deltas,
+ATE after Sim(3) alignment, RPE over fixed frame deltas,
 equal-mass confidence-vs-error binning, and the distractor filtering
 scores.  Relative poses and their errors are computed on stacked poses
 with geom's batched layer.
@@ -35,7 +35,7 @@ class TrajectoryReport:
     ate_norm: float      # percent of reference path length
     rpe_t: float
     rpe_r: float         # degrees
-    rot_rmse: float      # degrees, after alignment
+    rot_rmse: float      # degrees, both anchored at their first common frame
     frames_evaluated: int
 
 
@@ -69,18 +69,16 @@ def path_length(trajectory) -> float:
     return float(np.linalg.norm(np.diff(ts, axis=0), axis=1).sum())
 
 
-def ate(estimated, reference, alignment="sim3"):
-    """ATE-RMSE and ATE-norm (%) after optimal trajectory alignment:
-    "sim3" (with scale) or "se3" (rigid)."""
-    if alignment not in ("sim3", "se3"):
-        raise ValueError(f'alignment must be "sim3" or "se3", got {alignment!r}')
+def ate(estimated, reference):
+    """ATE-RMSE and ATE-norm (%) of the camera centers after the
+    least-squares Sim(3) alignment of estimated onto reference (Umeyama)."""
     ids = _common_ids(estimated, reference)
     if len(ids) < 3:
         raise TooFewPoses("need at least 3 poses")
     est = np.array([estimated[i].translation for i in ids])
     ref = np.array([reference[i].translation for i in ids])
-    align = umeyama_sim3(est, ref, with_scale=(alignment == "sim3"))
-    err = align.apply(est) - ref
+    scale, R, t = umeyama_sim3(est, ref)
+    err = scale * est @ R.T + t - ref
     ate_rmse = float(np.sqrt((err ** 2).sum(axis=1).mean()))
     norm = path_length(reference)
     ate_norm = 100.0 * ate_rmse / norm if norm > 0 else 0.0
@@ -96,10 +94,10 @@ def _relative(trajectory, ids, a, b):
 
 
 def rot_rmse_deg(estimated, reference) -> float:
-    """RMSE of per-frame rotation error (degrees) after removing the
-    best-fit global rotation offset between the two trajectories."""
+    """RMSE of per-frame rotation error (degrees) with both trajectories
+    anchored at their first common frame: each rotation is taken relative
+    to that frame's, so the first frame's error is zero."""
     ids = _common_ids(estimated, reference)
-    # gauge-align rotations through frame pairs relative to the first frame
     rel_est = _relative(estimated, ids, 0, slice(None))[0]
     rel_ref = _relative(reference, ids, 0, slice(None))[0]
     errs = quat_angle_deg(rel_est, rel_ref)
@@ -134,8 +132,8 @@ def edge_errors(edges, poses):
     return quat_angle_deg(edges.rotation, gt_q), norms(edges.translation - gt_t)
 
 
-def trajectory_report(estimated, reference, alignment="sim3", rpe_delta=1):
-    ate_rmse, ate_norm = ate(estimated, reference, alignment)
+def trajectory_report(estimated, reference, rpe_delta=1):
+    ate_rmse, ate_norm = ate(estimated, reference)
     rpe_t, rpe_r = rpe(estimated, reference, rpe_delta)
     return TrajectoryReport(ate_rmse, ate_norm, rpe_t, rpe_r,
                             rot_rmse_deg(estimated, reference),

@@ -64,7 +64,7 @@ class OracleConfig:
     depth_median: float = 2.0         # ground-truth metric depth median
     depth_jitter: float = 0.0         # lognormal sigma on predicted depth medians
 
-    def validate(self):
+    def __post_init__(self):
         if self.frames < 2:
             raise InvalidConfig("need at least 2 frames")
         if self.family not in ("circle", "random-walk", "figure-eight"):
@@ -153,7 +153,6 @@ class SyntheticScene:
     """Ground-truth trajectory plus deterministic token and edge emitters."""
 
     def __init__(self, config: OracleConfig, seed: int):
-        config.validate()
         self.config = config
         self.seed = int(seed)
         rng = np.random.default_rng([self.seed, 0xA11CE])
@@ -186,7 +185,6 @@ class SyntheticScene:
         twin = copy.copy(self)
         twin.config = replace(cfg, base_rot_noise=cfg.base_rot_noise * mult,
                               base_trans_noise=cfg.base_trans_noise * mult)
-        twin.config.validate()
         return twin
 
     def _check(self, i):

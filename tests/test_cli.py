@@ -452,9 +452,23 @@ class TestErrors:
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(data))
         out = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out),
-                     "--refine"]) == 1
+        flags = ["--refine"] if command == "offline" else []
+        assert main([command, "--config", str(path), "--out", str(out)]
+                    + flags) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("stream", ["--refine"]), ("robust", ["--refine"]),
+        ("stream", ["--bins", "3"]), ("offline", ["--bins", "3"]),
+        ("diag", ["--k", "2"]), ("diag", ["--refine"])])
+    def test_flag_a_command_does_not_read_is_a_usage_error(
+            self, cfg_file, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg_file, "--out", str(out)] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", ["seed: [1", "seed: !!python/tuple [1]",

@@ -39,14 +39,12 @@ class TestAte:
         rmse, _ = ate(moved, traj)
         assert rmse < 1e-9
 
-    def test_sim3_absorbs_scale_but_se3_does_not(self, rng):
+    def test_sim3_absorbs_scale(self, rng):
         traj = {i: random_pose(rng) for i in range(1, 8)}
         scaled = {i: Pose(p.rotation, p.translation * 3.0)
                   for i, p in traj.items()}
-        rmse_sim3, _ = ate(scaled, traj, alignment="sim3")
-        rmse_se3, _ = ate(scaled, traj, alignment="se3")
-        assert rmse_sim3 < 1e-9
-        assert rmse_se3 > 0.1
+        rmse, _ = ate(scaled, traj)
+        assert rmse < 1e-9
 
     def test_norm_is_percent_of_path_length(self):
         ref = line_trajectory(11, step=1.0)  # path length 10
@@ -56,14 +54,6 @@ class TestAte:
         est[5] = Pose(est[5].rotation, est[5].translation + [0, 1.0, 0])
         rmse, norm = ate(est, ref)
         assert norm == pytest.approx(100.0 * rmse / 10.0)
-
-    @pytest.mark.parametrize("alignment", ["Sim3", "se(3)", "rigid", None])
-    def test_unknown_alignment_rejected(self, rng, alignment):
-        traj = {i: random_pose(rng) for i in range(1, 6)}
-        with pytest.raises(ValueError, match='"sim3" or "se3"'):
-            ate(traj, traj, alignment=alignment)
-        with pytest.raises(ValueError, match='"sim3" or "se3"'):
-            trajectory_report(traj, traj, alignment=alignment)
 
     def test_too_few_poses(self):
         with pytest.raises(TooFewPoses):

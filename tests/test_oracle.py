@@ -90,6 +90,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             scene(base_rot_noise=-0.1)
 
+    def test_rejected_at_construction(self):
+        with pytest.raises(InvalidConfig, match="need at least 2 frames"):
+            OracleConfig(frames=1)
+
 
 class TestPairRandomness:
     def test_deterministic(self):
