@@ -184,10 +184,11 @@ def build_parser():
     for name in ("stream", "offline", "robust", "diag", "eval"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="YAML run config")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
         # each subcommand takes only the overrides it reads, as an ignored
         # flag would still change the manifest's config hash
+        if name != "eval":
+            p.add_argument("--seed", type=int, default=None)
         if name in ("stream", "offline", "robust"):
             p.add_argument("--k", default=None,
                            help="fusion top-K, an integer or 'all'")
@@ -204,7 +205,7 @@ def build_parser():
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     import dataclasses
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)

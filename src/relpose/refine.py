@@ -17,11 +17,12 @@ That linearization reuses the residual pass's per-edge arrays for the
 exact gradient and for J^T W J over the 6(N-1) free parameters, both
 derived in world-frame increments R -> Exp(phi) R (Sola et al., "A micro
 Lie theory for state estimation in robotics", 2018) and chained to the
-parameters once per node.  The damped system is solved with
-numpy.linalg.solve, and a trial step costs one residual pass: it is
-taken only if the objective does not increase, and then the next
-linearization starts from that same pass, so no iterate's residuals are
-computed twice.  The solve stops when the model predicts a step's
+parameters once per node.  The normal matrix is allocated once per
+solve and refilled in place by each linearization.  The damped system is
+solved with numpy.linalg.solve, and a trial step costs one residual
+pass: it is taken only if the objective does not increase, and then the
+next linearization starts from that same pass, so no iterate's residuals
+are computed twice.  The solve stops when the model predicts a step's
 decrease to be at most 1e-10 relative (the gain test of Madsen, Nielsen
 & Tingleff, 2004), read from g and H, not from two rounded objectives.
 With all-pair edges every block of J^T W J is nonzero, so the system is
@@ -147,6 +148,9 @@ class _Workspace:
         # pass, until objective_and_gradient(x) takes it or until the step
         # is rejected (drop_pass)
         self._kept = None
+        # the (n, 6, n, 6) normal matrix, allocated by the first hessian=True
+        # call and refilled, every block, by each later one
+        self._H = None
 
     def initial_params(self):
         return np.zeros(6 * len(self.free))
@@ -170,12 +174,14 @@ class _Workspace:
         R = A @ self.R0
         # np.take gathers rows about twice as fast as fancy indexing
         Ri, Rj = np.take(R, self.ei, axis=0), np.take(R, self.ej, axis=0)
-        d = np.take(t, self.ej, axis=0) - np.take(t, self.ei, axis=0)
-        r = np.einsum("nji,nj->ni", Ri, d) - self.that   # R_i^T d - that
-        eT = np.linalg.norm(r, axis=1)
+        # E before d and r, so that its product's temporary, the pass's
+        # peak, is not alive beside them
         E = self.RhatT @ (Ri.transpose(0, 2, 1) @ Rj)
         tr = np.trace(E, axis1=1, axis2=2)
         eR = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+        d = np.take(t, self.ej, axis=0) - np.take(t, self.ei, axis=0)
+        r = np.einsum("nji,nj->ni", Ri, d) - self.that   # R_i^T d - that
+        eT = np.linalg.norm(r, axis=1)
         total = float((self.cT * huber(eT, prob.delta_trans)).sum()
                       + (self.cR * huber(eR, prob.delta_rot)).sum())
         if not np.isfinite(total):
@@ -218,7 +224,8 @@ class _Workspace:
         dropped (exact at zero residual), and each residual is weighted by
         _huber_weights.  Every block of H is then a sum over edges of
         rotated 3x3 weights.  g and H chain to the parameters once per node,
-        through phi = Q dw with Q = Exp(w) Jr(w).
+        through phi = Q dw with Q = Exp(w) Jr(w).  H is a view of the
+        workspace's buffer, valid until the next hessian=True call refills it.
         """
         prob = self.problem
         n = len(self.ids)
@@ -270,7 +277,9 @@ class _Workspace:
             return out.transpose(0, 2, 1, 3)
 
         # H[i, :, j, :] is the 6x6 block of nodes i and j over (phi, t)
-        H = np.empty((n, 6, n, 6))
+        if self._H is None:
+            self._H = np.empty((n, 6, n, 6))
+        H = self._H
         H[:, :3, :, :3] = laplacian(WR)
         H[:, 3:, :, 3:] = laplacian(WT)
         skew_d = skew(d)
@@ -289,7 +298,7 @@ class _Workspace:
         rows[:, :3] = Q.transpose(0, 2, 1) @ rows[:, :3]
         cols = H.reshape(6 * n, n, 6)
         cols[:, :, :3] = (cols[:, :, :3].transpose(1, 0, 2) @ Q).transpose(1, 0, 2)
-        return f, g, H.reshape(6 * n, 6 * n)[6:, 6:].copy()
+        return f, g, H.reshape(6 * n, 6 * n)[6:, 6:]
 
     def to_poses(self, x):
         w, t = self.unpack(x)
@@ -338,7 +347,7 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
         damping = np.maximum(diag, _DIAG_FLOOR)
         while stop is None:
             # damp H in place and restore its diagonal, rather than hold a
-            # damped copy beside it: at 400 frames H is 46 MB
+            # damped copy beside the workspace's buffer (46 MB at 400 frames)
             np.fill_diagonal(H, diag + lam * damping)
             dx = np.linalg.solve(H, -g)
             np.fill_diagonal(H, diag)
@@ -356,7 +365,6 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
             lam *= _LAMBDA_UP
         if stop is not None:
             break
-        del H       # freed before the next linearization builds its own
-        _, g, H = ws.objective_and_gradient(x, hessian=True)
+        _, g, H = ws.objective_and_gradient(x, hessian=True)   # refills H
     return RefinementResult(ws.to_poses(x), f0, f, iterations,
                             stop in ("grad_tol", "ftol"), stop, evaluations)

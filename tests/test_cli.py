@@ -461,7 +461,8 @@ class TestErrors:
     @pytest.mark.parametrize("command, flag", [
         ("stream", ["--refine"]), ("robust", ["--refine"]),
         ("stream", ["--bins", "3"]), ("offline", ["--bins", "3"]),
-        ("diag", ["--k", "2"]), ("diag", ["--refine"])])
+        ("diag", ["--k", "2"]), ("diag", ["--refine"]),
+        ("eval", ["est.tum", "ref.tum", "--seed", "5"])])
     def test_flag_a_command_does_not_read_is_a_usage_error(
             self, cfg_file, tmp_path, capsys, command, flag):
         out = tmp_path / "out"

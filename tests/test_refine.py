@@ -79,6 +79,17 @@ def objective(problem):
     return evaluate(problem)[0]
 
 
+def result_bytes(result):
+    """Every field of a RefinementResult, floats and poses as raw bytes."""
+    scalars = [np.float64(result.initial_objective).tobytes(),
+               np.float64(result.final_objective).tobytes(), result.iterations,
+               result.converged, result.stop_reason, result.evaluations]
+    poses = [(fid, pose.rotation.as_array().tobytes(),
+              np.asarray(pose.translation).tobytes())
+             for fid, pose in sorted(result.poses.items())]
+    return scalars, poses
+
+
 class TestHuber:
     def test_quadratic_inside(self):
         assert huber(0.02, 0.05) == pytest.approx(0.5 * 0.02 ** 2)
@@ -486,6 +497,42 @@ class TestNormalMatrix:
             fd[:, col] = (ws.objective_and_gradient(x + step)[1][trans]
                           - ws.objective_and_gradient(x - step)[1][trans]) / (2 * h)
         assert np.abs(H - fd).max() < 1e-6 * np.abs(fd).max()
+
+    def test_each_linearization_refills_every_block(self):
+        # H is a view of one buffer per workspace; a block the second
+        # linearization left unwritten would still hold x's entries
+        problem = oracle_problem(30)
+        ws = _Workspace(problem)
+        # steps large enough to carry every pair's translation residual
+        # beyond the Huber knee, where its weight depends on the poses
+        x, y = np.random.default_rng(5).normal(
+            scale=0.1, size=(2,) + ws.initial_params().shape)
+        H_x = ws.objective_and_gradient(x, hessian=True)[2]
+        at_x = H_x.copy()
+        H_y = ws.objective_and_gradient(y, hessian=True)[2]
+        assert np.shares_memory(H_x, H_y)
+        fresh = _Workspace(problem).objective_and_gradient(y, hessian=True)[2]
+        assert H_y.tobytes() == fresh.tobytes()
+        # every 3x3 block moves from x to y, so a stale one would show
+        m = len(x) // 3
+        moved = (at_x != fresh).reshape(m, 3, m, 3).any(axis=(1, 3))
+        assert moved.all()
+
+    @pytest.mark.parametrize("seed", [0, 1009])
+    def test_damping_the_shared_buffer_in_place_is_exact(self, monkeypatch, seed):
+        # solve damps H's diagonal in place and restores it; on the
+        # workspace's buffer that must equal working on a private copy
+        problem = oracle_problem(100, seed)
+        shared = solve(problem)
+        lin = _Workspace.objective_and_gradient
+
+        def private(self, x, hessian=False):
+            out = lin(self, x, hessian)
+            return out[:2] + (out[2].copy(),) if hessian else out
+
+        monkeypatch.setattr(_Workspace, "objective_and_gradient", private)
+        copied = solve(problem)
+        assert result_bytes(shared) == result_bytes(copied)
 
 
 class TestLevenbergMarquardt:
