@@ -89,17 +89,23 @@ class OracleConfig:
 _M1 = np.uint64(0x9E3779B97F4A7C15)
 _M2 = np.uint64(0xBF58476D1CE4E5B9)
 _M3 = np.uint64(0x94D049BB133111EB)
+# shift amounts, built once rather than on every call
+_S30 = np.uint64(30)
+_S27 = np.uint64(27)
+_S31 = np.uint64(31)
+_S11 = np.uint64(11)
 
 
 def _mix(z):
-    """splitmix64 finalizer; wraps around, so call it under
+    """splitmix64 finalizer.  It wraps around: silently on arrays, with an
+    overflow warning on a scalar, so mix a scalar under
     np.errstate(over="ignore")."""
     z = z + _M1
-    z ^= z >> np.uint64(30)
+    z ^= z >> _S30
     z = z * _M2
-    z ^= z >> np.uint64(27)
+    z ^= z >> _S27
     z = z * _M3
-    z ^= z >> np.uint64(31)
+    z ^= z >> _S31
     return z
 
 
@@ -123,12 +129,16 @@ def _column_keys(columns):
 
 def _key_uniforms(src_keys, dst_mult, column_keys):
     """Uniforms in (0, 1), one row per source key, one column per column
-    key, all paired with one destination."""
-    with np.errstate(over="ignore"):
-        base = _mix(src_keys ^ dst_mult)
-        z = _mix(base[:, None] ^ column_keys[None, :])
-    u = (z >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-    return np.clip(u, 1e-300, 1.0 - 1e-16)
+    key, all paired with one destination.  The keys are arrays, whose
+    uint64 arithmetic wraps without a warning, so no np.errstate block is
+    entered per call."""
+    base = _mix(src_keys ^ dst_mult)
+    z = _mix(base[:, None] ^ column_keys[None, :])
+    u = (z >> _S11).astype(np.float64) * (2.0 ** -53)
+    # np.clip's bounds, in place
+    np.maximum(u, 1e-300, out=u)
+    np.minimum(u, 1.0 - 1e-16, out=u)
+    return u
 
 
 def _pair_uniforms(seed, src, dst, n):
@@ -254,7 +264,8 @@ class SyntheticScene:
 
         gaps = np.abs(ji - si)
         d = self._trans[ji] - self._trans[si]
-        baselines = np.linalg.norm(d, axis=1)
+        # the reduction np.linalg.norm(d, axis=1) runs, without its wrapper
+        baselines = np.sqrt(np.add.reduce(d * d, axis=1))
         growth = (1.0 + cfg.noise_gap_growth * gaps) * (1.0 + baselines)
         u = _key_uniforms(self._src_keys[si], self._dst_mults[ji],
                           _JITTER_COLUMNS if cfg.conf_jitter > 0 else _NOISE_COLUMNS)

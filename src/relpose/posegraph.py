@@ -195,7 +195,8 @@ def fuse_candidates(candidates: CandidateBatch, k=None):
     t = w_trans @ candidates.translation[keep]
     signs = np.where(qs @ anchor < 0.0, -1.0, 1.0)
     q_sum = (w_rot[:, None] * signs[:, None] * qs).sum(axis=0)
-    if np.linalg.norm(q_sum) < 1e-9:
+    # the formula np.linalg.norm applies to a 1-D array, without its wrapper
+    if math.sqrt(q_sum.dot(q_sum)) < 1e-9:
         # antipodal equal-weight degeneracy: fall back to the anchor rotation
         q = UnitQuaternion.from_unit(*anchor.tolist())
     else:

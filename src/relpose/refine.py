@@ -140,6 +140,16 @@ class _Workspace:
         self.t0 = np.array([problem.poses[i].translation for i in self.ids])
         edges = problem.edges
         self.ei, self.ej = np.searchsorted(self.ids, np.stack([edges.src, edges.dst]))
+        # pair keys for the block sums of H: the first edge of each pair is
+        # scattered, a repeat (none in an all-pair set) added after it
+        n = len(self.ids)
+        self.pair = self.ei * n + self.ej
+        order = np.argsort(self.pair, kind="stable")
+        keys = self.pair[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[order[1:]] = keys[1:] != keys[:-1]
+        self.repeats = np.flatnonzero(~first)
+        self.firsts = np.flatnonzero(first) if len(self.repeats) else slice(None)
         self.RhatT = quat_to_matrix(edges.rotation).transpose(0, 2, 1).copy()
         self.that = edges.translation
         self.cR = edges.conf_rot
@@ -163,6 +173,17 @@ class _Workspace:
         w[self.free] = per[:, :3]
         t[self.free] = self.t0[self.free] + per[:, 3:]
         return w, t
+
+    def _pair_sums(self, V):
+        """Sums of the per-edge rows of V by (ei, ej) pair, as (n, n,
+        *V.shape[1:]): the bits of _sums over the pair keys, as bincount
+        adds onto 0.0 in edge order, without its n_edges * size index."""
+        n = len(self.ids)
+        out = np.zeros((n * n,) + V.shape[1:])
+        out[self.pair[self.firsts]] = V[self.firsts]
+        out += 0.0      # 0.0 + v: a -0.0 sum reads +0.0, as in bincount
+        np.add.at(out, self.pair[self.repeats], V[self.repeats])
+        return out.reshape((n, n) + V.shape[1:])
 
     def _residuals(self, x):
         """One pass over the edges at x: the objective and the per-edge
@@ -265,12 +286,11 @@ class _Workspace:
         WR = _huber_weights(self.cR, eR, prob.delta_rot, axis)
         del axis, eT, eR
 
-        pair = ei * n + ej
         k = np.arange(n)
 
         def laplacian(W):
             """Blocks of sum_e [-I, I]^T W_e [-I, I] on the (i, j) endpoints."""
-            S = _sums(pair, W, n * n).reshape(n, n, 3, 3)
+            S = self._pair_sums(W)
             S = S + S.transpose(1, 0, 3, 2)
             out = -S
             out[k, k] += S.sum(axis=1)
@@ -286,7 +306,7 @@ class _Workspace:
         X = -(skew_d @ WT)                    # [d]x^T W_T
         del WR, WT
         H[k, :3, k, :3] += _sums(ei, X @ skew_d, n)
-        Xp = _sums(pair, X, n * n).reshape(n, n, 3, 3)
+        Xp = self._pair_sums(X)
         del X, skew_d
         Xp[k, k] -= Xp.sum(axis=1)
         H[:, :3, :, 3:] = Xp.transpose(0, 2, 1, 3)

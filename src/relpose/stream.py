@@ -8,9 +8,10 @@ the segment length cap triggers a segment reset, re-anchored through a
 short bridge of frames carrying absolute poses from the previous segment.
 
 A frame's context edges arrive as one EdgeBatch, and the bank keeps its
-keyframes as row arrays in frame-id order, which the edges sorted by
-source match row for row, so the gate, candidate composition, fusion and
+keyframes as row arrays in frame-id order, which the edges in source
+order match row for row, so the gate, candidate composition, fusion and
 the confidence refresh each run as a few array operations per frame.
+Edges that arrive in another order are sorted by source first.
 """
 
 import json
@@ -269,8 +270,13 @@ def process_frame(state: StreamState, token: FrameToken, edges: EdgeBatch):
 
     if len(edges) != len(context):       # an empty list has no columns
         raise MissingContextEdges(f"{len(edges)} edges for context {context}")
-    edges = edges.take(np.argsort(edges.src, kind="stable"))
-    if not (np.array_equal(edges.src, context) and np.all(edges.dst == frame_id)):
+    # the oracle and DistractorStream emit rows in context order, so only
+    # edges from elsewhere may need sorting
+    covered = np.array_equal(edges.src, context)
+    if not covered:
+        edges = edges.take(np.argsort(edges.src, kind="stable"))
+        covered = np.array_equal(edges.src, context)
+    if not (covered and (edges.dst == frame_id).all()):
         raise MissingContextEdges(
             f"edges must cover exactly the active context {context}")
     state._last_frame_id = frame_id

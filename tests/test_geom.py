@@ -189,6 +189,101 @@ class TestBatchedRotations:
         assert np.allclose(right_jacobian(w), fd, rtol=0, atol=1e-8)
 
 
+# Reference formulas: the stacked bodies the batched operations had before
+# they filled one preallocated output.  The operations must keep every bit.
+
+def reference_product(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack([aw * bw - ax * bx - ay * by - az * bz,
+                     aw * bx + ax * bw + ay * bz - az * by,
+                     aw * by - ax * bz + ay * bw + az * bx,
+                     aw * bz + ax * by - ay * bx + az * bw], axis=-1)
+
+
+def reference_apply(q, v):
+    q, v = np.asarray(q, dtype=float), np.asarray(v, dtype=float)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    tx = 2.0 * (y * v2 - z * v1)
+    ty = 2.0 * (z * v0 - x * v2)
+    tz = 2.0 * (x * v1 - y * v0)
+    return np.stack([v0 + w * tx + (y * tz - z * ty),
+                     v1 + w * ty + (z * tx - x * tz),
+                     v2 + w * tz + (x * ty - y * tx)], axis=-1)
+
+
+def reference_exp(v):
+    v = np.asarray(v, dtype=float)
+    angle = norms(v)
+    half = 0.5 * angle
+    small = angle < 1e-12
+    s = np.where(small, 0.5, np.sin(half))
+    axis = v / np.where(small, 1.0, angle)[..., None]
+    return np.concatenate([np.cos(half)[..., None], s[..., None] * axis], axis=-1)
+
+
+def reference_matrix(q):
+    q = np.asarray(q, dtype=float)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(np.shape(w) + (3, 3))
+
+
+def sample(rng, shape, kind):
+    """Normal draws, or entries from a few values with 0.0 and -0.0 common,
+    so that many products and sums are signed zeros."""
+    if kind == "normal":
+        return rng.normal(size=shape)
+    return rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5], size=shape)
+
+
+def same_bits(out, expect):
+    return (out.shape == expect.shape and np.array_equal(out, expect)
+            and np.array_equal(np.signbit(out), np.signbit(expect)))
+
+
+@pytest.mark.parametrize("kind", ["normal", "signed zeros"])
+class TestBatchedBitwise:
+    """Each batched operation against its reference formula, in every shape
+    the package calls it with; the quaternions need not be unit."""
+
+    @pytest.mark.parametrize("shapes", [((200, 4), (200, 4)), ((4,), (200, 4)),
+                                        ((200, 4), (4,)), ((4,), (4,)),
+                                        ((0, 4), (0, 4)), ((4,), (0, 4))])
+    def test_product(self, rng, kind, shapes):
+        a, b = sample(rng, shapes[0], kind), sample(rng, shapes[1], kind)
+        assert same_bits(quat_product(a, b), reference_product(a, b))
+
+    @pytest.mark.parametrize("shapes", [((200, 4), (200, 3)), ((4,), (200, 3)),
+                                        ((200, 4), (3,)), ((4,), (3,)),
+                                        ((0, 4), (0, 3)), ((0, 4), (3,))])
+    def test_apply(self, rng, kind, shapes):
+        q, v = sample(rng, shapes[0], kind), sample(rng, shapes[1], kind)
+        assert same_bits(quat_apply(q, v), reference_apply(q, v))
+
+    def test_apply_random_walk_step(self, rng, kind):
+        # the random walk rotates one (3,) step by every heading
+        q, step = sample(rng, (200, 4), kind), [0.1, 0.0, -0.0]
+        assert same_bits(quat_apply(q, step), reference_apply(q, step))
+
+    @pytest.mark.parametrize("shape", [(200, 3), (3,), (0, 3)])
+    def test_exp(self, rng, kind, shape):
+        v = sample(rng, shape, kind)
+        if kind == "normal":      # angles below pi, a few below 1e-12
+            v = random_rotvecs(rng, 200)[:int(np.prod(shape[:-1]))].reshape(shape)
+        assert same_bits(quat_exp(v), reference_exp(v))
+
+    @pytest.mark.parametrize("shape", [(200, 4), (4,), (0, 4), (5, 8, 4)])
+    def test_to_matrix(self, rng, kind, shape):
+        q = sample(rng, shape, kind)
+        assert same_bits(quat_to_matrix(q), reference_matrix(q))
+
+
 class TestGeodesic:
     def test_self_distance_zero(self, rng):
         q = quat_normalize(rng.normal(size=(100, 4)))

@@ -514,6 +514,31 @@ class TestDistractorStream:
             DistractorStream(self.scene, self.other, self.plan, noise_mult=0.0)
 
 
+class TestPerCallPathRaisesNothing:
+    """The per-call emission path enters no np.errstate block, so nothing
+    on it may warn: uint64 wrap-around stays on arrays, never on a numpy
+    scalar, whose arithmetic reports overflow."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_emit_edges_under_raise(self, jitter):
+        s = scene(seed=11, frames=40, conf_jitter=jitter)
+        ids = np.array(s.frame_ids, dtype=np.int64)
+        with np.errstate(all="raise"):
+            s.emit_edges([3, 1, 9, 40], 7)                  # one dst id
+            s.emit_edges(ids[:-1], ids[1:])                 # a dst per row
+            s.emit_edges(list(range(1, 21)), list(range(21, 41)))
+            s.emit_edges([5], 6)
+
+    def test_distractor_stream_edges_under_raise(self):
+        clean = scene(seed=2, frames=40, family="circle")
+        other = scene(seed=99, frames=40)
+        plan = make_distractor_stream(clean, other, 25, 10, 3)
+        stream = DistractorStream(clean, other, plan)
+        with np.errstate(all="raise"):
+            for entry in plan.entries[1:]:
+                stream.edges(list(range(1, entry.stream_id)), entry.stream_id)
+
+
 class TestEmitPairs:
     def test_equals_one_emission_per_pair_in_order(self):
         s = scene(seed=5, frames=25, conf_jitter=0.2)

@@ -11,7 +11,7 @@ from relpose.metrics import edge_errors
 from relpose.oracle import OracleConfig, generate_scene
 from relpose.posegraph import (EdgeBatch, PoseEdge, compose_candidate,
                                fuse_candidates)
-from relpose.refine import (RefinementProblem, _huber_weights, _Workspace,
+from relpose.refine import (RefinementProblem, _huber_weights, _sums, _Workspace,
                             _vee_trace, huber, solve)
 from relpose.runner import (all_pair_edges, offline_trajectory,
                             refine_trajectory)
@@ -533,6 +533,31 @@ class TestNormalMatrix:
         monkeypatch.setattr(_Workspace, "objective_and_gradient", private)
         copied = solve(problem)
         assert result_bytes(shared) == result_bytes(copied)
+
+
+class TestPairSums:
+    """The normal matrix's pair-indexed block sums scatter each pair's first
+    edge and add its repeats after it, in edge order: bitwise the sums that
+    np.bincount gives through _sums, signed zeros included."""
+
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_equal_to_bincount_sums_bitwise(self, rng, repeats):
+        n = 9
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        if repeats:     # most pairs several times, some not at all
+            pairs = [pairs[k] for k in rng.integers(len(pairs), size=300)]
+        src, dst = np.array(pairs).T
+        m = len(pairs)
+        edges = EdgeBatch(src, dst, rng.normal(size=(m, 4)), rng.normal(size=(m, 3)),
+                          np.ones(m), np.ones(m))
+        ws = _Workspace(RefinementProblem({i: random_pose(rng) for i in range(n)}, edges))
+        assert len(ws.repeats) == (m - len(set(pairs)))
+        # values whose sums depend on the order they are added in
+        V = rng.choice([0.0, -0.0, 1.5, -2.0, 3e-16], size=(m, 3, 3))
+        got = ws._pair_sums(V)
+        want = _sums(ws.ei * n + ws.ej, V, n * n).reshape(n, n, 3, 3)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestLevenbergMarquardt:

@@ -542,6 +542,86 @@ class TestProcessFrameProperties:
                 state.reset_pending = False
 
 
+def stream_oracle_frames(scene, frames, cfg, order):
+    """Stream frames of a scene through process_frame, each frame's oracle
+    edges reordered by order(n), a permutation of their n rows."""
+    state, events = StreamState(cfg), []
+    for fid in frames:
+        ctx = state.context_ids
+        edges = scene.emit_edges(ctx, fid) if ctx else []
+        if ctx:
+            edges = edges.take(order(len(edges)))
+        events.extend(process_frame(state, scene.emit_token(fid), edges))
+        state.reset_pending = False
+    return state, events
+
+
+class TestContextOrder:
+    """process_frame sorts a frame's edges only when they are not in
+    context order; both paths give the same bits."""
+
+    def test_shuffled_edges_give_the_same_stream(self):
+        scene = generate_scene(OracleConfig(frames=60), 4)
+        cfg = StreamConfig(m_max=8, delta_max=4)
+        rng = np.random.default_rng(9)
+        a, events_a = stream_oracle_frames(scene, scene.frame_ids, cfg, np.arange)
+        b, events_b = stream_oracle_frames(scene, scene.frame_ids, cfg, rng.permutation)
+        assert [e.to_json() for e in events_a] == [e.to_json() for e in events_b]
+        assert any(e.kind == "Evicted" for e in events_a)
+        assert a.trajectory.keys() == b.trajectory.keys()
+        for fid, pose in a.trajectory.items():
+            assert pose.rotation == b.trajectory[fid].rotation
+            assert np.array_equal(pose.translation, b.trajectory[fid].translation)
+        assert a.bank.ids() == b.bank.ids()
+        for name in ("tokens", "rotations", "translations", "best_conf"):
+            assert np.array_equal(getattr(a.bank, name), getattr(b.bank, name))
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("how", ["wrong dst", "foreign src"])
+    def test_malformed_batch_raises_before_any_change(self, shuffle, how):
+        scene = generate_scene(OracleConfig(frames=12), 4)
+        *frames, fid = scene.frame_ids
+        state, _ = stream_oracle_frames(scene, frames, StreamConfig(tau=2.0), np.arange)
+        ctx = state.context_ids
+        src, dst = np.array(ctx), np.full(len(ctx), fid)
+        if how == "wrong dst":
+            dst[len(ctx) // 2] = fid + 1
+        else:
+            src[-1] = fid + 5
+        edges = scene.emit_edges(ctx, fid).relabel(src, dst)
+        if shuffle:
+            edges = edges.take(np.random.default_rng(1).permutation(len(ctx)))
+        before = snapshot(state)
+        with pytest.raises(MissingContextEdges):
+            process_frame(state, scene.emit_token(fid), edges)
+        assert snapshot(state) == before
+        process_frame(state, scene.emit_token(fid), scene.emit_edges(ctx, fid))
+        assert fid in state.trajectory
+
+
+class TestStreamFrameCalls:
+    def test_no_stack_clip_or_take_per_frame(self, monkeypatch):
+        # a stream frame calls none of these wrappers: the batched pose ops
+        # fill one output, the oracle clips in place, and in-order edges are
+        # not re-sorted
+        calls = {"stack": 0, "clip": 0, "take": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        scene = generate_scene(OracleConfig(frames=200), 3)
+        monkeypatch.setattr(np, "stack", counted("stack", np.stack))
+        monkeypatch.setattr(np, "clip", counted("clip", np.clip))
+        monkeypatch.setattr(EdgeBatch, "take", counted("take", EdgeBatch.take))
+        state, events = runner.stream_scene(scene, StreamConfig(m_max=30))
+        assert calls == {"stack": 0, "clip": 0, "take": 0}
+        assert len(state.trajectory) > 150
+        assert any(e.kind == "Evicted" for e in events)
+
+
 class TestScaleAnchor:
     def test_ratio(self):
         assert anchor_scale(2.0, 3.0) == pytest.approx(1.5)
