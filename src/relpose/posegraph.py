@@ -52,8 +52,9 @@ class EdgeBatch:
     UnitQuaternion does) and rejects self-loops and non-finite or
     non-positive values.  Rows taken from batches that were checked
     already are not checked or normalized again.  The arrays are
-    read-only; len() and indexing work row-wise, a row being a PoseEdge
-    (iteration goes through indexing).
+    read-only, mean_conf too, which is computed on first use and kept;
+    len() and indexing work row-wise, a row being a PoseEdge (iteration
+    goes through indexing).
     """
 
     _COLUMNS = ("src", "dst", "rotation", "translation", "conf_rot", "conf_trans")
@@ -82,6 +83,7 @@ class EdgeBatch:
                 raise ValueError(f"{name} must have shape {(n,) + tail}")
             a.setflags(write=False)
             setattr(self, name, a)
+        self._mean_conf = None
         if (self.src == self.dst).any():
             raise ValueError("edge endpoints must differ")
 
@@ -109,7 +111,12 @@ class EdgeBatch:
 
     @property
     def mean_conf(self):
-        return 0.5 * (self.conf_rot + self.conf_trans)
+        """The averaged pair confidence of each row, (n,)."""
+        if self._mean_conf is None:
+            m = 0.5 * (self.conf_rot + self.conf_trans)
+            m.setflags(write=False)
+            self._mean_conf = m
+        return self._mean_conf
 
     def __len__(self):
         return len(self.src)
@@ -159,8 +166,7 @@ def compose_candidate(ref_rotation, ref_translation, edges: EdgeBatch) -> Candid
 
 
 def _softmax(values):
-    v = np.asarray(values, dtype=float)
-    v = v - v.max()
+    v = values - values.max()
     e = np.exp(v)
     return e / e.sum()
 
@@ -176,7 +182,9 @@ def fuse_candidates(candidates: CandidateBatch, k=None):
     2 log c so that no square overflows or underflows.  Translation is the
     c_trans^2-weighted mean; rotation is the renormalized c_rot^2-weighted
     quaternion sum, candidates sign-aligned to the retained candidate with
-    the highest rotation confidence.
+    the highest rotation confidence, ties going to the smallest reference
+    id (the first in retained order if that repeats too).  The top-k order
+    is the one sort: it fixes the summation order, and so the bits.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be None or at least 1, got {k}")
@@ -185,14 +193,21 @@ def fuse_candidates(candidates: CandidateBatch, k=None):
     mean_conf = 0.5 * (candidates.conf_rot + candidates.conf_trans)
     keep = np.lexsort((candidates.reference, -mean_conf))[:k]
     c_rot, c_trans = candidates.conf_rot[keep], candidates.conf_trans[keep]
-    refs, qs = candidates.reference[keep], candidates.rotation[keep]
+    # take copies the rows fancy indexing would, at a quarter of its cost
+    refs, qs = candidates.reference[keep], candidates.rotation.take(keep, axis=0)
 
-    # sign-align to the retained candidate with highest conf_rot
-    anchor = qs[np.lexsort((refs, -c_rot))[0]]
+    # sign-align to the retained candidate with highest conf_rot, ties to
+    # the smallest reference; argmax finds the first of the tied rows
+    top = c_rot.argmax()
+    tied = c_rot == c_rot[top]
+    if np.count_nonzero(tied) > 1:
+        tied = tied.nonzero()[0]
+        top = tied[refs[tied].argmin()]
+    anchor = qs[top]
     w_rot = _softmax(2.0 * np.log(c_rot))
     w_trans = _softmax(2.0 * np.log(c_trans))
 
-    t = w_trans @ candidates.translation[keep]
+    t = w_trans @ candidates.translation.take(keep, axis=0)
     signs = np.where(qs @ anchor < 0.0, -1.0, 1.0)
     q_sum = (w_rot[:, None] * signs[:, None] * qs).sum(axis=0)
     # the formula np.linalg.norm applies to a 1-D array, without its wrapper

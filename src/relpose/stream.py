@@ -11,7 +11,12 @@ A frame's context edges arrive as one EdgeBatch, and the bank keeps its
 keyframes as row arrays in frame-id order, which the edges in source
 order match row for row, so the gate, candidate composition, fusion and
 the confidence refresh each run as a few array operations per frame.
-Edges that arrive in another order are sorted by source first.
+Edges that arrive in another order are sorted by source first.  The
+bank's rows live in buffers that double when full: admission writes one
+row, eviction shifts the later rows up in place, and the bank's arrays
+are views of the filled rows, valid until its next add or evict.  The
+gate, the confidence refresh and the admission maximum read the batch's
+one mean_conf array.
 """
 
 import json
@@ -75,14 +80,23 @@ class FrameToken:
 
     def __post_init__(self):
         f = np.asarray(self.features, dtype=float)
-        n = np.linalg.norm(f)
+        if f.ndim != 1:
+            raise ValueError("token features must be a 1-D array")
+        # the formula np.linalg.norm applies to a 1-D array, without its wrapper
+        n = math.sqrt(f.dot(f))
         if not 1e-12 <= n < math.inf:
             raise ValueError("token features must be finite and nonzero")
-        if abs(n - 1.0) > 1e-9:
-            f = f / n
-        f = np.array(f)
+        f = f / n if abs(n - 1.0) > 1e-9 else np.array(f)
         f.setflags(write=False)
         object.__setattr__(self, "features", f)
+
+    def relabel(self, frame_id):
+        """The same token under another frame id, sharing the read-only
+        features, which were checked already."""
+        token = object.__new__(FrameToken)
+        object.__setattr__(token, "id", frame_id)
+        object.__setattr__(token, "features", self.features)
+        return token
 
 
 class KeyframeBank:
@@ -91,12 +105,16 @@ class KeyframeBank:
 
     Keyframes are rows: token features (m, dim), pose rotations (m, 4)
     wxyz and translations (m, 3), and best_conf (m,), the strongest mean
-    pair confidence seen against the bank.  Evicting a row shifts the
-    later rows up.
+    pair confidence seen against the bank.  The rows live in buffers that
+    double when full, so add writes one row and evict shifts the later
+    rows up in place.  tokens, rotations, translations and best_conf are
+    views of the first m rows, valid until the next add or evict; tokens
+    is None until the first add fixes the feature width.
     """
 
     def __init__(self):
         self._ids = []
+        self._buffers = None   # (tokens, rotations, translations, best_conf)
         self.tokens = None
         self.rotations = np.empty((0, 4))
         self.translations = np.empty((0, 3))
@@ -108,20 +126,39 @@ class KeyframeBank:
     def add(self, frame_id, token: FrameToken, pose: Pose, best_conf):
         if self._ids and frame_id <= self._ids[-1]:
             raise NonMonotoneFrameId(f"frame {frame_id} after frame {self._ids[-1]}")
-        f = token.features[None]
-        self.tokens = f if self.tokens is None else np.vstack([self.tokens, f])
-        self.rotations = np.vstack([self.rotations, pose.rotation.as_array()])
-        self.translations = np.vstack([self.translations, pose.translation])
-        self.best_conf = np.append(self.best_conf, best_conf)
+        m = len(self._ids)
+        if self._buffers is None:
+            self._buffers = (np.empty((8,) + token.features.shape), np.empty((8, 4)),
+                             np.empty((8, 3)), np.empty(8))
+        elif token.features.shape != self._buffers[0].shape[1:]:
+            raise ValueError(f"token features of shape {token.features.shape}, "
+                             f"the bank holds {self._buffers[0].shape[1:]}")
+        elif m == len(self._buffers[0]):
+            grown = tuple(np.empty((2 * m,) + b.shape[1:]) for b in self._buffers)
+            for new, old in zip(grown, self._buffers):
+                new[:m] = old
+            self._buffers = grown
+        tokens, rotations, translations, conf = self._buffers
+        tokens[m] = token.features
+        rotations[m] = pose.rotation.as_array()
+        translations[m] = pose.translation
+        conf[m] = best_conf
         self._ids.append(frame_id)
+        self._views(m + 1)
 
     def evict(self, row) -> int:
         """Drop one row; returns its frame id."""
         frame_id = self._ids.pop(row)
-        self.tokens, self.rotations, self.translations, self.best_conf = (
-            np.delete(a, row, axis=0) for a in
-            (self.tokens, self.rotations, self.translations, self.best_conf))
+        m = len(self._ids)
+        row %= m + 1        # a negative row counts from the end, as in pop
+        for b in self._buffers:
+            b[row:m] = b[row + 1:m + 1]
+        self._views(m)
         return frame_id
+
+    def _views(self, m):
+        self.tokens, self.rotations, self.translations, self.best_conf = (
+            b[:m] for b in self._buffers)
 
     def max_cosine(self, token: FrameToken) -> float:
         return float((self.tokens @ token.features).max())
@@ -155,7 +192,8 @@ def gate_score(edges: EdgeBatch) -> float:
     """Mean averaged-pair confidence of a frame against its context."""
     if not len(edges):
         raise ValueError("need at least one edge")
-    return float(np.mean(edges.mean_conf))
+    # np.mean's sum and division, without its wrapper
+    return float(np.add.reduce(edges.mean_conf) / len(edges))
 
 
 class OutlierGate:
@@ -249,7 +287,7 @@ def process_frame(state: StreamState, token: FrameToken, edges: EdgeBatch):
     cfg = state.config
     frame_id = token.id
     bank = state.bank
-    context = bank.ids()
+    context = bank._ids     # the bank's own list: read before the bank changes
     last = max([state._last_frame_id, *context[-1:]])
     if frame_id <= last:
         raise NonMonotoneFrameId(f"frame {frame_id} after frame {last}")
@@ -272,10 +310,10 @@ def process_frame(state: StreamState, token: FrameToken, edges: EdgeBatch):
         raise MissingContextEdges(f"{len(edges)} edges for context {context}")
     # the oracle and DistractorStream emit rows in context order, so only
     # edges from elsewhere may need sorting
-    covered = np.array_equal(edges.src, context)
+    covered = (edges.src == context).all()
     if not covered:
         edges = edges.take(np.argsort(edges.src, kind="stable"))
-        covered = np.array_equal(edges.src, context)
+        covered = (edges.src == context).all()
     if not (covered and (edges.dst == frame_id).all()):
         raise MissingContextEdges(
             f"edges must cover exactly the active context {context}")
@@ -297,7 +335,8 @@ def process_frame(state: StreamState, token: FrameToken, edges: EdgeBatch):
     state.trajectory[frame_id] = pose
     events.append(StreamEvent("Accepted", frame_id, {"score": score}))
 
-    # lazily refresh stored pair confidences from this frame's edges
+    # lazily refresh stored pair confidences from this frame's edges, with
+    # the batch's one mean_conf array that gate_score read
     mean_conf = edges.mean_conf
     np.maximum(bank.best_conf, mean_conf, out=bank.best_conf)
 

@@ -10,6 +10,7 @@ from relpose.oracle import (DistractorStream, InvalidConfig, InvalidCounts,
                             _laplace_from_uniform, _mix, _pair_uniforms,
                             generate_scene, make_distractor_stream)
 from relpose.posegraph import EdgeBatch
+from relpose.stream import FrameToken
 from conftest import angle_deg, relative_pose
 
 
@@ -472,6 +473,21 @@ class TestDistractorStream:
         entry = self.plan.entries[sid - 1]
         assert np.array_equal(tok.features,
                               self.other.emit_token(entry.scene_frame).features)
+
+    def test_token_reuses_the_scene_features(self):
+        # the scene's checked, read-only features under the stream id: the
+        # bits a fresh FrameToken of them would hold, not validated again
+        for entry in self.plan.entries:
+            source = self.scene if entry.kind == "clean" else self.other
+            scene_token = source.emit_token(entry.scene_frame)
+            tok = self.stream.token(entry.stream_id)
+            assert tok.id == entry.stream_id
+            fresh = FrameToken(entry.stream_id, scene_token.features)
+            assert tok.features.tobytes() == fresh.features.tobytes()
+            assert tok.features.tobytes() == scene_token.features.tobytes()
+            assert not tok.features.flags.writeable
+            with pytest.raises(ValueError):
+                tok.features[0] = 0.0
 
     def per_row(self, twin, ctx, stream_id):
         """Context edges into stream_id by one emission per row."""

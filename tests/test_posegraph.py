@@ -6,8 +6,8 @@ import pytest
 from relpose.geom import (Pose, UnitQuaternion, quat_apply, quat_exp, quat_multiply,
                           quat_to_matrix)
 from relpose.oracle import OracleConfig, generate_scene
-from relpose.posegraph import (EdgeBatch, EmptyCandidates, PoseEdge, _softmax,
-                               compose_candidate, fuse_candidates)
+from relpose.posegraph import (CandidateBatch, EdgeBatch, EmptyCandidates, PoseEdge,
+                               _softmax, compose_candidate, fuse_candidates)
 from relpose.runner import offline_trajectory
 from conftest import (CandidatePose, angle_deg, candidate_batch, edge_batch,
                       random_pose, random_quat)
@@ -301,6 +301,75 @@ class TestFusion:
         fused = fuse(cands)
         mean_t = np.mean([p.translation for p in poses], axis=0)
         assert np.allclose(fused.translation, mean_t, atol=1e-12)
+
+
+def fuse_by_two_sorts(candidates, k=None, ties_to_largest=False):
+    """fuse_candidates as written with a second np.lexsort for the sign
+    anchor: the reference rule its single sort must keep, bit for bit.
+    ties_to_largest breaks conf_rot ties the other way."""
+    mean_conf = 0.5 * (candidates.conf_rot + candidates.conf_trans)
+    keep = np.lexsort((candidates.reference, -mean_conf))[:k]
+    c_rot, c_trans = candidates.conf_rot[keep], candidates.conf_trans[keep]
+    refs, qs = candidates.reference[keep], candidates.rotation[keep]
+    anchor = qs[np.lexsort((-refs if ties_to_largest else refs, -c_rot))[0]]
+    w_rot = _softmax(2.0 * np.log(c_rot))
+    w_trans = _softmax(2.0 * np.log(c_trans))
+    t = w_trans @ candidates.translation[keep]
+    signs = np.where(qs @ anchor < 0.0, -1.0, 1.0)
+    q_sum = (w_rot[:, None] * signs[:, None] * qs).sum(axis=0)
+    if math.sqrt(q_sum.dot(q_sum)) < 1e-9:
+        return Pose(UnitQuaternion.from_unit(*anchor.tolist()), t)
+    return Pose(UnitQuaternion(*q_sum.tolist()), t)
+
+
+class TestFusionAnchor:
+    """The sign anchor is the retained candidate with the highest conf_rot,
+    ties going to the smallest reference id, then to retained order."""
+
+    def tied_batch(self, rng, n, uniform):
+        # few distinct conf_rot values, so ties are common; references
+        # shuffled, with repeats in some batches
+        conf_rot = np.ones(n) if uniform else rng.choice([0.5, 1.0, 2.0], size=n)
+        conf_trans = np.ones(n) if uniform else rng.choice([0.5, 1.0, 2.0, 4.0], size=n)
+        refs = rng.permutation(n) if rng.random() < 0.7 else rng.integers(0, n // 2 + 1, n)
+        q = rng.normal(size=(n, 4))
+        return CandidateBatch(q / np.linalg.norm(q, axis=1)[:, None], rng.normal(size=(n, 3)),
+                              conf_rot, conf_trans, refs.astype(np.int64))
+
+    def test_matches_the_two_sort_rule(self):
+        rng = np.random.default_rng(7)
+        differs_by_rule = 0
+        for trial in range(400):
+            n = int(rng.integers(1, 12))
+            uniform = trial % 4 == 0
+            cands = self.tied_batch(rng, n, uniform)
+            for k in (None, 1, 3, n):
+                got, want = fuse_candidates(cands, k=k), fuse_by_two_sorts(cands, k=k)
+                assert got.rotation.as_array().tolist() == want.rotation.as_array().tolist()
+                assert got.translation.tolist() == want.translation.tolist()
+            # the tie rule matters: ties to the largest reference change the bits
+            differs_by_rule += (fuse_by_two_sorts(cands, ties_to_largest=True).rotation
+                                != fuse_by_two_sorts(cands).rotation)
+        assert differs_by_rule > 50
+
+    def test_uniform_weights_anchor_on_smallest_reference(self):
+        # two antipodal candidates of equal weight are aligned to the
+        # anchor's sign: the candidate with reference 2, in either order
+        q = UnitQuaternion(*np.random.default_rng(3).normal(size=4))
+        neg = UnitQuaternion(-q.w, -q.x, -q.y, -q.z)
+        cands = [candidate(Pose(neg), ref=5), candidate(Pose(q), ref=2)]
+        assert fuse(cands).rotation == q
+        assert fuse(cands[::-1]).rotation == q
+
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_one_sort_per_call(self, monkeypatch, rng, k):
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        cands = [candidate(random_pose(rng), float(rng.choice([1.0, 2.0])), 1.0, i)
+                 for i in range(8)]
+        fuse(cands, k=k)
+        assert len(calls) == 1
 
 
 class TestSoftmaxOnOracleConfidences:

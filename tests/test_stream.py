@@ -86,6 +86,23 @@ class TestFrameToken:
         with pytest.raises(ValueError):
             t.features[0] = 0.5
 
+    def test_norm_is_the_one_of_np_linalg_norm(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            f = rng.normal(size=int(rng.integers(1, 40))) * rng.choice([1e-6, 1.0, 1e6])
+            assert FrameToken(1, f).features.tobytes() == (f / np.linalg.norm(f)).tobytes()
+
+    def test_rejects_features_that_are_not_1d(self):
+        for f in (np.ones((2, 2)), np.ones((1, 1)), np.array(1.0)):
+            with pytest.raises(ValueError, match="1-D"):
+                FrameToken(1, f)
+
+    def test_relabel_shares_the_features(self):
+        t = token(4, (1, 0.3))
+        u = t.relabel(9)
+        assert (u.id, t.id) == (9, 4)
+        assert u.features is t.features and not u.features.flags.writeable
+
 
 class TestAdmitCheck:
     def test_novel_token_admitted(self):
@@ -115,6 +132,56 @@ class TestKeyframeBank:
             with pytest.raises(NonMonotoneFrameId):
                 bank.add(fid, basis_token(fid, 1), Pose.identity(), 1.0)
         assert bank.ids() == [3] and len(bank.tokens) == len(bank.best_conf) == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_match_a_reallocating_reference(self, seed):
+        # the rows as the bank kept them when every add stacked a new array
+        # and every evict deleted from one: the same bits after each step,
+        # through several doublings and evictions of the first and last rows
+        rng = np.random.default_rng(seed)
+        bank = KeyframeBank()
+        ids, tokens = [], np.empty((0, 8))
+        rotations, translations, best = np.empty((0, 4)), np.empty((0, 3)), np.empty(0)
+        fid, evicted_last = 0, False
+        for step in range(300):
+            if len(ids) > 1 and rng.random() < 0.35:
+                row = int(rng.integers(len(ids))) if rng.random() < 0.8 else -1
+                evicted_last |= row in (-1, len(ids) - 1)
+                assert bank.evict(row) == ids.pop(row)
+                tokens, rotations, translations, best = (
+                    np.delete(a, row, axis=0) for a in (tokens, rotations, translations, best))
+            else:
+                fid += int(rng.integers(1, 4))
+                tk = FrameToken(fid, rng.normal(size=8))
+                pose = Pose(UnitQuaternion(*rng.normal(size=4)), rng.normal(size=3))
+                conf = float(rng.exponential())
+                bank.add(fid, tk, pose, conf)
+                ids.append(fid)
+                tokens = np.vstack([tokens, tk.features[None]])
+                rotations = np.vstack([rotations, pose.rotation.as_array()])
+                translations = np.vstack([translations, pose.translation])
+                best = np.append(best, conf)
+            assert bank.ids() == ids and len(bank) == len(ids)
+            for got, want in ((bank.tokens, tokens), (bank.rotations, rotations),
+                              (bank.translations, translations), (bank.best_conf, best)):
+                assert got.shape == want.shape and np.array_equal(got, want)
+        assert evicted_last
+        assert len(bank._buffers[0]) >= 32       # grown past more than one doubling
+
+    def test_best_conf_updates_in_place(self):
+        bank = KeyframeBank()
+        for fid in (1, 2, 3):
+            bank.add(fid, basis_token(fid, fid), Pose.identity(), 0.5)
+        np.maximum(bank.best_conf, np.array([0.1, 2.0, 0.7]), out=bank.best_conf)
+        bank.add(4, basis_token(4, 4), Pose.identity(), 0.25)
+        assert bank.best_conf.tolist() == [0.5, 2.0, 0.7, 0.25]
+
+    def test_add_rejects_another_feature_width(self):
+        bank = KeyframeBank()
+        bank.add(1, basis_token(1, 0, dim=8), Pose.identity(), 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            bank.add(2, FrameToken(2, np.ones(1)), Pose.identity(), 1.0)
+        assert bank.ids() == [1] and bank.tokens.shape == (1, 8)
 
 
 class TestCull:
@@ -599,6 +666,13 @@ class TestContextOrder:
         assert fid in state.trajectory
 
 
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestStreamFrameCalls:
     def test_no_stack_clip_or_take_per_frame(self, monkeypatch):
         # a stream frame calls none of these wrappers: the batched pose ops
@@ -620,6 +694,43 @@ class TestStreamFrameCalls:
         assert calls == {"stack": 0, "clip": 0, "take": 0}
         assert len(state.trajectory) > 150
         assert any(e.kind == "Evicted" for e in events)
+
+    def test_bank_rows_are_written_in_place(self, monkeypatch):
+        # an admission writes one row and an eviction shifts rows up, into
+        # buffers the bank keeps: no array is stacked, appended or deleted
+        calls = {"vstack": 0, "append": 0, "delete": 0}
+        scene = generate_scene(OracleConfig(frames=200), 3)
+        for name in calls:
+            monkeypatch.setattr(np, name, counting(calls, name, getattr(np, name)))
+        state, events = runner.stream_scene(scene, StreamConfig(m_max=30))
+        assert calls == {"vstack": 0, "append": 0, "delete": 0}
+        assert sum(e.kind == "Evicted" for e in events) > 10
+
+    def test_one_mean_conf_array_per_frame(self, monkeypatch):
+        # the gate, the best_conf refresh and the admission maximum read
+        # one array per frame's batch, computed once and read-only
+        seen = {}           # id(batch) -> the arrays mean_conf returned
+        batches = []        # keeps the batches alive, so their ids stay unique
+        getter = EdgeBatch.mean_conf.fget
+
+        def recorded(batch):
+            m = getter(batch)
+            if id(batch) not in seen:
+                batches.append(batch)
+            seen.setdefault(id(batch), []).append(m)
+            return m
+
+        scene = generate_scene(OracleConfig(frames=200), 3)
+        monkeypatch.setattr(EdgeBatch, "mean_conf", property(recorded))
+        state, events = runner.stream_scene(scene, StreamConfig(m_max=30))
+        reads = [len(arrays) for arrays in seen.values()]
+        assert len(seen) == 199                 # one batch a frame after the origin
+        # the gate reads it; an accepted frame's refresh and admission again
+        assert sum(n == 2 for n in reads) > 150 and set(reads) <= {1, 2}
+        assert any(e.kind == "AdmittedToBank" for e in events[2:])
+        for arrays in seen.values():
+            assert all(a is arrays[0] for a in arrays)
+            assert not arrays[0].flags.writeable
 
 
 class TestScaleAnchor:
