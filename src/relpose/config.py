@@ -168,12 +168,8 @@ def load_config(path) -> RunConfig:
     return config_from_dict(data)
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def config_hash(cfg: RunConfig) -> str:
-    d = config_to_dict(cfg)
+    d = dataclasses.asdict(cfg)
     d.pop("out_dir", None)  # where results land does not affect them
     canon = json.dumps(d, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]

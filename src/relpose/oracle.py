@@ -16,6 +16,11 @@ it.  Every step of an emission is row-wise, so one emit_edges call takes
 either one destination frame or one per source row: offline fusion, the
 all-pair refinement set and `emit_pairs` (which `relpose diag` samples
 through) are each one call, and a distractor-stream frame one per scene.
+
+Frame ids run from 1: every lookup takes id i to row i - frame_ids[0],
+checked against [0, n), and row r back to id r + frame_ids[0].  Only
+integer ids pass: a float or bool id, alone or in an array, raises
+UnknownFrame, and an unknown integer id is named in it as a plain int.
 """
 
 import copy
@@ -169,8 +174,6 @@ class SyntheticScene:
         self._quats, self._trans = _generate_trajectory(config, rng)
         self.frame_ids = list(range(1, len(self._quats) + 1))
         self._rots = quat_to_matrix(self._quats)
-        self._index = {fid: k for k, fid in enumerate(self.frame_ids)}
-        self._id_array = np.array(self.frame_ids, dtype=np.int64)
         self._tokens = _generate_tokens(config, rng, self._trans, self._rots)
         # per-frame emission constants: pair-key halves, inverse rotations
         rows = np.arange(len(self.frame_ids))
@@ -197,40 +200,37 @@ class SyntheticScene:
                               base_trans_noise=cfg.base_trans_noise * mult)
         return twin
 
-    def _check(self, i):
-        if i not in self._index:
-            raise UnknownFrame(i)
+    def _row(self, i):
+        """One id's row by the rule of _rows, in plain Python (no NumPy trip)."""
+        if isinstance(i, (int, np.integer)) and not isinstance(i, bool):
+            i = int(i)
+            if 0 <= i - self.frame_ids[0] < len(self.frame_ids):
+                return i - self.frame_ids[0]
+        raise UnknownFrame(i)
 
     def _rows(self, ids):
-        """Row positions of the given frame ids: a 1-D integer array by
-        offset from the first id, as frame ids are consecutive; any other
-        iterable of ids, such as the streams' lists, by one dict lookup per
-        id, which is faster below about 60 ids."""
-        if isinstance(ids, np.ndarray):
-            if ids.ndim == 1 and ids.dtype.kind == "i":
-                rows = ids.astype(np.int64, copy=False) - self.frame_ids[0]
-                unknown = (rows < 0) | (rows >= len(self.frame_ids))
-                if unknown.any():
-                    raise UnknownFrame(int(ids[np.argmax(unknown)]))
-                return rows
-            ids = ids.tolist()      # names an unknown id as a plain int
-        try:
-            return np.array([self._index[i] for i in ids], dtype=np.int64)
-        except KeyError as unknown:
-            raise UnknownFrame(unknown.args[0]) from None
+        """Rows of a 1-D sequence of frame ids, by the module's frame-row rule."""
+        ids = np.asarray(ids)
+        if ids.ndim != 1:
+            raise ValueError(f"frame ids must be 1-D, got shape {ids.shape}")
+        if ids.dtype.kind not in "iu" and len(ids):
+            raise UnknownFrame(ids[0].item())
+        rows = ids.astype(np.int64, copy=False) - self.frame_ids[0]
+        # a negative row wraps to a huge unsigned one: one test, both ends
+        unknown = rows.view(np.uint64) >= len(self.frame_ids)
+        if np.count_nonzero(unknown):
+            raise UnknownFrame(int(ids[np.argmax(unknown)]))
+        return rows
 
     def ground_truth(self):
         return dict(self.poses)
 
     def noise_scales(self, i, j):
         """Per-pair Laplace scales (b_rot, b_trans); clamped positive."""
-        self._check(i)
-        self._check(j)
-        gap = abs(self._index[j] - self._index[i])
-        baseline = float(np.linalg.norm(self._trans[self._index[j]]
-                                        - self._trans[self._index[i]]))
-        growth = (1.0 + self.config.noise_gap_growth * gap) * (1.0 + baseline)
-        u = _pair_uniforms(self.seed, [self._index[i]], self._index[j], 11)
+        i, j = self._row(i), self._row(j)
+        baseline = float(np.linalg.norm(self._trans[j] - self._trans[i]))
+        growth = (1.0 + self.config.noise_gap_growth * abs(j - i)) * (1.0 + baseline)
+        u = _pair_uniforms(self.seed, [i], j, 11)
         if u[0, 10] < self.config.outlier_prob:
             growth *= self.config.outlier_mult
         b_r = max(self.config.base_rot_noise * growth, _EPS_SCALE)
@@ -243,11 +243,7 @@ class SyntheticScene:
         with one per source row (an int64 array, say), as EdgeBatch takes
         its dst column.  Every step is row-wise, so a row's bits do not
         depend on which call or batch it is emitted in."""
-        if np.ndim(dst) == 0:
-            self._check(dst)
-            ji = self._index[dst]
-        else:
-            ji = self._rows(dst)
+        ji = self._rows(dst) if np.ndim(dst) else self._row(dst)
         si = self._rows(sources)
         if isinstance(ji, np.ndarray) and len(ji) != len(si):
             raise ValueError(f"{len(si)} sources but {len(ji)} destinations")
@@ -255,7 +251,8 @@ class SyntheticScene:
         # its columns, so the copies reuse their heap instead of landing
         # above it: after 159,600 rows the glibc heap is 58 MB, not 92 MB
         columns = self._noisy_columns(si, ji)
-        return EdgeBatch(self._id_array[si], self._id_array[ji], *columns)
+        first = self.frame_ids[0]
+        return EdgeBatch(si + first, ji + first, *columns)
 
     def _noisy_columns(self, si, ji):
         """(rotation, translation, conf_rot, conf_trans) of the edges from
@@ -309,15 +306,15 @@ class SyntheticScene:
         return self.emit_edges(pairs[:, 0], pairs[:, 1])
 
     def emit_token(self, i) -> FrameToken:
-        self._check(i)
-        return FrameToken(i, self._tokens[self._index[i]])
+        row = self._row(i)
+        return FrameToken(row + self.frame_ids[0], self._tokens[row])
 
     def depth_medians(self, i):
         """(predicted, metric) depth medians for segment scale anchoring."""
-        self._check(i)
+        row = self._row(i)
         metric = self.config.depth_median
         if self.config.depth_jitter > 0:
-            u = _pair_uniforms(self.seed, [self._index[i]], 0xDEE9, 2)[0]
+            u = _pair_uniforms(self.seed, [row], 0xDEE9, 2)[0]
             g = math.sqrt(-2.0 * math.log(u[0])) * math.cos(2 * math.pi * u[1])
             return metric * math.exp(self.config.depth_jitter * g), metric
         return metric, metric

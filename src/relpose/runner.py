@@ -10,7 +10,8 @@ from .geom import Pose
 from .oracle import DistractorStream, make_distractor_stream
 from .posegraph import compose_candidate, fuse_candidates
 from .refine import RefinementProblem, solve
-from .stream import StreamState, process_frame, segment_reset
+from .stream import (StreamState, check_bridge_length, process_frame,
+                     segment_reset)
 
 
 def _bridge_from_state(state, token_fn, length):
@@ -26,8 +27,9 @@ def stream_scene(scene, config, forced_reset_at=None, bridge_len=5):
 
     Returns (state, events).  Resets fire when the state machine requests
     one (or unconditionally after frame forced_reset_at), re-anchored on a
-    bridge of the most recent accepted frames.
+    bridge of the bridge_len (3 to 10) most recent accepted frames.
     """
+    check_bridge_length(bridge_len)
     state = StreamState(config)
     events = []
     for fid in scene.frame_ids:

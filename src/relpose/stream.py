@@ -160,9 +160,6 @@ class KeyframeBank:
         self.tokens, self.rotations, self.translations, self.best_conf = (
             b[:m] for b in self._buffers)
 
-    def max_cosine(self, token: FrameToken) -> float:
-        return float((self.tokens @ token.features).max())
-
     def __len__(self):
         return len(self._ids)
 
@@ -172,7 +169,7 @@ def admit_check(bank: KeyframeBank, token: FrameToken, tau: float,
     """Admit when the token is novel or the bank has gone stale."""
     if frames_since_admit >= delta_max:
         return True
-    return bank.max_cosine(token) < tau
+    return float((bank.tokens @ token.features).max()) < tau
 
 
 def cull(bank: KeyframeBank) -> int:
@@ -358,6 +355,14 @@ def process_frame(state: StreamState, token: FrameToken, edges: EdgeBatch):
     return events
 
 
+def check_bridge_length(n):
+    """A reset bridge holds 3 to 10 frames."""
+    if n < 3:
+        raise BridgeTooShort(f"bridge has {n} frames, need >= 3")
+    if n > 10:
+        raise BridgeTooLong(f"bridge has {n} frames, need <= 10")
+
+
 def segment_reset(state: StreamState, bridge):
     """Clear bank and gate, re-seed from bridge frames, bump the segment.
 
@@ -367,10 +372,7 @@ def segment_reset(state: StreamState, bridge):
     row 0).  A malformed bridge raises before any state changes.
     """
     bridge = list(bridge)
-    if len(bridge) < 3:
-        raise BridgeTooShort(f"bridge has {len(bridge)} frames, need >= 3")
-    if len(bridge) > 10:
-        raise BridgeTooLong(f"bridge has {len(bridge)} frames, need <= 10")
+    check_bridge_length(len(bridge))
     if any(a[0] >= b[0] for a, b in zip(bridge, bridge[1:])):
         raise NonMonotoneFrameId("bridge frame ids must increase strictly")
     cfg = state.config

@@ -568,3 +568,105 @@ class TestEmitPairs:
         s = scene(frames=10)
         assert_same_bits(s.emit_pairs([(3, 7), (1, 7), (9, 7)]), s.emit_edges([3, 1, 9], 7))
         assert len(s.emit_pairs([])) == 0
+
+
+INTEGER_FORMS = [
+    pytest.param(list, id="list"),
+    pytest.param(lambda ids: np.array(ids, dtype=np.int32), id="int32"),
+    pytest.param(lambda ids: np.array(ids, dtype=np.int64), id="int64"),
+    pytest.param(lambda ids: np.array(ids, dtype=np.uint64), id="uint64"),
+]
+SINGLE_FORMS = [pytest.param(int, id="int"), pytest.param(np.int64, id="np.int64"),
+                pytest.param(np.uint64, id="np.uint64")]
+
+
+class TestFrameRowRule:
+    """Every lookup takes id i to row i - 1 (ids run from 1) and only
+    integer ids pass, whatever form they come in."""
+
+    @pytest.mark.parametrize("form", INTEGER_FORMS)
+    @pytest.mark.parametrize("single", SINGLE_FORMS)
+    def test_every_integer_form_gives_the_same_rows(self, form, single):
+        s = scene(seed=3, frames=20, conf_jitter=0.2, depth_jitter=0.1)
+        sources = [4, 1, 20, 9]
+        want = reference_edges(s, sources, 12)
+        assert_same_bits(s.emit_edges(form(sources), single(12)), want)
+        assert_same_bits(s.emit_edges(form(sources), form([12] * 4)), want)
+        assert s.noise_scales(single(4), single(12)) == s.noise_scales(4, 12)
+        assert s.depth_medians(single(20)) == s.depth_medians(20)
+        token = s.emit_token(single(1))
+        assert type(token.id) is int and token.id == 1
+        assert token.features.tobytes() == s.emit_token(1).features.tobytes()
+
+    @pytest.mark.parametrize("empty", [pytest.param([], id="list"),
+                                       pytest.param(np.array([], dtype=np.int64), id="int64"),
+                                       pytest.param(np.array([]), id="float64")])
+    def test_no_sources_give_an_empty_batch(self, empty):
+        s = scene(frames=10)
+        for dst in (7, empty):
+            edges = s.emit_edges(empty, dst)
+            assert len(edges) == 0 and edges.src.dtype == np.int64
+
+    @pytest.mark.parametrize("bad", [0, 21, 2 ** 40])
+    @pytest.mark.parametrize("single", SINGLE_FORMS)
+    def test_unknown_single_id_is_named_as_an_int(self, bad, single):
+        s = scene(frames=20)
+        calls = [lambda i: s.emit_token(i), lambda i: s.depth_medians(i),
+                 lambda i: s.noise_scales(i, 5), lambda i: s.noise_scales(5, i),
+                 lambda i: s.emit_edges([1, 2], i)]
+        for call in calls:
+            with pytest.raises(UnknownFrame) as info:
+                call(single(bad))
+            assert info.value.args == (bad,) and type(info.value.args[0]) is int
+
+    @pytest.mark.parametrize("bad", [0, 21])
+    @pytest.mark.parametrize("form", INTEGER_FORMS)
+    def test_unknown_id_in_a_sequence_is_named_as_an_int(self, bad, form):
+        s = scene(frames=20)
+        for sources, dsts in (([3, bad, 7], [9, 9, 9]), ([3, 5, 7], [9, bad, 9])):
+            with pytest.raises(UnknownFrame) as info:
+                s.emit_edges(form(sources), form(dsts))
+            assert info.value.args == (bad,) and type(info.value.args[0]) is int
+
+    @pytest.mark.parametrize("bad, dtype", [(-1, np.int64), (-2 ** 63, np.int64),
+                                            (2 ** 63 + 5, np.uint64), (2 ** 64 - 1, np.uint64)])
+    def test_ids_at_the_ends_of_the_integer_range_are_named(self, bad, dtype):
+        s = scene(frames=20)
+        calls = [lambda i: s.emit_token(i), lambda i: s.emit_token(dtype(i)),
+                 lambda i: s.emit_edges(np.array([3, i], dtype=dtype), 9),
+                 lambda i: s.emit_edges([3, 4], np.array([9, i], dtype=dtype))]
+        for call in calls:
+            with pytest.raises(UnknownFrame) as info:
+                call(bad)
+            assert info.value.args == (bad,) and type(info.value.args[0]) is int
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(2.0, id="float"), pytest.param(True, id="bool"),
+        pytest.param(np.float64(2.0), id="np.float64"), pytest.param(np.True_, id="np.bool")])
+    def test_float_or_bool_id_raises(self, bad):
+        s = scene(frames=10)
+        calls = [lambda i: s.emit_token(i), lambda i: s.depth_medians(i),
+                 lambda i: s.noise_scales(i, 5), lambda i: s.emit_edges([1, 3], i)]
+        for call in calls:
+            with pytest.raises(UnknownFrame):
+                call(bad)
+
+    @pytest.mark.parametrize("ids", [
+        pytest.param([1.0, True], id="float-and-bool list"),
+        pytest.param([2.0, 3.0], id="float list"),
+        pytest.param(np.array([2.0, 3.0]), id="float array"),
+        pytest.param(np.array([True, False]), id="bool array"),
+    ])
+    def test_float_or_bool_array_raises(self, ids):
+        s = scene(frames=10)
+        with pytest.raises(UnknownFrame):
+            s.emit_edges(ids, 5)
+        with pytest.raises(UnknownFrame):
+            s.emit_edges([1, 3], ids)
+
+    @pytest.mark.parametrize("ids", [pytest.param(np.int64(3), id="0-d"),
+                                     pytest.param(np.array([[1, 2]]), id="2-d")])
+    def test_ids_that_are_not_one_dimensional_raise(self, ids):
+        s = scene(frames=10)
+        with pytest.raises(ValueError, match="must be 1-D"):
+            s.emit_edges(ids, 5)

@@ -432,6 +432,33 @@ class TestSegmentReset:
                            for fid in range(1, 12)]
             segment_reset(state, long_bridge)
 
+    @pytest.mark.parametrize("bridge_len, error", [(0, BridgeTooShort), (2, BridgeTooShort),
+                                                   (11, BridgeTooLong)])
+    def test_stream_scene_checks_bridge_len_before_the_first_frame(
+            self, monkeypatch, bridge_len, error):
+        frames = []
+        monkeypatch.setattr(runner, "process_frame", lambda *args: frames.append(args))
+        scene = generate_scene(OracleConfig(family="random-walk", frames=20), 0)
+        with pytest.raises(error):
+            runner.stream_scene(scene, StreamConfig(), bridge_len=bridge_len)
+        assert frames == []
+
+    @pytest.mark.parametrize("bridge_len", [3, 10])
+    def test_stream_scene_resets_on_a_bridge_of_3_to_10(self, monkeypatch, bridge_len):
+        bridges = []
+        reset = runner.segment_reset
+
+        def recording(state, bridge):
+            bridges.append([fid for fid, _, _ in bridge])
+            return reset(state, bridge)
+
+        monkeypatch.setattr(runner, "segment_reset", recording)
+        scene = generate_scene(OracleConfig(family="random-walk", frames=40), 0)
+        state, _ = runner.stream_scene(scene, StreamConfig(), forced_reset_at=20,
+                                       bridge_len=bridge_len)
+        assert bridges == [list(range(21 - bridge_len, 21))]
+        assert state.segment_index == 1
+
     def test_non_increasing_bridge_raises_before_any_change(self):
         state = self.make_state()
         bank, gate, before = state.bank, state.gate, list(state.trajectory.items())
