@@ -149,7 +149,7 @@ def cmd_diag(cfg: RunConfig, out_dir, assert_monotone=False):
     rot_samples, trans_samples = _diag_samples(cfg)
     ok = True
     for name, samples in (("rotation", rot_samples), ("translation", trans_samples)):
-        summary = metrics.confidence_bins(samples, cfg.bins, component=name)
+        summary = metrics.confidence_bins(samples, cfg.bins)
         io.write_csv(os.path.join(out_dir, f"diag_{name}.csv"),
                      ["bin_center", "mean_error", "std_error", "count"],
                      [[_r(c), _r(m), _r(s), int(n)]

@@ -43,12 +43,14 @@ class TrajectoryReport:
 class RobustnessReport:
     distractor_reject_rate: float
     clean_accept_rate: float
-    bfs: float
+
+    @property
+    def bfs(self) -> float:
+        return 0.5 * self.distractor_reject_rate + 0.5 * self.clean_accept_rate
 
 
 @dataclass(frozen=True)
 class ConfidenceBinSummary:
-    component: str
     bin_centers: np.ndarray   # mean confidence per bin
     mean_error: np.ndarray
     std_error: np.ndarray
@@ -56,10 +58,9 @@ class ConfidenceBinSummary:
 
 
 def _common_ids(estimated, reference):
-    ids = sorted(set(estimated) & set(reference))
-    if set(estimated) != set(reference):
+    if estimated.keys() != reference.keys():
         raise MismatchedIds("trajectories must cover the same frame ids")
-    return ids
+    return sorted(estimated)
 
 
 def path_length(trajectory) -> float:
@@ -136,11 +137,10 @@ def trajectory_report(estimated, reference, rpe_delta=1):
     ate_rmse, ate_norm = ate(estimated, reference)
     rpe_t, rpe_r = rpe(estimated, reference, rpe_delta)
     return TrajectoryReport(ate_rmse, ate_norm, rpe_t, rpe_r,
-                            rot_rmse_deg(estimated, reference),
-                            len(set(estimated) & set(reference)))
+                            rot_rmse_deg(estimated, reference), len(estimated))
 
 
-def confidence_bins(samples, n_bins=5, component="") -> ConfidenceBinSummary:
+def confidence_bins(samples, n_bins=5) -> ConfidenceBinSummary:
     """Equal-mass confidence quantile bins with per-bin error statistics,
     from (confidence, error) samples: pairs, or the rows of an (n, 2)
     array."""
@@ -153,7 +153,7 @@ def confidence_bins(samples, n_bins=5, component="") -> ConfidenceBinSummary:
     means = np.array([err[c].mean() for c in chunks])
     stds = np.array([err[c].std() for c in chunks])
     counts = np.array([len(c) for c in chunks])
-    return ConfidenceBinSummary(component, centers, means, stds, counts)
+    return ConfidenceBinSummary(centers, means, stds, counts)
 
 
 def robustness_score(events, plan) -> RobustnessReport:
@@ -182,4 +182,4 @@ def robustness_score(events, plan) -> RobustnessReport:
             distract_ok += not accepted
     sr = distract_ok / n_distract if n_distract else 1.0
     ca = clean_ok / n_clean if n_clean else 1.0
-    return RobustnessReport(sr, ca, 0.5 * sr + 0.5 * ca)
+    return RobustnessReport(sr, ca)

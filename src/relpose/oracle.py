@@ -19,8 +19,9 @@ through) are each one call, and a distractor-stream frame one per scene.
 
 Frame ids run from 1: every lookup takes id i to row i - frame_ids[0],
 checked against [0, n), and row r back to id r + frame_ids[0].  Only
-integer ids pass: a float or bool id, alone or in an array, raises
-UnknownFrame, and an unknown integer id is named in it as a plain int.
+integer ids pass, by posegraph.as_frame_id's rule: a float or bool id,
+alone or in an array, raises UnknownFrame, and an unknown integer id is
+named in it as a plain int.
 """
 
 import copy
@@ -32,7 +33,7 @@ import numpy as np
 
 from .geom import (Pose, UnitQuaternion, quat_apply, quat_exp, quat_multiply,
                    quat_normalize, quat_product, quat_to_matrix)
-from .posegraph import EdgeBatch
+from .posegraph import EdgeBatch, as_frame_id
 from .stream import FrameToken
 
 
@@ -202,25 +203,27 @@ class SyntheticScene:
 
     def _row(self, i):
         """One id's row by the rule of _rows, in plain Python (no NumPy trip)."""
-        if isinstance(i, (int, np.integer)) and not isinstance(i, bool):
-            i = int(i)
-            if 0 <= i - self.frame_ids[0] < len(self.frame_ids):
-                return i - self.frame_ids[0]
+        try:
+            i = as_frame_id(i)
+        except ValueError:
+            raise UnknownFrame(i) from None
+        if 0 <= i - self.frame_ids[0] < len(self.frame_ids):
+            return i - self.frame_ids[0]
         raise UnknownFrame(i)
 
     def _rows(self, ids):
         """Rows of a 1-D sequence of frame ids, by the module's frame-row rule."""
-        ids = np.asarray(ids)
-        if ids.ndim != 1:
-            raise ValueError(f"frame ids must be 1-D, got shape {ids.shape}")
-        if ids.dtype.kind not in "iu" and len(ids):
-            raise UnknownFrame(ids[0].item())
-        rows = ids.astype(np.int64, copy=False) - self.frame_ids[0]
-        # a negative row wraps to a huge unsigned one: one test, both ends
-        unknown = rows.view(np.uint64) >= len(self.frame_ids)
-        if np.count_nonzero(unknown):
-            raise UnknownFrame(int(ids[np.argmax(unknown)]))
-        return rows
+        a = np.asarray(ids)
+        if a.ndim != 1:
+            raise ValueError(f"frame ids must be 1-D, got shape {a.shape}")
+        if a.dtype.kind in "iu" or not len(a):
+            rows = a.astype(np.int64, copy=False) - self.frame_ids[0]
+            # a negative row wraps to a huge unsigned one: one test, both ends
+            if not np.count_nonzero(rows.view(np.uint64) >= len(self.frame_ids)):
+                return rows
+        # otherwise each id is read as given, so the first that is not an
+        # integer id in range is named, an integer as a plain int
+        return np.array([self._row(i) for i in ids], dtype=np.int64)
 
     def ground_truth(self):
         return dict(self.poses)
@@ -375,7 +378,6 @@ class PlanEntry:
 @dataclass(frozen=True)
 class DistractorPlan:
     entries: tuple
-    seed: int
 
 
 def make_distractor_stream(scene: SyntheticScene, other: SyntheticScene,
@@ -410,7 +412,7 @@ def make_distractor_stream(scene: SyntheticScene, other: SyntheticScene,
         else:
             entries.append(PlanEntry(pos + 1, "clean", clean_frames[ci]))
             ci += 1
-    return DistractorPlan(tuple(entries), int(seed))
+    return DistractorPlan(tuple(entries))
 
 
 class DistractorStream:
@@ -455,7 +457,10 @@ class DistractorStream:
             dsts.append(b)
         if not groups:
             return EdgeBatch([], [], np.empty((0, 4)), np.empty((0, 3)), [], [])
-        batches = [scene.emit_edges(sources, dsts)
+        # the clean group has one destination; only cross-scene rows, whose
+        # self-pairs move, need one each
+        batches = [scene.emit_edges(
+                       sources, entry.scene_frame if scene is self.scene else dsts)
                    for scene, (_, sources, dsts) in groups.items()]
         if len(batches) == 1:
             edges = batches[0]      # its rows are in context order already

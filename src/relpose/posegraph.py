@@ -49,12 +49,12 @@ class EdgeBatch:
     coordinates, conf_rot and conf_trans (n,).
 
     The constructor is the boundary: it normalizes the rotations (as
-    UnitQuaternion does) and rejects self-loops and non-finite or
-    non-positive values.  Rows taken from batches that were checked
-    already are not checked or normalized again.  The arrays are
-    read-only, mean_conf too, which is computed on first use and kept;
-    len() and indexing work row-wise, a row being a PoseEdge (iteration
-    goes through indexing).
+    UnitQuaternion does) and rejects ids that are not integers (see
+    as_frame_id), self-loops and non-finite or non-positive values.  Rows
+    taken from batches that were checked already are not checked or
+    normalized again.  The arrays are read-only, mean_conf too, which is
+    computed on first use and kept; len() and indexing work row-wise, a
+    row being a PoseEdge (iteration goes through indexing).
     """
 
     _COLUMNS = ("src", "dst", "rotation", "translation", "conf_rot", "conf_trans")
@@ -128,13 +128,36 @@ class EdgeBatch:
                         float(self.conf_trans[k]))
 
 
+def as_frame_id(i) -> int:
+    """A frame id as a plain int.  Only a Python int or a NumPy integer is
+    an id (a bool is neither); anything else raises ValueError naming it."""
+    if type(i) is int:
+        return i
+    if isinstance(i, np.integer):
+        return int(i)
+    raise ValueError(f"frame id must be an integer, got {i!r}")
+
+
+def _id_array(ids):
+    """A new int64 array of a sequence of frame ids.  Ids that make an
+    array of an integer dtype, or an empty one, are cast; anything else is
+    checked id by id, so that a bad id is named."""
+    a = np.array(ids)
+    if a.dtype.kind in "iu" or not a.size:
+        return a.astype(np.int64, copy=False)
+    return np.array([as_frame_id(i) for i in ids], dtype=np.int64)
+
+
 def _ids(src, dst):
     """src as an id array, dst as one of the same length (a single id is
     repeated)."""
-    src = np.array(src, dtype=np.int64)
+    src = _id_array(src)
     if np.ndim(dst) == 0:
-        return src, np.full(len(src), dst, dtype=np.int64)
-    return src, np.array(dst, dtype=np.int64)
+        # np.full's two steps, without its wrapper
+        column = np.empty(len(src), dtype=np.int64)
+        column.fill(as_frame_id(dst))
+        return src, column
+    return src, _id_array(dst)
 
 
 @dataclass(frozen=True)

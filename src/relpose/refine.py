@@ -36,7 +36,7 @@ import numpy as np
 
 from .geom import (Pose, UnitQuaternion, quat_exp, quat_product, quat_to_matrix,
                    right_jacobian, skew)
-from .posegraph import EdgeBatch
+from .posegraph import EdgeBatch, as_frame_id
 
 
 class NonFiniteObjective(ValueError):
@@ -55,7 +55,8 @@ class RefinementProblem:
             delta = getattr(self, name)
             if not 0 < delta < math.inf:
                 raise ValueError(f"{name} must satisfy 0 < delta < inf, got {delta}")
-        ids = np.fromiter(self.poses, dtype=np.int64, count=len(self.poses))
+        ids = np.fromiter(map(as_frame_id, self.poses), dtype=np.int64,
+                          count=len(self.poses))
         unknown = ~np.isin(np.stack([self.edges.src, self.edges.dst]), ids).all(axis=0)
         if unknown.any():
             k = int(np.argmax(unknown))
@@ -82,10 +83,13 @@ class RefinementResult:
     initial_objective: float
     final_objective: float
     iterations: int        # accepted steps
-    converged: bool        # stop_reason is "grad_tol" or "ftol"
     stop_reason: str       # "grad_tol" | "ftol" | "max_iters" | "trivial";
                            # "ftol": a step's predicted decrease <= _RTOL
     evaluations: int       # objective evaluations: x0 and every trial step
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("grad_tol", "ftol")
 
 
 def huber(r, delta):
@@ -349,8 +353,7 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
     if max_iters < 0:
         raise ValueError("max_iters must be non-negative")
     if not problem.edges:
-        return RefinementResult(dict(problem.poses), 0.0, 0.0, 0, False,
-                                "trivial", 0)
+        return RefinementResult(dict(problem.poses), 0.0, 0.0, 0, "trivial", 0)
     ws = _Workspace(problem)
     x = ws.initial_params()
     f0, g, H = ws.objective_and_gradient(x, hessian=True)
@@ -386,5 +389,4 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
         if stop is not None:
             break
         _, g, H = ws.objective_and_gradient(x, hessian=True)   # refills H
-    return RefinementResult(ws.to_poses(x), f0, f, iterations,
-                            stop in ("grad_tol", "ftol"), stop, evaluations)
+    return RefinementResult(ws.to_poses(x), f0, f, iterations, stop, evaluations)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geom import Pose
-from .posegraph import EdgeBatch, compose_candidate, fuse_candidates
+from .posegraph import EdgeBatch, as_frame_id, compose_candidate, fuse_candidates
 
 
 class NonMonotoneFrameId(ValueError):
@@ -79,6 +79,7 @@ class FrameToken:
     features: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "id", as_frame_id(self.id))
         f = np.asarray(self.features, dtype=float)
         if f.ndim != 1:
             raise ValueError("token features must be a 1-D array")
@@ -94,7 +95,7 @@ class FrameToken:
         """The same token under another frame id, sharing the read-only
         features, which were checked already."""
         token = object.__new__(FrameToken)
-        object.__setattr__(token, "id", frame_id)
+        object.__setattr__(token, "id", as_frame_id(frame_id))
         object.__setattr__(token, "features", self.features)
         return token
 
@@ -194,7 +195,7 @@ def gate_score(edges: EdgeBatch) -> float:
 
 
 class OutlierGate:
-    """Confidence gate calibrated on the first n_cal scored frames.
+    """Confidence gate calibrated on the first n_cal scores it checks.
 
     Before the baseline exists the gate never rejects; afterwards a frame
     is rejected when its score falls below tau_out * baseline.  The
@@ -205,21 +206,14 @@ class OutlierGate:
         self.n_cal = n_cal
         self.tau_out = tau_out
         self._cal_scores = []
-        self._seeded = 0
         self.baseline = None
         self.consecutive_rejections = 0
-
-    def seed_frame(self):
-        """Count a scoreless frame (the origin) toward the calibration
-        prefix so calibration ends after the first n_cal stream frames."""
-        if self.baseline is None:
-            self._seeded += 1
 
     def check(self, score) -> bool:
         """Score one frame; returns True when the frame passes."""
         if self.baseline is None:
             self._cal_scores.append(score)
-            if self._seeded + len(self._cal_scores) >= self.n_cal:
+            if len(self._cal_scores) >= self.n_cal:
                 self.baseline = float(np.mean(self._cal_scores))
             return True
         if score < self.tau_out * self.baseline:
@@ -260,7 +254,9 @@ class StreamState:
     def __init__(self, config: StreamConfig):
         self.config = config
         self.bank = KeyframeBank()
-        self.gate = OutlierGate(config.n_cal, config.tau_out)
+        # calibration ends after the first n_cal stream frames, and the
+        # first, the origin, has no score; after a reset every frame has one
+        self.gate = OutlierGate(max(config.n_cal - 1, 1), config.tau_out)
         self.trajectory = {}            # frame id -> Pose, accepted frames only
         self.frames_since_admit = 0
         self.segment_index = 0
@@ -291,12 +287,12 @@ def process_frame(state: StreamState, token: FrameToken, edges: EdgeBatch):
     events = []
 
     if not context:
-        # first frame of the stream (or segment with empty bank): origin
+        # first frame of the stream, the origin: a reset leaves its bridge
+        # in the bank, and row 0 is never evicted
         state._last_frame_id = frame_id
         pose = Pose.identity()
         state.trajectory[frame_id] = pose
         bank.add(frame_id, token, pose, 0.0)
-        state.gate.seed_frame()
         state.frames_since_admit = 0
         state.segment_accepted = 1
         events.append(StreamEvent("Accepted", frame_id))

@@ -517,6 +517,21 @@ class TestDistractorStream:
             assert_same_bits(self.stream.edges(ctx, sid), self.per_row(twin, ctx, sid))
         assert two_group_clean > 0
 
+    def test_clean_pairs_are_emitted_into_one_destination_id(self, monkeypatch):
+        dsts = []
+        emit = self.scene.emit_edges
+
+        def recording(sources, dst):
+            dsts.append(dst)
+            return emit(sources, dst)
+
+        monkeypatch.setattr(self.scene, "emit_edges", recording)
+        clean = self.ids_of("clean")
+        for k, sid in enumerate(clean[1:], start=1):
+            self.stream.edges(clean[:k], sid)
+        assert len(dsts) == len(clean) - 1
+        assert all(type(dst) is int for dst in dsts)
+
     def test_same_edges_when_the_other_scene_is_a_proxy(self):
         proxied = DistractorStream(self.scene, DelegatingProxy(self.other),
                                    self.plan, noise_mult=10.0)
@@ -663,6 +678,28 @@ class TestFrameRowRule:
             s.emit_edges(ids, 5)
         with pytest.raises(UnknownFrame):
             s.emit_edges([1, 3], ids)
+
+    @pytest.mark.parametrize("ids, bad", [
+        pytest.param([3, 2 ** 63 + 5], 2 ** 63 + 5, id="past int64"),
+        pytest.param([3, 2.5], 2.5, id="float"),
+        pytest.param([3, np.float64(4.0)], np.float64(4.0), id="np.float64"),
+    ])
+    def test_first_bad_id_in_a_mixed_list_is_named(self, ids, bad):
+        # NumPy turns these lists into float arrays, whose first element
+        # is a valid id
+        s = scene(frames=20)
+        for call in (lambda: s.emit_edges(ids, 9), lambda: s.emit_edges([5, 6], ids)):
+            with pytest.raises(UnknownFrame) as info:
+                call()
+            assert info.value.args == (bad,) and type(info.value.args[0]) is type(bad)
+
+    def test_integers_of_mixed_types_give_the_same_rows(self):
+        # np.int64 with np.uint64 makes a float array; read one by one,
+        # every id is an integer in range
+        s = scene(seed=3, frames=20)
+        want = reference_edges(s, [4, 1, 20], 12)
+        assert_same_bits(s.emit_edges([np.int64(4), np.uint64(1), 20], 12), want)
+        assert_same_bits(s.emit_edges([4, 1, 20], [np.int64(12), np.uint64(12), 12]), want)
 
     @pytest.mark.parametrize("ids", [pytest.param(np.int64(3), id="0-d"),
                                      pytest.param(np.array([[1, 2]]), id="2-d")])

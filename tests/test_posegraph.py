@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,35 @@ class TestEdgeBatch:
         columns[column][(-1, k) if k is not None else -1] = value
         with pytest.raises(ValueError):
             EdgeBatch(*columns)
+
+    @pytest.mark.parametrize("src, dst, bad", [
+        pytest.param([2.5, True], [3, 3], 2.5, id="float-and-bool src"),
+        pytest.param([1, 2], [3.0, 3.0], 3.0, id="float dst"),
+        pytest.param(np.array([1.0, 2.0]), 3, np.float64(1.0), id="float array src"),
+        pytest.param(np.array([True, False]), 3, np.True_, id="bool array src"),
+        pytest.param([1, 2], 3.5, 3.5, id="float single dst"),
+        pytest.param([1, 2], True, True, id="bool single dst"),
+        pytest.param([1, 2], math.nan, math.nan, id="nan single dst"),
+    ])
+    def test_rejects_ids_that_are_not_integers(self, src, dst, bad):
+        _, _, q, t, cr, ct = batch_columns(n=2)
+        message = re.escape(f"frame id must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            EdgeBatch(src, dst, q, t, cr, ct)
+        with pytest.raises(ValueError, match=message):
+            EdgeBatch([1, 2], 3, q, t, cr, ct).relabel(src, dst)
+
+    @pytest.mark.parametrize("ids", [
+        pytest.param([4, 5], id="list"),
+        pytest.param(np.array([4, 5], dtype=np.int32), id="int32"),
+        pytest.param(np.array([4, 5], dtype=np.uint64), id="uint64"),
+        pytest.param([np.int64(4), np.uint64(5)], id="mixed numpy scalars")])
+    def test_takes_every_integer_form(self, ids):
+        _, _, q, t, cr, ct = batch_columns(n=2)
+        for dst in (9, np.int64(9), np.uint64(9), [9, 9]):
+            batch = EdgeBatch(ids, dst, q, t, cr, ct)
+            assert batch.src.dtype == batch.dst.dtype == np.int64
+            assert batch.src.tolist() == [4, 5] and batch.dst.tolist() == [9, 9]
 
     def test_rejects_self_loop_and_bad_shapes(self):
         src, dst, q, t, cr, ct = batch_columns()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -635,6 +636,19 @@ class TestValidation:
             edges = EdgeBatch.concat([edges.take([k]) for k in range(len(edges))])
         with pytest.raises(ValueError, match=r"edge \(%d,%d\) references" % bad):
             RefinementProblem(poses, edges)
+
+    @pytest.mark.parametrize("bad", [1.5, True, np.float64(1.0)])
+    def test_node_id_that_is_not_an_integer_named(self, rng, bad):
+        # np.fromiter would truncate 1.5 to node 1 and solve against it
+        poses = {bad: random_pose(rng), 2: random_pose(rng), 3: random_pose(rng)}
+        edges = perfect_edges({1: poses[bad], 2: poses[2], 3: poses[3]}, [(1, 2), (2, 3)])
+        message = re.escape(f"frame id must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            RefinementProblem(poses, edges)
+
+    def test_numpy_integer_node_ids_pass(self, rng):
+        poses = {np.int64(1): random_pose(rng), np.uint64(2): random_pose(rng)}
+        RefinementProblem(poses, perfect_edges({1: poses[1], 2: poses[2]}, [(1, 2)]))
 
     def test_bad_delta(self, rng):
         poses = {0: Pose.identity(), 1: random_pose(rng)}

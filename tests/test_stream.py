@@ -103,6 +103,28 @@ class TestFrameToken:
         assert (u.id, t.id) == (9, 4)
         assert u.features is t.features and not u.features.flags.writeable
 
+    @pytest.mark.parametrize("bad", [math.nan, 2.5, True, np.float64(3.0), np.True_, "4"])
+    def test_rejects_an_id_that_is_not_an_integer(self, bad):
+        with pytest.raises(ValueError, match="frame id must be an integer"):
+            FrameToken(bad, np.ones(4))
+        with pytest.raises(ValueError, match="frame id must be an integer"):
+            basis_token(1, 0).relabel(bad)
+
+    @pytest.mark.parametrize("fid", [np.int64(1), np.int32(1), np.uint64(1)])
+    def test_numpy_integer_id_becomes_a_plain_int(self, fid, tmp_path):
+        token = FrameToken(fid, np.ones(4))
+        assert type(token.id) is int and token.id == 1
+        assert type(token.relabel(fid).id) is int
+        # an origin with such an id reaches the trajectory, the bank and
+        # the event log as the plain int 1
+        state = StreamState(StreamConfig())
+        events = process_frame(state, token, [])
+        assert list(state.trajectory) == [1] and state.bank.ids() == [1]
+        assert all(type(k) is int for k in [*state.trajectory, *state.bank.ids()])
+        path = tmp_path / "events.jsonl"
+        write_event_log(events, path)
+        assert [json.loads(line)["frame"] for line in path.read_text().splitlines()] == [1, 1]
+
 
 class TestAdmitCheck:
     def test_novel_token_admitted(self):
@@ -236,12 +258,24 @@ class TestOutlierGate:
             gate.check(s)
         assert gate.baseline == pytest.approx(2.0)
 
-    def test_seed_frame_shortens_calibration(self):
-        gate = OutlierGate(n_cal=3, tau_out=0.15)
-        gate.seed_frame()
-        gate.check(1.0)
-        gate.check(3.0)
-        assert gate.baseline == pytest.approx(2.0)
+    @pytest.mark.parametrize("n_cal", [1, 2, 3, 4])
+    def test_stream_calibrates_on_its_first_n_cal_frames(self, n_cal):
+        # the origin has no score but counts as a calibration frame, so
+        # n_cal 1 and 2 both wait for one score; after a reset every
+        # calibration frame is scored
+        state = StreamState(StreamConfig(n_cal=n_cal))
+        process_frame(state, basis_token(1, 0), [])
+        scored = list(range(2, 2 + max(n_cal - 1, 1)))
+        for fid in scored:
+            assert state.gate.baseline is None
+            run_frames(state, 1, start=fid, conf=float)
+        assert state.gate.baseline == pytest.approx(np.mean(scored))
+        segment_reset(state, [(fid, Pose.identity(), basis_token(fid, fid))
+                              for fid in (10, 11, 12)])
+        for fid in range(13, 13 + n_cal):
+            assert state.gate.baseline is None
+            run_frames(state, 1, start=fid, conf=lambda _: 2.0)
+        assert state.gate.baseline == pytest.approx(2.0)
 
     def test_rejects_below_thresh_and_counts(self):
         gate = OutlierGate(n_cal=1, tau_out=0.15)

@@ -1,12 +1,15 @@
 """Every function, class and method that src/relpose defines is used by
-the program itself, not only by the tests, and every name a file under
+the program itself, not only by the tests, every field that one of its
+dataclasses declares is read by the program, and every name a file under
 src/, tests/ or demos/ imports is used in that file.
 
 A defined name counts as used when it appears as a whole word in a
 Python file under src/, demos/ or perfbench/ (the benchmark's own tests
 excepted) outside the lines of its own definition.  Dunder methods are
-called by Python and are not checked.  An imported name counts as used
-when the file's syntax tree reads it anywhere.
+called by Python and are not checked.  A field named f counts as read
+when ".f" appears, f a whole word, in one of those files outside the
+line that declares it.  An imported name counts as used when the file's
+syntax tree reads it anywhere.
 """
 
 import ast
@@ -19,6 +22,10 @@ PACKAGE = ROOT / "src" / "relpose"
 # oracle's confidences are calibrated to, and an independent reference for
 # the oracle's noise
 TEST_REFERENCES = {"conf_loss", "noise_scales"}
+# the only fields the guard allows: PoseEdge, one row of an EdgeBatch, is
+# read whole by the tests and the benchmark's smoke test, and goes with
+# the rest of ROADMAP item 5
+UNREAD_FIELDS = {"PoseEdge.rel_rotation"}
 
 
 def definitions(path):
@@ -58,6 +65,38 @@ def unused_names():
 
 def test_the_program_uses_every_name_it_defines():
     assert unused_names() == TEST_REFERENCES
+
+
+def dataclass_fields(path):
+    """(class, field, line) of each field that a dataclass of the module
+    declares."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "dataclass"
+                or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, item.lineno
+
+
+def unread_fields():
+    files = program_files()
+    unread = set()
+    for module in sorted(PACKAGE.glob("*.py")):
+        for cls, field, line in dataclass_fields(module):
+            word = re.compile(rf"\.{re.escape(field)}\b")
+            read = any(word.search(text)
+                       for path, lines in files.items()
+                       for k, text in enumerate(lines, start=1)
+                       if not (path == module and k == line))
+            if not read:
+                unread.add(f"{cls}.{field}")
+    return unread
+
+
+def test_the_program_reads_every_field_it_declares():
+    assert unread_fields() == UNREAD_FIELDS
 
 
 def unused_imports(path):
