@@ -15,7 +15,8 @@ config uses.  A scene's noisier twin (`noisier`) shares all of this with
 it.  Every step of an emission is row-wise, so one emit_edges call takes
 either one destination frame or one per source row: offline fusion, the
 all-pair refinement set and `emit_pairs` (which `relpose diag` samples
-through) are each one call, and a distractor-stream frame one per scene.
+through) are each one call, and a DistractorStream emits the context
+edges of _BLOCK frames in one call per scene.
 
 Frame ids run from 1: every lookup takes id i to row i - frame_ids[0],
 checked against [0, n), and row r back to id r + frame_ids[0].  Only
@@ -415,56 +416,114 @@ def make_distractor_stream(scene: SyntheticScene, other: SyntheticScene,
     return DistractorPlan(tuple(entries))
 
 
+# plan positions a DistractorStream block covers.  A block pays for two
+# emission calls and, per frame, for about _BLOCK / 2 rows that no request
+# may ask for; at about 230 us a call and 0.7 us a row (2-core Xeon VM)
+# that costs least near 38 frames
+_BLOCK = 32
+
+
 class DistractorStream:
     """Frame source for a distractor plan: tokens and context edges keyed
     by stream position.  Clean-clean pairs get genuine scene edges;
     any pair touching a distractor gets geometry from the other scene
-    with inflated noise, hence low calibrated confidence."""
+    with inflated noise, hence low calibrated confidence.
+
+    The plan's stream ids run 1, 2, ... in plan order, as
+    make_distractor_stream makes them.  Context edges are emitted a block
+    of frames at a time.  A request that the current block does not hold
+    emits a new one over the asked frame and the _BLOCK - 1 plan
+    positions after it, in one emit_edges call per scene: the asked
+    edges, and into each later position every edge from an asked source
+    or a block position before it.  Later requests gather their rows from
+    the block, so a stream whose context grows only by the frames it has
+    seen emits once per block.  Emission is row-wise, so every row has
+    the bits a per-frame emission gives it.  A block holds at most
+    _BLOCK * (len(context) + _BLOCK) rows, and only the last is kept.
+    """
 
     def __init__(self, scene, other, plan: DistractorPlan, noise_mult=10.0):
         self.scene = scene
         self.other = other
-        self._by_id = {e.stream_id: e for e in plan.entries}
+        self._entries = plan.entries
+        if [e.stream_id for e in plan.entries] != list(range(1, len(plan.entries) + 1)):
+            raise ValueError("plan stream ids must run 1, 2, ... in plan order")
+        self._clean = np.array([e.kind == "clean" for e in plan.entries], dtype=bool)
+        self._frames = np.array([e.scene_frame for e in plan.entries], dtype=np.int64)
+        # a clean frame past the other scene's end has no cross-scene edge,
+        # so a block emits one only when it is asked for, and raises then
+        self._in_other = np.isin(self._frames, other.frame_ids)
         # same geometry and seed as `other`, only noisier and less
         # confident; asked of `other` so that a stand-in delegating to a
         # scene hands back that scene's twin
         self._noisy_other = other.noisier(noise_mult)
+        # the current block: the stream id it starts at, its row table
+        # (one row per position, one column per source and a last one of
+        # -1), each source stream id's column, and its edges
+        self._first, self._table, self._columns, self._edges = 0, np.empty((0, 1)), {}, None
+
+    def _position(self, stream_id):
+        """The plan row of a stream id; a non-integer id raises ValueError,
+        an integer id outside the plan KeyError."""
+        sid = as_frame_id(stream_id)
+        if not 1 <= sid <= len(self._entries):
+            raise KeyError(sid)
+        return sid - 1
 
     def token(self, stream_id) -> FrameToken:
-        entry = self._by_id[stream_id]
+        entry = self._entries[self._position(stream_id)]
         source = self.scene if entry.kind == "clean" else self.other
         return source.emit_token(entry.scene_frame).relabel(stream_id)
 
     def edges(self, context_stream_ids, stream_id) -> EdgeBatch:
         """Context edges into stream_id, one row per context id in the
-        order given, emitted with one emit_edges call per scene."""
-        entry = self._by_id[stream_id]
-        groups = {}      # scene -> ([row], [src frame], [dst frame])
-        for row, src in enumerate(context_stream_ids):
-            src_entry = self._by_id[src]
-            a, b = src_entry.scene_frame, entry.scene_frame
-            if entry.kind == "clean" and src_entry.kind == "clean":
-                scene = self.scene
-            else:
-                # cross-scene pair: geometry is unrelated to the clean
-                # trajectory and the oracle knows it is unreliable
-                scene = self._noisy_other
-                if a == b:
-                    b = a % len(self.other.frame_ids) + 1
-            rows, sources, dsts = groups.setdefault(scene, ([], [], []))
-            rows.append(row)
-            sources.append(a)
-            dsts.append(b)
-        if not groups:
-            return EdgeBatch([], [], np.empty((0, 4)), np.empty((0, 3)), [], [])
-        # the clean group has one destination; only cross-scene rows, whose
-        # self-pairs move, need one each
-        batches = [scene.emit_edges(
-                       sources, entry.scene_frame if scene is self.scene else dsts)
-                   for scene, (_, sources, dsts) in groups.items()]
-        if len(batches) == 1:
-            edges = batches[0]      # its rows are in context order already
-        else:
-            rows = [row for rows, _, _ in groups.values() for row in rows]
-            edges = EdgeBatch.concat(batches).take(np.argsort(rows))
-        return edges.relabel(list(context_stream_ids), stream_id)
+        order given, gathered from the current block or a new one."""
+        ctx = list(context_stream_ids)
+        sid = as_frame_id(stream_id)
+        rows = self._block_rows(ctx, sid)
+        if rows is None:
+            self._emit_block(ctx, sid)
+            rows = self._block_rows(ctx, sid)
+        return self._edges.take(rows).relabel(ctx, sid)
+
+    def _block_rows(self, ctx, sid):
+        """The block rows of the edges from ctx into sid, or None when the
+        block does not hold them all."""
+        k = sid - self._first
+        if not 0 <= k < len(self._table):
+            return None
+        # a source the block lacks reads the last column, which holds -1
+        rows = self._table[k][[self._columns.get(s, -1) for s in ctx]]
+        return rows if rows.min(initial=0) >= 0 else None
+
+    def _emit_block(self, ctx, sid):
+        """Emit the block of the _BLOCK plan positions from sid on."""
+        first = self._position(sid)
+        asked = list(dict.fromkeys(self._position(s) for s in ctx))
+        dst = np.arange(first, min(first + _BLOCK, len(self._entries)))
+        src = np.array(list(dict.fromkeys(asked + dst.tolist())), dtype=np.int64)
+        # pairs[k, j]: emit the edge from src[j] into dst[k].  The asked
+        # frame takes the asked sources, as asked; a later position every
+        # source before it, but no cross-scene pair the other scene has no
+        # frame for
+        pairs = src < dst[:, None]
+        clean = self._clean[src] & self._clean[dst][:, None]
+        pairs &= clean | (self._in_other[src] & self._in_other[dst][:, None])
+        pairs[0] = np.arange(len(src)) < len(asked)
+        k, j = pairs.nonzero()
+        clean = clean[k, j]
+        a, b = self._frames[src[j]], self._frames[dst[k]]
+        # cross-scene pair: geometry is unrelated to the clean trajectory
+        # and the oracle knows it is unreliable; a self-pair moves on by one
+        b = np.where(clean | (a != b), b, a % len(self.other.frame_ids) + 1)
+        # the clean pairs first, then the cross-scene ones
+        order = np.argsort(~clean, kind="stable")
+        n = np.count_nonzero(clean)
+        edges = self.scene.emit_edges(a[order[:n]], b[order[:n]])
+        if n < len(order):
+            cross = self._noisy_other.emit_edges(a[order[n:]], b[order[n:]])
+            edges = EdgeBatch.concat([edges, cross])
+        table = np.full((len(dst), len(src) + 1), -1, dtype=np.int64)
+        table[k[order], j[order]] = np.arange(len(order))
+        self._first, self._table, self._edges = sid, table, edges
+        self._columns = {s: col for col, s in enumerate((src + 1).tolist())}

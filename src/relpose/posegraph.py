@@ -138,14 +138,28 @@ def as_frame_id(i) -> int:
     raise ValueError(f"frame id must be an integer, got {i!r}")
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _int64_id(i) -> int:
+    """as_frame_id, and a ValueError naming an id outside the int64 range."""
+    i = as_frame_id(i)
+    if not -_INT64_MAX - 1 <= i <= _INT64_MAX:
+        raise ValueError(f"frame id {i} is outside the int64 range")
+    return i
+
+
 def _id_array(ids):
     """A new int64 array of a sequence of frame ids.  Ids that make an
-    array of an integer dtype, or an empty one, are cast; anything else is
-    checked id by id, so that a bad id is named."""
+    array of a signed integer dtype, or an empty one, are cast, and so are
+    unsigned ones that all fit int64; anything else is checked id by id,
+    so that the first bad id is named, as a plain int if it is one."""
     a = np.array(ids)
-    if a.dtype.kind in "iu" or not a.size:
+    if a.dtype.kind == "i" or not a.size:
         return a.astype(np.int64, copy=False)
-    return np.array([as_frame_id(i) for i in ids], dtype=np.int64)
+    if a.dtype.kind == "u" and a.max() <= _INT64_MAX:
+        return a.astype(np.int64)
+    return np.array([_int64_id(i) for i in ids], dtype=np.int64)
 
 
 def _ids(src, dst):
@@ -155,7 +169,7 @@ def _ids(src, dst):
     if np.ndim(dst) == 0:
         # np.full's two steps, without its wrapper
         column = np.empty(len(src), dtype=np.int64)
-        column.fill(as_frame_id(dst))
+        column.fill(_int64_id(dst))
         return src, column
     return src, _id_array(dst)
 

@@ -35,6 +35,8 @@ def stream_scene(scene, config, forced_reset_at=None, bridge_len=5):
     for fid in scene.frame_ids:
         token = scene.emit_token(fid)
         ctx = state.context_ids
+        # one emission per frame: a live stream cannot emit into frames it
+        # has not seen, unlike DistractorStream, whose plan is known ahead
         edges = scene.emit_edges(ctx, fid) if ctx else []
         events.extend(process_frame(state, token, edges))
         if state.reset_pending or fid == forced_reset_at:

@@ -125,6 +125,7 @@ class KeyframeBank:
         return list(self._ids)
 
     def add(self, frame_id, token: FrameToken, pose: Pose, best_conf):
+        frame_id = as_frame_id(frame_id)
         if self._ids and frame_id <= self._ids[-1]:
             raise NonMonotoneFrameId(f"frame {frame_id} after frame {self._ids[-1]}")
         m = len(self._ids)
@@ -365,9 +366,10 @@ def segment_reset(state: StreamState, bridge):
     Bridge items are (frame_id, pose, token) triples in increasing id order
     with poses from the previous segment, which new frames compose against;
     all enter the trajectory, the m_max most recent the bank (the oldest in
-    row 0).  A malformed bridge raises before any state changes.
+    row 0).  Ids are read by as_frame_id's rule, so a NumPy integer enters
+    as a plain int.  A malformed bridge raises before any state changes.
     """
-    bridge = list(bridge)
+    bridge = [(as_frame_id(frame_id), pose, token) for frame_id, pose, token in bridge]
     check_bridge_length(len(bridge))
     if any(a[0] >= b[0] for a, b in zip(bridge, bridge[1:])):
         raise NonMonotoneFrameId("bridge frame ids must increase strictly")

@@ -4,13 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from relpose import runner
 from relpose.geom import quat_exp, quat_product, quat_to_matrix
-from relpose.oracle import (DistractorStream, InvalidConfig, InvalidCounts,
-                            OracleConfig, SyntheticScene, UnknownFrame, _M3,
+from relpose.oracle import (_BLOCK, DistractorPlan, DistractorStream, InvalidConfig,
+                            InvalidCounts, OracleConfig, SyntheticScene,
+                            UnknownFrame, _M3,
                             _laplace_from_uniform, _mix, _pair_uniforms,
                             generate_scene, make_distractor_stream)
 from relpose.posegraph import EdgeBatch
-from relpose.stream import FrameToken
+from relpose.stream import FrameToken, StreamConfig
 from conftest import angle_deg, relative_pose
 
 
@@ -437,6 +439,37 @@ class TestDistractorPlan:
         assert p1.entries != p3.entries
 
 
+def per_row_edges(scene, other, twin, plan, ctx, stream_id):
+    """The context edges of a distractor plan's frame stream_id by one
+    emission per row: clean pairs from scene, any other pair from twin,
+    the noisier other scene, a self-pair moved on by one frame."""
+    entry = plan.entries[stream_id - 1]
+    rows = []
+    for src in ctx:
+        src_entry = plan.entries[src - 1]
+        a, b = src_entry.scene_frame, entry.scene_frame
+        if entry.kind == "clean" and src_entry.kind == "clean":
+            rows.append(scene.emit_edges([a], b))
+        else:
+            if a == b:
+                b = a % len(other.frame_ids) + 1
+            rows.append(twin.emit_edges([a], b))
+    return EdgeBatch.concat(rows).relabel(list(ctx), stream_id)
+
+
+class PerRowStream(DistractorStream):
+    """A DistractorStream whose context edges are emitted one row at a
+    time, the reference that its blocks must match bit for bit."""
+
+    def __init__(self, scene, other, plan, noise_mult=10.0):
+        super().__init__(scene, other, plan, noise_mult=noise_mult)
+        self._plan = plan
+
+    def edges(self, context_stream_ids, stream_id):
+        return per_row_edges(self.scene, self.other, self._noisy_other, self._plan,
+                             context_stream_ids, stream_id)
+
+
 class TestDistractorStream:
     def setup_method(self):
         self.scene = scene(seed=2, frames=60, family="circle")
@@ -491,18 +524,7 @@ class TestDistractorStream:
 
     def per_row(self, twin, ctx, stream_id):
         """Context edges into stream_id by one emission per row."""
-        entry = self.plan.entries[stream_id - 1]
-        rows = []
-        for src in ctx:
-            src_entry = self.plan.entries[src - 1]
-            a, b = src_entry.scene_frame, entry.scene_frame
-            if entry.kind == "clean" and src_entry.kind == "clean":
-                rows.append(self.scene.emit_edges([a], b))
-            else:
-                if a == b:
-                    b = a % len(self.other.frame_ids) + 1
-                rows.append(twin.emit_edges([a], b))
-        return EdgeBatch.concat(rows).relabel(list(ctx), stream_id)
+        return per_row_edges(self.scene, self.other, twin, self.plan, ctx, stream_id)
 
     def test_frames_equal_per_row_emission_in_context_order(self):
         twin = self.other.noisier(10.0)
@@ -517,20 +539,109 @@ class TestDistractorStream:
             assert_same_bits(self.stream.edges(ctx, sid), self.per_row(twin, ctx, sid))
         assert two_group_clean > 0
 
-    def test_clean_pairs_are_emitted_into_one_destination_id(self, monkeypatch):
-        dsts = []
-        emit = self.scene.emit_edges
+    def grow_and_shrink(self):
+        """A stream's contexts: every frame joins, and every third frame
+        one context id other than the first leaves."""
+        ctx, requests = [1], []
+        for sid in range(2, len(self.plan.entries) + 1):
+            requests.append((list(ctx), sid))
+            ctx.append(sid)
+            if sid % 3 == 0:
+                del ctx[len(ctx) // 2]
+        return requests
 
-        def recording(sources, dst):
-            dsts.append(dst)
-            return emit(sources, dst)
+    def assert_per_row(self, stream, requests):
+        twin = self.other.noisier(10.0)
+        for ctx, sid in requests:
+            assert_same_bits(stream.edges(ctx, sid), self.per_row(twin, ctx, sid))
 
-        monkeypatch.setattr(self.scene, "emit_edges", recording)
-        clean = self.ids_of("clean")
+    def requests(self, case):
+        last = len(self.plan.entries)
+        return {
+            "grow and shrink": self.grow_and_shrink(),
+            "reversed": [(ctx[::-1], sid) for ctx, sid in self.grow_and_shrink()],
+            "miss": [([1, 2], 3), ([1, 2, 30], 5), ([1, 2, 3, 4], 6), ([3, 1], 6),
+                     ([1, 2, 3, 4, 5], 6), ([1, 6], 7)],
+            "before the block": [([1, 2, 3], 20), ([1, 2], 4), ([1, 2, 3], 21)],
+            "source after the destination": [([10, 1], 5), ([1, 12, 3], 6),
+                                             ([last, last - 1], 2), ([1, 7], 6)],
+            "repeated source": [([1, 1, 2], 5), ([2, 1, 2], 6)],
+            "last frames": [([1, 2], last - 1), ([1, 2, last - 1], last)],
+        }[case]
+
+    @pytest.mark.parametrize("case", [
+        "grow and shrink", "reversed", "miss", "before the block",
+        "source after the destination", "repeated source", "last frames"])
+    def test_blocks_equal_per_row_emission(self, case):
+        self.assert_per_row(self.stream, self.requests(case))
+
+    def test_empty_context_gives_an_empty_batch(self):
+        empty = EdgeBatch([], [], np.empty((0, 4)), np.empty((0, 3)), [], [])
+        for sid in (5, 6, 2, 30, len(self.plan.entries), 6):
+            assert_same_bits(self.stream.edges([], sid), empty)
+        assert_same_bits(self.stream.edges([], 7), self.stream.edges(iter(()), 7))
+
+    def test_both_scene_groups_in_one_frame(self, monkeypatch):
+        sid = self.ids_of("clean")[-1]
+        ctx = list(range(1, sid))
+        assert {self.plan.entries[c - 1].kind for c in ctx} == {"clean", "distractor"}
+        want = self.per_row(self.other.noisier(10.0), ctx, sid)
+        calls = []
+        for source in (self.scene, self.stream._noisy_other):
+            monkeypatch.setattr(source, "emit_edges", recording(source.emit_edges, calls))
+        assert_same_bits(self.stream.edges(ctx, sid), want)
+        assert len(calls) == 2
+
+    def test_unknown_stream_id_raises_key_error(self):
+        last = len(self.plan.entries)
+        for ctx, sid in (([1], 0), ([1], last + 1), ([0], 5), ([1, last + 1], 5),
+                         ([-1], 5), ([], last + 1), ([1], 2**70)):
+            with pytest.raises(KeyError):
+                self.stream.edges(ctx, sid)
+        self.stream.edges([1, 2], 3)          # a block from 3 on
+        with pytest.raises(KeyError):
+            self.stream.edges([1, 2, last + 1], 4)
+        for sid in (0, last + 1):
+            with pytest.raises(KeyError):
+                self.stream.token(sid)
+
+    def test_ids_that_are_not_integers_raise_value_error(self):
+        self.stream.edges([1, 2], 3)
+        for ctx, sid in (([1, 2], 4.0), ([1, 2.0], 4), ([1.5], 4), ([1], 30.0)):
+            with pytest.raises(ValueError, match="frame id must be an integer"):
+                self.stream.edges(ctx, sid)
+        with pytest.raises(ValueError, match="frame id must be an integer"):
+            self.stream.token(2.0)
+
+    def test_numpy_ids_give_the_same_bits(self):
+        ctx = np.array([1, 3, 2], dtype=np.int64)
+        want = self.stream.edges([1, 3, 2], 4)
+        for form in (ctx, ctx.astype(np.uint64), list(ctx)):
+            stream = DistractorStream(self.scene, self.other, self.plan, noise_mult=10.0)
+            assert_same_bits(stream.edges(form, np.int64(4)), want)
+            assert_same_bits(self.stream.edges(form, np.uint64(4)), want)
+
+    def test_plan_ids_must_run_from_one_in_order(self):
+        entries = self.plan.entries
+        for bad in (entries[1:], entries[:2] + entries[3:], entries[::-1]):
+            with pytest.raises(ValueError, match="stream ids"):
+                DistractorStream(self.scene, self.other, DistractorPlan(bad))
+
+    def test_a_block_emits_no_pair_the_other_scene_lacks(self):
+        # clean frames past the other scene's end have no cross-scene edge;
+        # a block must not emit one that no request asks for
+        short = scene(seed=99, frames=20, family="random-walk")
+        plan = make_distractor_stream(self.scene, short, 40, 6, 3)
+        twin = short.noisier(10.0)
+        clean = [e.stream_id for e in plan.entries if e.kind == "clean"]
         for k, sid in enumerate(clean[1:], start=1):
-            self.stream.edges(clean[:k], sid)
-        assert len(dsts) == len(clean) - 1
-        assert all(type(dst) is int for dst in dsts)
+            stream = DistractorStream(self.scene, short, plan, noise_mult=10.0)
+            assert_same_bits(stream.edges(clean[:k], sid),
+                             per_row_edges(self.scene, short, twin, plan, clean[:k], sid))
+        far = next(e.stream_id for e in plan.entries
+                   if e.kind == "distractor" and e.stream_id > clean[25])
+        with pytest.raises(UnknownFrame):
+            DistractorStream(self.scene, short, plan).edges(clean[:26], far)
 
     def test_same_edges_when_the_other_scene_is_a_proxy(self):
         proxied = DistractorStream(self.scene, DelegatingProxy(self.other),
@@ -543,6 +654,71 @@ class TestDistractorStream:
     def test_noise_multiplier_below_one_rejected(self):
         with pytest.raises(InvalidConfig):
             DistractorStream(self.scene, self.other, self.plan, noise_mult=0.0)
+
+
+def recording(emit, calls):
+    """emit_edges, as a method or bound to a scene, that records the
+    number of rows of each call."""
+    def wrapped(*args):
+        sources, _ = args[-2:]
+        calls.append(len(sources))
+        return emit(*args)
+    return wrapped
+
+
+ROBUST_CONFIGS = [pytest.param(StreamConfig(), id="default gate"),
+                  pytest.param(StreamConfig(tau_out=0.0), id="gate disabled"),
+                  pytest.param(StreamConfig(m_max=8), id="m_max=8")]
+
+
+class TestRobustnessRunEmission:
+    """Whole robustness runs, with the trials of acceptance criterion 09."""
+
+    def trials(self):
+        cfg = OracleConfig(frames=60, outlier_prob=0.0)
+        for n_distract, trial in ((10, 0), (30, 1), (50, 2)):
+            seed = 900 + n_distract * 101 + trial
+            yield (generate_scene(cfg, seed), generate_scene(cfg, seed + 50021),
+                   n_distract, seed)
+
+    @pytest.mark.parametrize("config", ROBUST_CONFIGS)
+    def test_events_equal_per_frame_emission(self, monkeypatch, config):
+        for clean, other, n_distract, seed in self.trials():
+            report, state, events, _ = runner.robustness_run(
+                clean, other, 30, n_distract, seed, config)
+            with monkeypatch.context() as m:
+                m.setattr(runner, "DistractorStream", PerRowStream)
+                want_report, want_state, want_events, _ = runner.robustness_run(
+                    clean, other, 30, n_distract, seed, config)
+            assert report == want_report
+            assert [e.to_json() for e in events] == [e.to_json() for e in want_events]
+            assert state.trajectory.keys() == want_state.trajectory.keys()
+            for fid, pose in state.trajectory.items():
+                want = want_state.trajectory[fid]
+                assert pose.rotation.as_array().tobytes() == want.rotation.as_array().tobytes()
+                assert pose.translation.tobytes() == want.translation.tobytes()
+
+    @pytest.mark.parametrize("config", ROBUST_CONFIGS)
+    def test_calls_and_rows_per_block(self, monkeypatch, config):
+        calls, asked = [], []
+        monkeypatch.setattr(SyntheticScene, "emit_edges",
+                            recording(SyntheticScene.emit_edges, calls))
+        edges = DistractorStream.edges
+
+        def asking(stream, ctx, stream_id):
+            asked.append(len(ctx))
+            return edges(stream, ctx, stream_id)
+
+        monkeypatch.setattr(DistractorStream, "edges", asking)
+        for clean, other, n_distract, seed in self.trials():
+            calls.clear()
+            asked.clear()
+            _, _, _, plan = runner.robustness_run(clean, other, 30, n_distract, seed, config)
+            # every frame after the first asks; a block serves _BLOCK of them
+            assert len(asked) == len(plan.entries) - 1
+            blocks = math.ceil(len(asked) / _BLOCK)
+            assert len(calls) <= 2 * blocks
+            assert sum(calls) <= sum(asked) + _BLOCK ** 2 * blocks
 
 
 class TestPerCallPathRaisesNothing:

@@ -143,6 +143,29 @@ class TestEdgeBatch:
             assert batch.src.dtype == batch.dst.dtype == np.int64
             assert batch.src.tolist() == [4, 5] and batch.dst.tolist() == [9, 9]
 
+    @pytest.mark.parametrize("src, dst, bad", [
+        pytest.param(np.array([2**63 + 5], dtype=np.uint64), 3, 2**63 + 5, id="uint64 src"),
+        pytest.param(np.array([1, 2**64 - 1, 2**63], dtype=np.uint64), 3, 2**64 - 1,
+                     id="first of two in uint64 src"),
+        pytest.param([1], np.array([2**63], dtype=np.uint64), 2**63, id="uint64 dst"),
+        pytest.param([1], np.uint64(2**63 + 9), 2**63 + 9, id="uint64 single dst"),
+        pytest.param([2**63 + 5], 3, 2**63 + 5, id="list past int64"),
+        pytest.param([1], -2**63 - 1, -2**63 - 1, id="int single dst below int64"),
+    ])
+    def test_rejects_ids_outside_the_int64_range(self, src, dst, bad):
+        _, _, q, t, cr, ct = batch_columns(n=len(src))
+        message = f"^frame id {bad} is outside the int64 range$"
+        with pytest.raises(ValueError, match=message):
+            EdgeBatch(src, dst, q, t, cr, ct)
+        with pytest.raises(ValueError, match=message):
+            EdgeBatch(list(range(10, 10 + len(src))), 3, q, t, cr, ct).relabel(src, dst)
+
+    def test_takes_ids_at_the_ends_of_the_int64_range(self):
+        _, _, q, t, cr, ct = batch_columns(n=2)
+        top = np.iinfo(np.int64).max
+        batch = EdgeBatch(np.array([top, 0], dtype=np.uint64), -top - 1, q, t, cr, ct)
+        assert batch.src.tolist() == [top, 0] and batch.dst.tolist() == [-top - 1] * 2
+
     def test_rejects_self_loop_and_bad_shapes(self):
         src, dst, q, t, cr, ct = batch_columns()
         with pytest.raises(ValueError):

@@ -198,6 +198,16 @@ class TestKeyframeBank:
         bank.add(4, basis_token(4, 4), Pose.identity(), 0.25)
         assert bank.best_conf.tolist() == [0.5, 2.0, 0.7, 0.25]
 
+    def test_add_reads_ids_by_the_frame_id_rule(self):
+        bank = KeyframeBank()
+        bank.add(np.int64(3), basis_token(3, 0), Pose.identity(), 1.0)
+        bank.add(np.uint64(5), basis_token(5, 1), Pose.identity(), 1.0)
+        assert bank.ids() == [3, 5] and all(type(fid) is int for fid in bank.ids())
+        for bad in (5.5, np.float64(6.5), 7.0, True):
+            with pytest.raises(ValueError, match="frame id must be an integer"):
+                bank.add(bad, basis_token(9, 2), Pose.identity(), 1.0)
+        assert bank.ids() == [3, 5] and len(bank.tokens) == 2
+
     def test_add_rejects_another_feature_width(self):
         bank = KeyframeBank()
         bank.add(1, basis_token(1, 0, dim=8), Pose.identity(), 1.0)
@@ -504,6 +514,24 @@ class TestSegmentReset:
         assert all(a == b and pa is pb for (a, pa), (b, pb)
                    in zip(before, state.trajectory.items()))
         assert len(state.trajectory) == len(before) and state.segment_index == 0
+
+    def test_bridge_id_that_is_not_an_integer_raises_before_any_change(self):
+        state = self.make_state()
+        bank, gate, before = state.bank, state.gate, dict(state.trajectory)
+        for ids in ([1.5, 2.5, np.float64(3.5)], [10, 11, 12.0], [10, True, 12]):
+            with pytest.raises(ValueError, match="frame id must be an integer"):
+                segment_reset(state, [(fid, Pose.identity(), basis_token(9, 9))
+                                      for fid in ids])
+        assert state.bank is bank and state.gate is gate
+        assert state.trajectory == before and state.segment_index == 0
+
+    def test_numpy_bridge_ids_enter_as_plain_ints(self):
+        state = self.make_state()                   # frames 1-7
+        segment_reset(state, [(fid, Pose.identity(), basis_token(fid, fid))
+                              for fid in (np.int64(10), np.uint64(11), np.int32(12))])
+        assert state.bank.ids() == [10, 11, 12]
+        assert all(type(fid) is int for fid in state.bank.ids())
+        assert all(type(fid) is int for fid in state.trajectory)
 
     def test_frame_not_above_the_bridge_raises(self):
         state = self.make_state()                   # frames 1-7
