@@ -1,17 +1,17 @@
-"""Segment resets and scale anchoring.
+"""Segment resets.
 
 Long streams are cut into segments: sustained gate rejections or the
 segment length cap trigger a reset, and the next segment re-anchors
 through a short bridge of frames that carry absolute poses from the
 previous one. Because the bridge preserves the global frame, a forced
-mid-stream reset barely moves the final ATE. Each segment can also be
-rescaled from a single pair of depth medians.
+mid-stream reset barely moves the final ATE. The oracle's translations
+are metric, so no segment needs a scale of its own.
 """
 
 from relpose import metrics
 from relpose.oracle import OracleConfig, generate_scene
 from relpose.runner import stream_scene
-from relpose.stream import StreamConfig, anchor_scale, scale_trajectory
+from relpose.stream import StreamConfig
 
 
 def ate_of(state, scene):
@@ -29,12 +29,6 @@ def main():
     print(f"no reset:      ATE {a0:.4f} ({plain.segment_index + 1} segment)")
     print(f"forced reset:  ATE {a1:.4f} ({forced.segment_index + 1} segments)")
     print(f"relative change {abs(a1 - a0) / a0:.2%}")
-
-    # metric scale from depth medians: predicted vs metric median depth
-    pred, metric_depth = scene.depth_medians(1)
-    s = anchor_scale(pred, metric_depth)
-    scaled = scale_trajectory(forced.trajectory, s)
-    print(f"scale anchor {s:.3f} applied to {len(scaled)} poses")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,10 @@ all-pair refinement set and `emit_pairs` (which `relpose diag` samples
 through) are each one call, and a DistractorStream emits the context
 edges of _BLOCK frames in one call per scene.
 
+A scene and a DistractorStream are frame sources, with one protocol that
+the runner's one stream loop reads: frame_ids in stream order,
+emit_token(id) and emit_edges(context, id).
+
 Frame ids run from 1: every lookup takes id i to row i - frame_ids[0],
 checked against [0, n), and row r back to id r + frame_ids[0].  Only
 integer ids pass, by posegraph.as_frame_id's rule: a float or bool id,
@@ -34,7 +38,7 @@ import numpy as np
 
 from .geom import (Pose, UnitQuaternion, quat_apply, quat_exp, quat_multiply,
                    quat_normalize, quat_product, quat_to_matrix)
-from .posegraph import EdgeBatch, as_frame_id
+from .posegraph import EdgeBatch, as_frame_id, has_bool_id
 from .stream import FrameToken
 
 
@@ -68,8 +72,6 @@ class OracleConfig:
     token_length_scale: float = 0.5   # positional smoothness of tokens
     alpha: float = 0.2                # loss regularizer weight
     conf_jitter: float = 0.0          # lognormal sigma on confidences (0 = calibrated)
-    depth_median: float = 2.0         # ground-truth metric depth median
-    depth_jitter: float = 0.0         # lognormal sigma on predicted depth medians
 
     def __post_init__(self):
         if self.frames < 2:
@@ -78,11 +80,11 @@ class OracleConfig:
             raise InvalidConfig(f"unknown trajectory family {self.family!r}")
         if self.token_dim < 1:
             raise InvalidConfig("token_dim must be at least 1")
-        for name in ("step", "token_length_scale", "alpha", "depth_median"):
+        for name in ("step", "token_length_scale", "alpha"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidConfig(f"{name} must be positive and finite")
         for name in ("rot_step", "base_rot_noise", "base_trans_noise",
-                     "noise_gap_growth", "conf_jitter", "depth_jitter"):
+                     "noise_gap_growth", "conf_jitter"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise InvalidConfig(f"{name} must be non-negative and finite")
         if not 0.0 <= self.outlier_prob < 1.0:
@@ -217,7 +219,7 @@ class SyntheticScene:
         a = np.asarray(ids)
         if a.ndim != 1:
             raise ValueError(f"frame ids must be 1-D, got shape {a.shape}")
-        if a.dtype.kind in "iu" or not len(a):
+        if a.dtype.kind in "iu" and not has_bool_id(ids) or not len(a):
             rows = a.astype(np.int64, copy=False) - self.frame_ids[0]
             # a negative row wraps to a huge unsigned one: one test, both ends
             if not np.count_nonzero(rows.view(np.uint64) >= len(self.frame_ids)):
@@ -312,16 +314,6 @@ class SyntheticScene:
     def emit_token(self, i) -> FrameToken:
         row = self._row(i)
         return FrameToken(row + self.frame_ids[0], self._tokens[row])
-
-    def depth_medians(self, i):
-        """(predicted, metric) depth medians for segment scale anchoring."""
-        row = self._row(i)
-        metric = self.config.depth_median
-        if self.config.depth_jitter > 0:
-            u = _pair_uniforms(self.seed, [row], 0xDEE9, 2)[0]
-            g = math.sqrt(-2.0 * math.log(u[0])) * math.cos(2 * math.pi * u[1])
-            return metric * math.exp(self.config.depth_jitter * g), metric
-        return metric, metric
 
 
 def generate_scene(config: OracleConfig, seed: int) -> SyntheticScene:
@@ -424,21 +416,20 @@ _BLOCK = 32
 
 
 class DistractorStream:
-    """Frame source for a distractor plan: tokens and context edges keyed
-    by stream position.  Clean-clean pairs get genuine scene edges;
-    any pair touching a distractor gets geometry from the other scene
-    with inflated noise, hence low calibrated confidence.
+    """Frame source for a distractor plan: its frame_ids are the plan's
+    stream ids, 1, 2, ... in plan order as make_distractor_stream makes
+    them.  Clean-clean pairs get genuine scene edges; any pair touching a
+    distractor gets geometry from the other scene with inflated noise,
+    hence low calibrated confidence.
 
-    The plan's stream ids run 1, 2, ... in plan order, as
-    make_distractor_stream makes them.  Context edges are emitted a block
-    of frames at a time.  A request that the current block does not hold
-    emits a new one over the asked frame and the _BLOCK - 1 plan
-    positions after it, in one emit_edges call per scene: the asked
-    edges, and into each later position every edge from an asked source
-    or a block position before it.  Later requests gather their rows from
-    the block, so a stream whose context grows only by the frames it has
-    seen emits once per block.  Emission is row-wise, so every row has
-    the bits a per-frame emission gives it.  A block holds at most
+    Context edges are emitted a block of frames at a time.  A request that
+    the current block does not hold emits a new one over the asked frame and
+    the _BLOCK - 1 plan positions after it, in one emit_edges call per
+    scene: the asked edges, and into each later position every edge from an
+    asked source or a block position before it.  Later requests gather their
+    rows from the block, so a stream whose context grows only by the frames
+    it has seen emits once per block.  Emission is row-wise, so every row
+    has the bits a per-frame emission gives it.  A block holds at most
     _BLOCK * (len(context) + _BLOCK) rows, and only the last is kept.
     """
 
@@ -446,7 +437,8 @@ class DistractorStream:
         self.scene = scene
         self.other = other
         self._entries = plan.entries
-        if [e.stream_id for e in plan.entries] != list(range(1, len(plan.entries) + 1)):
+        self.frame_ids = list(range(1, len(plan.entries) + 1))
+        if [e.stream_id for e in plan.entries] != self.frame_ids:
             raise ValueError("plan stream ids must run 1, 2, ... in plan order")
         self._clean = np.array([e.kind == "clean" for e in plan.entries], dtype=bool)
         self._frames = np.array([e.scene_frame for e in plan.entries], dtype=np.int64)
@@ -470,12 +462,12 @@ class DistractorStream:
             raise KeyError(sid)
         return sid - 1
 
-    def token(self, stream_id) -> FrameToken:
+    def emit_token(self, stream_id) -> FrameToken:
         entry = self._entries[self._position(stream_id)]
         source = self.scene if entry.kind == "clean" else self.other
         return source.emit_token(entry.scene_frame).relabel(stream_id)
 
-    def edges(self, context_stream_ids, stream_id) -> EdgeBatch:
+    def emit_edges(self, context_stream_ids, stream_id) -> EdgeBatch:
         """Context edges into stream_id, one row per context id in the
         order given, gathered from the current block or a new one."""
         ctx = list(context_stream_ids)

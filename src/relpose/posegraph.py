@@ -138,6 +138,12 @@ def as_frame_id(i) -> int:
     raise ValueError(f"frame id must be an integer, got {i!r}")
 
 
+def has_bool_id(ids) -> bool:
+    """Whether a sequence of frame ids that is not an array holds a bool,
+    which NumPy reads into an integer array ([1, True] as [1, 1])."""
+    return not isinstance(ids, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, ids))
+
+
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -152,13 +158,12 @@ def _int64_id(i) -> int:
 def _id_array(ids):
     """A new int64 array of a sequence of frame ids.  Ids that make an
     array of a signed integer dtype, or an empty one, are cast, and so are
-    unsigned ones that all fit int64; anything else is checked id by id,
-    so that the first bad id is named, as a plain int if it is one."""
+    unsigned ones that all fit int64, if no bool hides among them; else
+    each is checked, and the first bad id named, a plain int if it is one."""
     a = np.array(ids)
-    if a.dtype.kind == "i" or not a.size:
+    if not a.size or ((a.dtype.kind == "i" or a.dtype.kind == "u" and a.max() <= _INT64_MAX)
+                      and not has_bool_id(ids)):
         return a.astype(np.int64, copy=False)
-    if a.dtype.kind == "u" and a.max() <= _INT64_MAX:
-        return a.astype(np.int64)
     return np.array([_int64_id(i) for i in ids], dtype=np.int64)
 
 

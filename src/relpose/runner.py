@@ -14,12 +14,17 @@ from .stream import (StreamState, check_bridge_length, process_frame,
                      segment_reset)
 
 
-def _bridge_from_state(state, token_fn, length):
-    """Last `length` accepted frames with their poses and tokens."""
-    ids = sorted(state.trajectory)[-length:]
-    if len(ids) < 3:
-        return None
-    return [(fid, state.trajectory[fid], token_fn(fid)) for fid in ids]
+def _feed(source, state, events):
+    """Stream a frame source (see oracle) through state, adding the events
+    to events, and yield each frame id once its frame is done.  A frame
+    is its token, then its context edges in one emission: a live stream
+    cannot emit into frames it has not seen."""
+    for fid in source.frame_ids:
+        token = source.emit_token(fid)
+        ctx = state.context_ids
+        edges = source.emit_edges(ctx, fid) if ctx else []
+        events.extend(process_frame(state, token, edges))
+        yield fid
 
 
 def stream_scene(scene, config, forced_reset_at=None, bridge_len=5):
@@ -32,17 +37,12 @@ def stream_scene(scene, config, forced_reset_at=None, bridge_len=5):
     check_bridge_length(bridge_len)
     state = StreamState(config)
     events = []
-    for fid in scene.frame_ids:
-        token = scene.emit_token(fid)
-        ctx = state.context_ids
-        # one emission per frame: a live stream cannot emit into frames it
-        # has not seen, unlike DistractorStream, whose plan is known ahead
-        edges = scene.emit_edges(ctx, fid) if ctx else []
-        events.extend(process_frame(state, token, edges))
+    for fid in _feed(scene, state, events):
         if state.reset_pending or fid == forced_reset_at:
-            bridge = _bridge_from_state(state, scene.emit_token, bridge_len)
-            if bridge is not None:
-                segment_reset(state, bridge)
+            ids = sorted(state.trajectory)[-bridge_len:]
+            if len(ids) >= 3:
+                segment_reset(state, [(i, state.trajectory[i], scene.emit_token(i))
+                                      for i in ids])
             state.reset_pending = False
     return state, events
 
@@ -102,11 +102,7 @@ def robustness_run(scene, other, n_clean, n_distract, seed, config,
     source = DistractorStream(scene, other, plan, noise_mult=noise_mult)
     state = StreamState(config)
     events = []
-    for entry in plan.entries:
-        token = source.token(entry.stream_id)
-        ctx = state.context_ids
-        edges = source.edges(ctx, entry.stream_id) if ctx else []
-        events.extend(process_frame(state, token, edges))
+    for _ in _feed(source, state, events):
         state.reset_pending = False
     report = metrics.robustness_score(events, plan.entries)
     return report, state, events, plan

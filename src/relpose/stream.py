@@ -21,7 +21,7 @@ one mean_conf array.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,6 @@ class BridgeTooShort(ValueError):
 
 
 class BridgeTooLong(ValueError):
-    pass
-
-
-class NonPositiveDepth(ValueError):
     pass
 
 
@@ -385,21 +381,6 @@ def segment_reset(state: StreamState, bridge):
     state.segment_accepted = len(bridge)
     state.reset_pending = False
     return state
-
-
-def anchor_scale(predicted_depth_summary, metric_depth_summary) -> float:
-    """Per-segment scale from two depth medians: metric / predicted."""
-    if not (0 < predicted_depth_summary < math.inf and 0 < metric_depth_summary < math.inf):
-        raise NonPositiveDepth("depth summaries must be positive and finite")
-    return metric_depth_summary / predicted_depth_summary
-
-
-def scale_trajectory(trajectory, scale):
-    """Apply one positive, finite scalar uniformly to all translations."""
-    if not 0 < scale < math.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    return {fid: replace(p, translation=p.translation * scale)
-            for fid, p in trajectory.items()}
 
 
 def write_event_log(events, path):

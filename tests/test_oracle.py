@@ -388,18 +388,6 @@ class TestTokens:
         assert near > far
 
 
-class TestDepthAnchors:
-    def test_no_jitter_exact(self):
-        s = scene(frames=10, depth_median=2.5)
-        assert s.depth_medians(3) == (2.5, 2.5)
-
-    def test_jitter_perturbs_prediction_only(self):
-        s = scene(frames=10, depth_jitter=0.2)
-        pred, metric = s.depth_medians(3)
-        assert metric == s.config.depth_median
-        assert pred != metric and pred > 0
-
-
 class TestDistractorPlan:
     def make(self, n_clean=20, n_distract=10, seed=1):
         s = scene(seed=2, frames=40)
@@ -465,7 +453,7 @@ class PerRowStream(DistractorStream):
         super().__init__(scene, other, plan, noise_mult=noise_mult)
         self._plan = plan
 
-    def edges(self, context_stream_ids, stream_id):
+    def emit_edges(self, context_stream_ids, stream_id):
         return per_row_edges(self.scene, self.other, self._noisy_other, self._plan,
                              context_stream_ids, stream_id)
 
@@ -486,7 +474,7 @@ class TestDistractorStream:
         a, b = clean[0], clean[3]
         ea = self.plan.entries[a - 1]
         eb = self.plan.entries[b - 1]
-        got = self.stream.edges([a], b)[0]
+        got = self.stream.emit_edges([a], b)[0]
         want = self.scene.emit_edges([ea.scene_frame], eb.scene_frame)[0]
         assert np.array_equal(got.rel_translation, want.rel_translation)
         assert (got.src, got.dst) == (a, b)
@@ -495,13 +483,13 @@ class TestDistractorStream:
         clean = self.ids_of("clean")
         distract = self.ids_of("distractor")
         ctx = clean[:3]
-        lo = np.mean(self.stream.edges(ctx, distract[0]).mean_conf)
-        hi = np.mean(self.stream.edges(ctx, clean[5]).mean_conf)
+        lo = np.mean(self.stream.emit_edges(ctx, distract[0]).mean_conf)
+        hi = np.mean(self.stream.emit_edges(ctx, clean[5]).mean_conf)
         assert lo < 0.15 * hi
 
     def test_tokens_keyed_by_stream_id(self):
         sid = self.ids_of("distractor")[0]
-        tok = self.stream.token(sid)
+        tok = self.stream.emit_token(sid)
         assert tok.id == sid
         entry = self.plan.entries[sid - 1]
         assert np.array_equal(tok.features,
@@ -513,7 +501,7 @@ class TestDistractorStream:
         for entry in self.plan.entries:
             source = self.scene if entry.kind == "clean" else self.other
             scene_token = source.emit_token(entry.scene_frame)
-            tok = self.stream.token(entry.stream_id)
+            tok = self.stream.emit_token(entry.stream_id)
             assert tok.id == entry.stream_id
             fresh = FrameToken(entry.stream_id, scene_token.features)
             assert tok.features.tobytes() == fresh.features.tobytes()
@@ -536,7 +524,7 @@ class TestDistractorStream:
             kinds = {self.plan.entries[c - 1].kind for c in ctx}
             if entry.kind == "clean" and kinds == {"clean", "distractor"}:
                 two_group_clean += 1
-            assert_same_bits(self.stream.edges(ctx, sid), self.per_row(twin, ctx, sid))
+            assert_same_bits(self.stream.emit_edges(ctx, sid), self.per_row(twin, ctx, sid))
         assert two_group_clean > 0
 
     def grow_and_shrink(self):
@@ -553,7 +541,7 @@ class TestDistractorStream:
     def assert_per_row(self, stream, requests):
         twin = self.other.noisier(10.0)
         for ctx, sid in requests:
-            assert_same_bits(stream.edges(ctx, sid), self.per_row(twin, ctx, sid))
+            assert_same_bits(stream.emit_edges(ctx, sid), self.per_row(twin, ctx, sid))
 
     def requests(self, case):
         last = len(self.plan.entries)
@@ -578,8 +566,8 @@ class TestDistractorStream:
     def test_empty_context_gives_an_empty_batch(self):
         empty = EdgeBatch([], [], np.empty((0, 4)), np.empty((0, 3)), [], [])
         for sid in (5, 6, 2, 30, len(self.plan.entries), 6):
-            assert_same_bits(self.stream.edges([], sid), empty)
-        assert_same_bits(self.stream.edges([], 7), self.stream.edges(iter(()), 7))
+            assert_same_bits(self.stream.emit_edges([], sid), empty)
+        assert_same_bits(self.stream.emit_edges([], 7), self.stream.emit_edges(iter(()), 7))
 
     def test_both_scene_groups_in_one_frame(self, monkeypatch):
         sid = self.ids_of("clean")[-1]
@@ -589,7 +577,7 @@ class TestDistractorStream:
         calls = []
         for source in (self.scene, self.stream._noisy_other):
             monkeypatch.setattr(source, "emit_edges", recording(source.emit_edges, calls))
-        assert_same_bits(self.stream.edges(ctx, sid), want)
+        assert_same_bits(self.stream.emit_edges(ctx, sid), want)
         assert len(calls) == 2
 
     def test_unknown_stream_id_raises_key_error(self):
@@ -597,29 +585,30 @@ class TestDistractorStream:
         for ctx, sid in (([1], 0), ([1], last + 1), ([0], 5), ([1, last + 1], 5),
                          ([-1], 5), ([], last + 1), ([1], 2**70)):
             with pytest.raises(KeyError):
-                self.stream.edges(ctx, sid)
-        self.stream.edges([1, 2], 3)          # a block from 3 on
+                self.stream.emit_edges(ctx, sid)
+        self.stream.emit_edges([1, 2], 3)          # a block from 3 on
         with pytest.raises(KeyError):
-            self.stream.edges([1, 2, last + 1], 4)
+            self.stream.emit_edges([1, 2, last + 1], 4)
         for sid in (0, last + 1):
             with pytest.raises(KeyError):
-                self.stream.token(sid)
+                self.stream.emit_token(sid)
 
     def test_ids_that_are_not_integers_raise_value_error(self):
-        self.stream.edges([1, 2], 3)
-        for ctx, sid in (([1, 2], 4.0), ([1, 2.0], 4), ([1.5], 4), ([1], 30.0)):
+        self.stream.emit_edges([1, 2], 3)
+        for ctx, sid in (([1, 2], 4.0), ([1, 2.0], 4), ([1.5], 4), ([1], 30.0),
+                         ([1, True], 4)):
             with pytest.raises(ValueError, match="frame id must be an integer"):
-                self.stream.edges(ctx, sid)
+                self.stream.emit_edges(ctx, sid)
         with pytest.raises(ValueError, match="frame id must be an integer"):
-            self.stream.token(2.0)
+            self.stream.emit_token(2.0)
 
     def test_numpy_ids_give_the_same_bits(self):
         ctx = np.array([1, 3, 2], dtype=np.int64)
-        want = self.stream.edges([1, 3, 2], 4)
+        want = self.stream.emit_edges([1, 3, 2], 4)
         for form in (ctx, ctx.astype(np.uint64), list(ctx)):
             stream = DistractorStream(self.scene, self.other, self.plan, noise_mult=10.0)
-            assert_same_bits(stream.edges(form, np.int64(4)), want)
-            assert_same_bits(self.stream.edges(form, np.uint64(4)), want)
+            assert_same_bits(stream.emit_edges(form, np.int64(4)), want)
+            assert_same_bits(self.stream.emit_edges(form, np.uint64(4)), want)
 
     def test_plan_ids_must_run_from_one_in_order(self):
         entries = self.plan.entries
@@ -636,20 +625,20 @@ class TestDistractorStream:
         clean = [e.stream_id for e in plan.entries if e.kind == "clean"]
         for k, sid in enumerate(clean[1:], start=1):
             stream = DistractorStream(self.scene, short, plan, noise_mult=10.0)
-            assert_same_bits(stream.edges(clean[:k], sid),
+            assert_same_bits(stream.emit_edges(clean[:k], sid),
                              per_row_edges(self.scene, short, twin, plan, clean[:k], sid))
         far = next(e.stream_id for e in plan.entries
                    if e.kind == "distractor" and e.stream_id > clean[25])
         with pytest.raises(UnknownFrame):
-            DistractorStream(self.scene, short, plan).edges(clean[:26], far)
+            DistractorStream(self.scene, short, plan).emit_edges(clean[:26], far)
 
     def test_same_edges_when_the_other_scene_is_a_proxy(self):
         proxied = DistractorStream(self.scene, DelegatingProxy(self.other),
                                    self.plan, noise_mult=10.0)
         for entry in self.plan.entries[1:]:
             ctx = list(range(1, entry.stream_id))
-            assert_same_bits(proxied.edges(ctx, entry.stream_id),
-                             self.stream.edges(ctx, entry.stream_id))
+            assert_same_bits(proxied.emit_edges(ctx, entry.stream_id),
+                             self.stream.emit_edges(ctx, entry.stream_id))
 
     def test_noise_multiplier_below_one_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -703,13 +692,13 @@ class TestRobustnessRunEmission:
         calls, asked = [], []
         monkeypatch.setattr(SyntheticScene, "emit_edges",
                             recording(SyntheticScene.emit_edges, calls))
-        edges = DistractorStream.edges
+        edges = DistractorStream.emit_edges
 
         def asking(stream, ctx, stream_id):
             asked.append(len(ctx))
             return edges(stream, ctx, stream_id)
 
-        monkeypatch.setattr(DistractorStream, "edges", asking)
+        monkeypatch.setattr(DistractorStream, "emit_edges", asking)
         for clean, other, n_distract, seed in self.trials():
             calls.clear()
             asked.clear()
@@ -719,6 +708,26 @@ class TestRobustnessRunEmission:
             blocks = math.ceil(len(asked) / _BLOCK)
             assert len(calls) <= 2 * blocks
             assert sum(calls) <= sum(asked) + _BLOCK ** 2 * blocks
+
+    def test_reset_requests_are_logged_and_ignored(self):
+        # the second trial's plan holds runs of up to seven distractors,
+        # which the gate rejects in a row
+        clean, other, n_distract, seed = list(self.trials())[1]
+        config = StreamConfig()
+        _, state, events, plan = runner.robustness_run(
+            clean, other, 30, n_distract, seed, config)
+        decided = [e for e in events if e.kind in ("Accepted", "Rejected")]
+        assert [e.frame for e in decided] == [e.stream_id for e in plan.entries]
+        # each rejection from the n_rej-th in a row on requests a reset; the
+        # run logs every request and carries out none
+        run, requested = 0, []
+        for e in decided:
+            run = run + 1 if e.kind == "Rejected" else 0
+            if run >= config.n_rej:
+                requested.append(e.frame)
+        assert len(requested) >= 3
+        assert [e.frame for e in events if e.kind == "SegmentReset"] == requested
+        assert state.segment_index == 0
 
 
 class TestPerCallPathRaisesNothing:
@@ -743,7 +752,7 @@ class TestPerCallPathRaisesNothing:
         stream = DistractorStream(clean, other, plan)
         with np.errstate(all="raise"):
             for entry in plan.entries[1:]:
-                stream.edges(list(range(1, entry.stream_id)), entry.stream_id)
+                stream.emit_edges(list(range(1, entry.stream_id)), entry.stream_id)
 
 
 class TestEmitPairs:
@@ -778,13 +787,12 @@ class TestFrameRowRule:
     @pytest.mark.parametrize("form", INTEGER_FORMS)
     @pytest.mark.parametrize("single", SINGLE_FORMS)
     def test_every_integer_form_gives_the_same_rows(self, form, single):
-        s = scene(seed=3, frames=20, conf_jitter=0.2, depth_jitter=0.1)
+        s = scene(seed=3, frames=20, conf_jitter=0.2)
         sources = [4, 1, 20, 9]
         want = reference_edges(s, sources, 12)
         assert_same_bits(s.emit_edges(form(sources), single(12)), want)
         assert_same_bits(s.emit_edges(form(sources), form([12] * 4)), want)
         assert s.noise_scales(single(4), single(12)) == s.noise_scales(4, 12)
-        assert s.depth_medians(single(20)) == s.depth_medians(20)
         token = s.emit_token(single(1))
         assert type(token.id) is int and token.id == 1
         assert token.features.tobytes() == s.emit_token(1).features.tobytes()
@@ -802,7 +810,7 @@ class TestFrameRowRule:
     @pytest.mark.parametrize("single", SINGLE_FORMS)
     def test_unknown_single_id_is_named_as_an_int(self, bad, single):
         s = scene(frames=20)
-        calls = [lambda i: s.emit_token(i), lambda i: s.depth_medians(i),
+        calls = [lambda i: s.emit_token(i),
                  lambda i: s.noise_scales(i, 5), lambda i: s.noise_scales(5, i),
                  lambda i: s.emit_edges([1, 2], i)]
         for call in calls:
@@ -836,7 +844,7 @@ class TestFrameRowRule:
         pytest.param(np.float64(2.0), id="np.float64"), pytest.param(np.True_, id="np.bool")])
     def test_float_or_bool_id_raises(self, bad):
         s = scene(frames=10)
-        calls = [lambda i: s.emit_token(i), lambda i: s.depth_medians(i),
+        calls = [lambda i: s.emit_token(i),
                  lambda i: s.noise_scales(i, 5), lambda i: s.emit_edges([1, 3], i)]
         for call in calls:
             with pytest.raises(UnknownFrame):
@@ -844,6 +852,8 @@ class TestFrameRowRule:
 
     @pytest.mark.parametrize("ids", [
         pytest.param([1.0, True], id="float-and-bool list"),
+        pytest.param([1, True], id="int-and-bool list"),
+        pytest.param([1, np.True_], id="int-and-np.bool list"),
         pytest.param([2.0, 3.0], id="float list"),
         pytest.param(np.array([2.0, 3.0]), id="float array"),
         pytest.param(np.array([True, False]), id="bool array"),

@@ -116,6 +116,8 @@ class TestEdgeBatch:
 
     @pytest.mark.parametrize("src, dst, bad", [
         pytest.param([2.5, True], [3, 3], 2.5, id="float-and-bool src"),
+        pytest.param([1, True], [3, 3], True, id="int-and-bool src"),
+        pytest.param([1, 2], [3, np.True_], np.True_, id="int-and-np.bool dst"),
         pytest.param([1, 2], [3.0, 3.0], 3.0, id="float dst"),
         pytest.param(np.array([1.0, 2.0]), 3, np.float64(1.0), id="float array src"),
         pytest.param(np.array([True, False]), 3, np.True_, id="bool array src"),

@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relpose import runner
-from relpose.geom import Pose, UnitQuaternion, quat_exp
+from relpose.geom import Pose, UnitQuaternion
 from relpose.oracle import OracleConfig, generate_scene
 from relpose.posegraph import EdgeBatch, PoseEdge
 from relpose.stream import (BridgeTooLong, BridgeTooShort,
                             FrameToken, KeyframeBank, MissingContextEdges,
-                            NonMonotoneFrameId, NonPositiveDepth, OutlierGate,
+                            NonMonotoneFrameId, OutlierGate,
                             StreamConfig, StreamEvent, StreamState,
-                            admit_check, anchor_scale, cull, gate_score,
-                            process_frame, scale_trajectory,
+                            admit_check, cull, gate_score, process_frame,
                             segment_reset, write_event_log)
 from conftest import edge_batch
 
@@ -820,34 +819,6 @@ class TestStreamFrameCalls:
         for arrays in seen.values():
             assert all(a is arrays[0] for a in arrays)
             assert not arrays[0].flags.writeable
-
-
-class TestScaleAnchor:
-    def test_ratio(self):
-        assert anchor_scale(2.0, 3.0) == pytest.approx(1.5)
-
-    def test_rejects_nonpositive(self):
-        # non-finite summaries are rejected too: inf gave a scale of 0.0
-        # and nan a scale of nan
-        for bad in (0.0, -2.0, math.inf, -math.inf, math.nan):
-            with pytest.raises(NonPositiveDepth):
-                anchor_scale(bad, 1.0)
-            with pytest.raises(NonPositiveDepth):
-                anchor_scale(1.0, bad)
-
-    def test_scale_trajectory_scales_translations_only(self):
-        traj = {1: Pose(UnitQuaternion(*quat_exp([0, 0, 0.3]).tolist()),
-                        np.array([1.0, 2.0, 3.0]))}
-        scaled = scale_trajectory(traj, 2.0)
-        assert np.allclose(scaled[1].translation, [2, 4, 6])
-        assert scaled[1].rotation == traj[1].rotation
-
-    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
-    def test_scale_trajectory_rejects_nonpositive_or_non_finite(self, scale):
-        # 0.0 collapsed every translation and -1.0 mirrored them
-        traj = {1: Pose(UnitQuaternion.identity(), np.array([1.0, 2.0, 3.0]))}
-        with pytest.raises(ValueError, match="positive and finite"):
-            scale_trajectory(traj, scale)
 
 
 def read_log(path):
