@@ -16,7 +16,8 @@ it.  Every step of an emission is row-wise, so one emit_edges call takes
 either one destination frame or one per source row: offline fusion, the
 all-pair refinement set and `emit_pairs` (which `relpose diag` samples
 through) are each one call, and a DistractorStream emits the context
-edges of _BLOCK frames in one call per scene.
+edges of _BLOCK frames in one call per scene.  An emission's new columns
+and a scene's token rows are checked once, where they are made, not copied.
 
 A scene and a DistractorStream are frame sources, with one protocol that
 the runner's one stream loop reads: frame_ids in stream order,
@@ -39,7 +40,7 @@ import numpy as np
 from .geom import (Pose, UnitQuaternion, quat_apply, quat_exp, quat_multiply,
                    quat_normalize, quat_product, quat_to_matrix)
 from .posegraph import EdgeBatch, as_frame_id, has_bool_id
-from .stream import FrameToken
+from .stream import FrameToken, token_rows
 
 
 class InvalidConfig(ValueError):
@@ -178,7 +179,7 @@ class SyntheticScene:
         self._quats, self._trans = _generate_trajectory(config, rng)
         self.frame_ids = list(range(1, len(self._quats) + 1))
         self._rots = quat_to_matrix(self._quats)
-        self._tokens = _generate_tokens(config, rng, self._trans, self._rots)
+        self._tokens = token_rows(_generate_tokens(config, rng, self._trans, self._rots))
         # per-frame emission constants: pair-key halves, inverse rotations
         rows = np.arange(len(self.frame_ids))
         self._src_keys = _source_keys(self.seed, rows)
@@ -253,12 +254,10 @@ class SyntheticScene:
         si = self._rows(sources)
         if isinstance(ji, np.ndarray) and len(ji) != len(si):
             raise ValueError(f"{len(si)} sources but {len(ji)} destinations")
-        # the temporaries of _noisy_columns are freed before EdgeBatch copies
-        # its columns, so the copies reuse their heap instead of landing
-        # above it: after 159,600 rows the glibc heap is 58 MB, not 92 MB
-        columns = self._noisy_columns(si, ji)
         first = self.frame_ids[0]
-        return EdgeBatch(si + first, ji + first, *columns)
+        dst = ji + first if np.ndim(ji) else np.full(len(si), ji + first, dtype=np.int64)
+        # the ids are new int64 arrays, and so are the columns
+        return EdgeBatch.__new__(EdgeBatch)._adopt(si + first, dst, *self._noisy_columns(si, ji))
 
     def _noisy_columns(self, si, ji):
         """(rotation, translation, conf_rot, conf_trans) of the edges from
@@ -313,7 +312,7 @@ class SyntheticScene:
 
     def emit_token(self, i) -> FrameToken:
         row = self._row(i)
-        return FrameToken(row + self.frame_ids[0], self._tokens[row])
+        return FrameToken._checked(row + self.frame_ids[0], self._tokens[row])
 
 
 def generate_scene(config: OracleConfig, seed: int) -> SyntheticScene:
@@ -426,9 +425,10 @@ class DistractorStream:
     the current block does not hold emits a new one over the asked frame and
     the _BLOCK - 1 plan positions after it, in one emit_edges call per
     scene: the asked edges, and into each later position every edge from an
-    asked source or a block position before it.  Later requests gather their
-    rows from the block, so a stream whose context grows only by the frames
-    it has seen emits once per block.  Emission is row-wise, so every row
+    asked source or a block position before it, labelled with stream ids
+    once.  A request checks its ids and takes its rows from the block, so a
+    stream whose context grows only by the frames it has seen emits once
+    per block.  Emission is row-wise, so every row
     has the bits a per-frame emission gives it.  A block holds at most
     _BLOCK * (len(context) + _BLOCK) rows, and only the last is kept.
     """
@@ -470,13 +470,13 @@ class DistractorStream:
     def emit_edges(self, context_stream_ids, stream_id) -> EdgeBatch:
         """Context edges into stream_id, one row per context id in the
         order given, gathered from the current block or a new one."""
-        ctx = list(context_stream_ids)
         sid = as_frame_id(stream_id)
+        ctx = [s if type(s) is int else as_frame_id(s) for s in context_stream_ids]
         rows = self._block_rows(ctx, sid)
         if rows is None:
             self._emit_block(ctx, sid)
             rows = self._block_rows(ctx, sid)
-        return self._edges.take(rows).relabel(ctx, sid)
+        return self._edges.take(rows)
 
     def _block_rows(self, ctx, sid):
         """The block rows of the edges from ctx into sid, or None when the
@@ -503,19 +503,19 @@ class DistractorStream:
         pairs &= clean | (self._in_other[src] & self._in_other[dst][:, None])
         pairs[0] = np.arange(len(src)) < len(asked)
         k, j = pairs.nonzero()
+        # the clean pairs first, then the cross-scene ones
+        order = np.argsort(~clean[k, j], kind="stable")
+        k, j = k[order], j[order]
         clean = clean[k, j]
         a, b = self._frames[src[j]], self._frames[dst[k]]
         # cross-scene pair: geometry is unrelated to the clean trajectory
         # and the oracle knows it is unreliable; a self-pair moves on by one
         b = np.where(clean | (a != b), b, a % len(self.other.frame_ids) + 1)
-        # the clean pairs first, then the cross-scene ones
-        order = np.argsort(~clean, kind="stable")
         n = np.count_nonzero(clean)
-        edges = self.scene.emit_edges(a[order[:n]], b[order[:n]])
-        if n < len(order):
-            cross = self._noisy_other.emit_edges(a[order[n:]], b[order[n:]])
-            edges = EdgeBatch.concat([edges, cross])
+        edges = self.scene.emit_edges(a[:n], b[:n])
+        if n < len(a):
+            edges = EdgeBatch.concat([edges, self._noisy_other.emit_edges(a[n:], b[n:])])
         table = np.full((len(dst), len(src) + 1), -1, dtype=np.int64)
-        table[k[order], j[order]] = np.arange(len(order))
-        self._first, self._table, self._edges = sid, table, edges
+        table[k, j] = np.arange(len(k))
+        self._first, self._table, self._edges = sid, table, edges.relabel(src[j] + 1, dst[k] + 1)
         self._columns = {s: col for col, s in enumerate((src + 1).tolist())}

@@ -50,19 +50,23 @@ class EdgeBatch:
 
     The constructor is the boundary: it normalizes the rotations (as
     UnitQuaternion does) and rejects ids that are not integers (see
-    as_frame_id), self-loops and non-finite or non-positive values.  Rows
-    taken from batches that were checked already are not checked or
-    normalized again.  The arrays are read-only, mean_conf too, which is
-    computed on first use and kept; len() and indexing work row-wise, a
-    row being a PoseEdge (iteration goes through indexing).
+    as_frame_id), self-loops and non-finite or non-positive values.  The
+    oracle runs these checks on its new arrays without copying them
+    (_adopt).  Rows taken from checked batches (take, concat, relabel) are
+    not checked or normalized again, but for relabel's new ids.  The arrays
+    are read-only, mean_conf too, which is computed on first use and kept;
+    len() and indexing work row-wise, a row being a PoseEdge (iteration
+    goes through indexing).
     """
 
     _COLUMNS = ("src", "dst", "rotation", "translation", "conf_rot", "conf_trans")
 
     def __init__(self, src, dst, rotation, translation, conf_rot, conf_trans):
-        src, dst = _ids(src, dst)
-        rotation, translation, conf_rot, conf_trans = (
-            np.array(a, dtype=float) for a in (rotation, translation, conf_rot, conf_trans))
+        self._adopt(*_ids(src, dst), *(np.array(a, dtype=float) for a in (
+            rotation, translation, conf_rot, conf_trans)))
+
+    def _adopt(self, src, dst, rotation, translation, conf_rot, conf_trans):
+        """Check and adopt six new, unshared arrays of the column dtypes."""
         self._set(src, dst, rotation, translation, conf_rot, conf_trans)
         if not np.isfinite(translation).all():
             raise ValueError("translation must be finite")
@@ -72,6 +76,7 @@ class EdgeBatch:
             raise ValueError("confidences must be positive and finite")
         self.rotation = quat_normalize(rotation)
         self.rotation.setflags(write=False)
+        return self
 
     def _set(self, *columns):
         """Adopt six arrays as the columns, read-only from here on; only
@@ -101,8 +106,15 @@ class EdgeBatch:
                               for name in cls._COLUMNS))
 
     def take(self, rows):
-        """The batch of the given rows, in that order."""
-        return self._checked(*(getattr(self, name)[rows] for name in self._COLUMNS))
+        """The batch of the given rows (a 1-D index or a slice), in that
+        order, unchecked: they keep this batch's shapes and distinct ends."""
+        batch = self.__new__(type(self))
+        for name in self._COLUMNS:
+            a = getattr(self, name)[rows]
+            a.setflags(write=False)
+            setattr(batch, name, a)
+        batch._mean_conf = None
+        return batch
 
     def relabel(self, src, dst):
         """The same edges with new endpoint ids."""

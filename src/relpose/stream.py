@@ -76,24 +76,37 @@ class FrameToken:
 
     def __post_init__(self):
         object.__setattr__(self, "id", as_frame_id(self.id))
-        f = np.asarray(self.features, dtype=float)
+        f = np.array(self.features, dtype=float)
         if f.ndim != 1:
             raise ValueError("token features must be a 1-D array")
-        # the formula np.linalg.norm applies to a 1-D array, without its wrapper
-        n = math.sqrt(f.dot(f))
-        if not 1e-12 <= n < math.inf:
-            raise ValueError("token features must be finite and nonzero")
-        f = f / n if abs(n - 1.0) > 1e-9 else np.array(f)
-        f.setflags(write=False)
-        object.__setattr__(self, "features", f)
+        object.__setattr__(self, "features", token_rows(f[None])[0])
+
+    @classmethod
+    def _checked(cls, frame_id: int, features):
+        """A token of an int id and of read-only, checked token_rows."""
+        token = object.__new__(cls)
+        object.__setattr__(token, "id", frame_id)
+        object.__setattr__(token, "features", features)
+        return token
 
     def relabel(self, frame_id):
-        """The same token under another frame id, sharing the read-only
-        features, which were checked already."""
-        token = object.__new__(FrameToken)
-        object.__setattr__(token, "id", as_frame_id(frame_id))
-        object.__setattr__(token, "features", self.features)
-        return token
+        """The same token under another frame id, sharing the features."""
+        return self._checked(as_frame_id(frame_id), self.features)
+
+
+def token_rows(rows):
+    """A new 2-D float array, which nothing else holds, of token features,
+    one per row, made read-only: every row must be finite and nonzero, and
+    a row whose norm is more than 1e-9 off 1 is divided by it in place."""
+    # the formula np.linalg.norm applies to a 1-D array, row by row
+    n = np.sqrt([row.dot(row) for row in rows])
+    # min/max propagate NaN, which fails the comparisons
+    if not (n.min(initial=1.0) >= 1e-12 and n.max(initial=1.0) < math.inf):
+        raise ValueError("token features must be finite and nonzero")
+    far = np.abs(n - 1.0) > 1e-9
+    rows[far] /= n[far, None]
+    rows.setflags(write=False)
+    return rows
 
 
 class KeyframeBank:

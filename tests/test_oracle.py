@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relpose import runner
+from relpose import oracle, runner
 from relpose.geom import quat_exp, quat_product, quat_to_matrix
 from relpose.oracle import (_BLOCK, DistractorPlan, DistractorStream, InvalidConfig,
                             InvalidCounts, OracleConfig, SyntheticScene,
@@ -893,3 +893,133 @@ class TestFrameRowRule:
         s = scene(frames=10)
         with pytest.raises(ValueError, match="must be 1-D"):
             s.emit_edges(ids, 5)
+
+
+def counting(function, calls):
+    """function, recording each call by its name in calls."""
+    def wrapped(*args, **kwargs):
+        calls.append(function.__name__)
+        return function(*args, **kwargs)
+    return wrapped
+
+
+class TestEachCheckRunsOnce:
+    """What the oracle computes is checked once, where it is made: no
+    stream frame enters the checking EdgeBatch constructor or FrameToken's
+    check, and a distractor stream labels a block once, not each frame."""
+
+    def count(self, monkeypatch):
+        calls = []
+        for owner, name in ((EdgeBatch, "__init__"), (EdgeBatch, "relabel"),
+                            (FrameToken, "__post_init__"),
+                            (DistractorStream, "_emit_block")):
+            monkeypatch.setattr(owner, name, counting(getattr(owner, name), calls))
+        return calls
+
+    @pytest.mark.parametrize("config", ROBUST_CONFIGS)
+    def test_robustness_run_labels_each_block_once(self, monkeypatch, config):
+        calls = self.count(monkeypatch)
+        for clean, other, n_distract, seed in TestRobustnessRunEmission().trials():
+            calls.clear()
+            _, _, _, plan = runner.robustness_run(clean, other, 30, n_distract, seed, config)
+            blocks = calls.count("_emit_block")
+            assert 0 < blocks <= math.ceil((len(plan.entries) - 1) / _BLOCK)
+            assert calls.count("relabel") == blocks
+            assert calls.count("__init__") == calls.count("__post_init__") == 0
+
+    def test_stream_scene_builds_no_checked_batch_or_token(self, monkeypatch):
+        s = scene(seed=4, frames=120)
+        calls = self.count(monkeypatch)
+        state, events = runner.stream_scene(s, StreamConfig(m_max=10), forced_reset_at=60)
+        assert state.segment_index == 1 and len(state.trajectory) == 120
+        assert calls == []
+
+    def planted(self, monkeypatch, column, row, value):
+        """A scene whose emissions carry value at row of a _noisy_columns
+        column, and the message EdgeBatch gives those columns."""
+        s = scene(seed=8, frames=30)
+        columns = [np.array(c) for c in s._noisy_columns(np.arange(4), 9)]
+        columns[column][row] = value
+        with pytest.raises(ValueError) as info:
+            EdgeBatch([1, 2, 3, 4], 10, *columns)
+        noisy_columns = SyntheticScene._noisy_columns
+
+        def planting(scene, si, ji):
+            columns = noisy_columns(scene, si, ji)
+            columns[column][row] = value
+            return columns
+
+        monkeypatch.setattr(SyntheticScene, "_noisy_columns", planting)
+        return s, str(info.value)
+
+    @pytest.mark.parametrize("column, row, value", [
+        pytest.param(1, (2, 1), math.nan, id="NaN translation"),
+        pytest.param(2, 1, 0.0, id="zero confidence"),
+        pytest.param(3, 3, math.inf, id="inf confidence"),
+        pytest.param(0, 0, 0.0, id="zero rotation row"),
+    ])
+    def test_emission_checks_the_columns_it_computed(self, monkeypatch, column, row, value):
+        s, message = self.planted(monkeypatch, column, row, value)
+        for call in (lambda: s.emit_edges([1, 2, 3, 4], 10),
+                     lambda: s.emit_edges([1, 2, 3, 4], [10, 10, 10, 10]),
+                     lambda: s.emit_pairs([(1, 10), (2, 10), (3, 10), (4, 10)])):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    def tokens_with(self, monkeypatch, row, value):
+        generate = oracle._generate_tokens
+        raw = []
+
+        def planting(*args):
+            tokens = generate(*args)
+            tokens[row] = value(tokens[row])
+            raw.append(tokens.copy())
+            return tokens
+
+        monkeypatch.setattr(oracle, "_generate_tokens", planting)
+        return raw
+
+    @pytest.mark.parametrize("value", [lambda r: r * math.nan, lambda r: r * 0.0],
+                             ids=["NaN row", "zero row"])
+    def test_a_bad_token_row_fails_the_scene(self, monkeypatch, value):
+        self.tokens_with(monkeypatch, 5, value)
+        with pytest.raises(ValueError, match="token features must be finite and nonzero"):
+            scene(seed=3, frames=20)
+
+    def test_token_rows_have_the_bits_of_a_frame_token(self, monkeypatch):
+        raw = self.tokens_with(monkeypatch, 5, lambda r: r * 2.0)
+        s = scene(seed=3, frames=20)
+        assert np.linalg.norm(raw[0][5]) == pytest.approx(2.0)
+        for fid, row in zip(s.frame_ids, raw[0]):
+            token = s.emit_token(fid)
+            assert token.id == fid
+            assert token.features.tobytes() == FrameToken(fid, row).features.tobytes()
+
+    def test_adopted_arrays_alias_nothing(self):
+        # without noise, _noisy_columns hands the true relative poses on
+        # as they are, so nothing but the adopting itself copies them
+        s = scene(seed=6, frames=40, family="circle", base_rot_noise=0.0,
+                  base_trans_noise=0.0)
+        other = scene(seed=61, frames=40, base_rot_noise=0.0, base_trans_noise=0.0)
+        plan = make_distractor_stream(s, other, 30, 8, 2)
+        stream = DistractorStream(s, other, plan)
+        ids = np.array(s.frame_ids, dtype=np.int64)
+        batches = [s.emit_edges([1, 5, 3], 9), s.emit_edges([1, 5, 3], 9),
+                   s.emit_edges(ids[:-1], ids[1:]), s.emit_pairs([(2, 7), (7, 2)]),
+                   stream.emit_edges([1, 2, 3], 4), stream.emit_edges([1, 2, 3, 4], 5),
+                   stream.emit_edges([1, 2], 3)]
+        held = [a for source in (s, other) for a in vars(source).values()
+                if isinstance(a, np.ndarray)]
+        for k, batch in enumerate(batches):
+            for name in EdgeBatch._COLUMNS:
+                column = getattr(batch, name)
+                assert not column.flags.writeable, name
+                with pytest.raises(ValueError):
+                    column[0] = 0
+                others = held + [getattr(b, n) for b in batches[:k] for n in EdgeBatch._COLUMNS]
+                assert not any(np.shares_memory(column, a) for a in others), name
+        for token in (s.emit_token(3), stream.emit_token(4), other.emit_token(7)):
+            assert not token.features.flags.writeable
+            with pytest.raises(ValueError):
+                token.features[0] = 0.0
