@@ -228,7 +228,9 @@ def main(argv=None):
         cfg = _apply_overrides(cfg, args)
         out_dir = cfg.resolved_out_dir()
         os.makedirs(out_dir, exist_ok=True)
-        _write_manifest(out_dir, args.command, cfg, cfg.seed)
+        # eval reads only rpe_delta, so its manifest hashes nothing else
+        run = RunConfig(rpe_delta=cfg.rpe_delta) if args.command == "eval" else cfg
+        _write_manifest(out_dir, args.command, run, run.seed)
         if args.command == "stream":
             return cmd_stream(cfg, out_dir)
         if args.command == "offline":

@@ -67,9 +67,13 @@ class RefinementProblem:
 # Levenberg-Marquardt damping: each iteration solves
 # (H + lam * diag(max(diag H, _DIAG_FLOOR))) dx = -g.  The floor keeps the
 # system solvable when no edge constrains a parameter (an isolated node).
-_LAMBDA_INIT = 1e-3
-_LAMBDA_UP = 10.0      # after a rejected step
-_LAMBDA_DOWN = 0.1     # after an accepted step
+# lam follows Madsen, Nielsen & Tingleff (2004, section 3.2) and Nielsen
+# ("Damping parameter in Marquardt's method", 1999).  It starts at tau =
+# 1e-6, theirs for an x0 that is a good approximation, as a fused one is.
+# An accepted step scales it by max(1/3, 1 - (2 rho - 1)^3), rho = actual
+# / predicted decrease (1/3 when the model holds, so f's rounding does not
+# enter), and sets nu = 2; a rejected one scales it by nu, then nu *= 2.
+_LAMBDA_INIT = 1e-6
 _LAMBDA_MIN = 1e-12
 _DIAG_FLOOR = 1e-9
 # Converged when a trial step's predicted decrease is at most _RTOL
@@ -345,7 +349,8 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
     or at "max_iters" after max_iters accepted steps; a problem without
     edges stops at "trivial".  The initialization and every accepted
     iterate that does not stop are linearized once; evaluations counts
-    the objective at the initialization and at each trial step.  Each
+    the objective at the initialization and at each trial step.  The
+    damping follows the gain-ratio schedule above _LAMBDA_INIT.  Each
     trial step's residual pass is computed once: when the step is taken,
     the linearization at the new iterate starts from that pass; when it
     is rejected, the pass is dropped before the next damped solve.
@@ -357,7 +362,7 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
     ws = _Workspace(problem)
     x = ws.initial_params()
     f0, g, H = ws.objective_and_gradient(x, hessian=True)
-    f, evaluations, iterations, lam = f0, 1, 0, _LAMBDA_INIT
+    f, evaluations, iterations, lam, nu = f0, 1, 0, _LAMBDA_INIT, 2.0
     stop = None
     while True:
         if np.max(np.abs(g)) < grad_tol:
@@ -380,12 +385,15 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
             f_new = ws.objective(x + dx)
             evaluations += 1
             if f_new <= f:
+                if stop is None:        # then predicted > 0: rho is defined
+                    rho = (f - f_new) / predicted
+                    lam = max(lam * max(1 / 3, 1 - (2 * rho - 1) ** 3), _LAMBDA_MIN)
+                    nu = 2.0
                 x, f = x + dx, f_new
                 iterations += 1
-                lam = max(lam * _LAMBDA_DOWN, _LAMBDA_MIN)
                 break
             ws.drop_pass()
-            lam *= _LAMBDA_UP
+            lam, nu = lam * nu, 2 * nu
         if stop is not None:
             break
         _, g, H = ws.objective_and_gradient(x, hessian=True)   # refills H

@@ -361,6 +361,22 @@ class TestEvalCommand:
         first = open(os.path.join(out, "report.txt")).read().splitlines()[0]
         assert float(first.split()[1]) < 1e-9
 
+    def test_manifest_hashes_only_what_eval_reads(self, tmp_path, rng):
+        # eval reads rpe_delta alone: config it never reads leaves its
+        # manifest unchanged, and rpe_delta changes it
+        p = str(tmp_path / "t.tum")
+        io.write_tum({i: random_pose(rng) for i in range(1, 6)}, p)
+        manifests = []
+        for k, text in enumerate(["", "oracle:\n  frames: 60\n",
+                                  "refine:\n  max_iters: 7\nseed: 5\n",
+                                  "rpe_delta: 2\n"]):
+            cfg, out = tmp_path / f"{k}.yaml", tmp_path / f"out{k}"
+            cfg.write_text(text)
+            assert main(["eval", "--config", str(cfg), "--out", str(out), p, p]) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1] == manifests[2] != manifests[3]
+        assert json.loads(manifests[0])["config_hash"] == config_hash(RunConfig())
+
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path):

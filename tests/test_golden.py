@@ -13,7 +13,8 @@ an artifact on purpose re-records the file,
 
     RELPOSE_RECORD_GOLDEN=1 python -m pytest tests/test_golden.py
 
-and names each changed artifact, and why it changed, in CHANGES.md.
+which lists the changed digest keys in its skip message; name each of
+them, and why it changed, in CHANGES.md.
 """
 
 import contextlib
@@ -83,19 +84,24 @@ def golden_runs(tmp):
     return digests
 
 
+def differing(want, got):
+    """The keys, sorted, whose digests differ or that only one side has."""
+    return sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+
+
 def test_cli_artifacts_match_the_golden_digests(tmp_path):
     build = current_build()
     if os.environ.get("RELPOSE_RECORD_GOLDEN"):
         digests = golden_runs(tmp_path)
+        old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
         GOLDEN.write_text(json.dumps({"build": build, "digests": digests},
                                      indent=1, sort_keys=True) + "\n")
-        pytest.skip(f"recorded {len(digests)} digests in {GOLDEN.name}")
+        changed = differing(old, digests)
+        pytest.skip(f"recorded {len(digests)} digests in {GOLDEN.name}; "
+                    f"{len(changed)} changed: {changed}")
     golden = json.loads(GOLDEN.read_text())
     if golden["build"] != build:
         pytest.skip(f"digests recorded on build {golden['build']}, "
                     f"this is build {build}")
-    digests = golden_runs(tmp_path)
-    want = golden["digests"]
-    differ = sorted(k for k in want.keys() | digests.keys()
-                    if want.get(k) != digests.get(k))
+    differ = differing(golden["digests"], golden_runs(tmp_path))
     assert not differ, f"{len(differ)} artifacts differ from {GOLDEN.name}: {differ}"

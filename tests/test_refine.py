@@ -12,8 +12,8 @@ from relpose.metrics import edge_errors
 from relpose.oracle import OracleConfig, generate_scene
 from relpose.posegraph import (EdgeBatch, PoseEdge, compose_candidate,
                                fuse_candidates)
-from relpose.refine import (RefinementProblem, _huber_weights, _sums, _Workspace,
-                            _vee_trace, huber, solve)
+from relpose.refine import (_DIAG_FLOOR, RefinementProblem, _huber_weights, _sums,
+                            _Workspace, _vee_trace, huber, solve)
 from relpose.runner import (all_pair_edges, offline_trajectory,
                             refine_trajectory)
 from conftest import angle_deg, edge_batch, random_pose, random_quat, relative_pose
@@ -584,6 +584,56 @@ class TestLevenbergMarquardt:
         f = results[0].final_objective
         for r in results[1:]:
             assert abs(r.final_objective - f) <= 1e-12 * f
+
+    @pytest.mark.parametrize("frames, seed, final", [
+        (30, 0, 18.861126259772142), (30, 1009, 18.623532780913678),
+        (100, 0, 352.2568372374435), (100, 1009, 351.60200296731716)])
+    def test_fused_start_converges_in_three_linearizations(self, frames, seed, final):
+        # a fused trajectory is a good start: damping from tau = 1e-6 takes
+        # the near Gauss-Newton steps at once.  final is the objective that
+        # the earlier 1e-3, x0.1/x10 schedule reached in 4 iterations and 5
+        # evaluations
+        result = solve(oracle_problem(frames, seed))
+        assert (result.stop_reason, result.iterations, result.evaluations) == ("ftol", 3, 4)
+        assert abs(result.final_objective - final) <= 1e-10 * final
+
+    def test_damping_follows_the_gain_ratio_schedule(self, monkeypatch):
+        # trials 1-3 and 5 are forced to be rejected; the damping of each
+        # solve is read off the damped diagonal handed to np.linalg.solve
+        # against the diagonal of the latest linearization
+        diags, lams, trials = [], [], [0]
+        lin, obj, lu_solve = (_Workspace.objective_and_gradient,
+                              _Workspace.objective, np.linalg.solve)
+
+        def traced_lin(self, x, hessian=False):
+            out = lin(self, x, hessian)
+            diags.append(np.diag(out[2]).copy())
+            return out
+
+        def rejecting(self, x):
+            trials[0] += 1
+            f = obj(self, x)
+            return math.inf if trials[0] in (1, 2, 3, 5) else f
+
+        def traced_solve(a, b):
+            lam = (np.diag(a) - diags[-1]) / np.maximum(diags[-1], _DIAG_FLOOR)
+            assert np.allclose(lam, lam[0], rtol=1e-6, atol=0)
+            lams.append(lam[0])
+            return lu_solve(a, b)
+
+        monkeypatch.setattr(_Workspace, "objective_and_gradient", traced_lin)
+        monkeypatch.setattr(_Workspace, "objective", rejecting)
+        monkeypatch.setattr(np.linalg, "solve", traced_solve)
+        result = solve(oracle_problem(30))
+        assert result.converged and len(lams) >= 6
+        # three rejections in a row: x2, x4, x8; trial 4 is accepted, and the
+        # next rejection starts again at x2
+        growth = [lams[1] / lams[0], lams[2] / lams[1], lams[3] / lams[2],
+                  lams[5] / lams[4]]
+        assert growth == pytest.approx([2, 4, 8, 2], rel=1e-6)
+        assert lams[0] == pytest.approx(1e-6, rel=1e-6)
+        # the accepted step, well modelled, cuts the damping by 3
+        assert lams[4] / lams[3] == pytest.approx(1 / 3, rel=1e-6)
 
     def test_iteration_limit_is_reported(self):
         result = solve(oracle_problem(30), max_iters=1)
