@@ -21,10 +21,11 @@ from .runner import (offline_trajectory, refine_trajectory, robustness_run,
 from .stream import write_event_log
 
 
-def _write_manifest(out_dir, command, cfg: RunConfig, seed):
+def _write_manifest(out_dir, command, cfg: RunConfig):
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump({"command": command, "config_hash": config_hash(cfg),
-                   "seed": seed, "version": __version__}, f,
+                   "seed": cfg.seed, "version": __version__}, f,
                   indent=2, sort_keys=True)
         f.write("\n")
 
@@ -165,13 +166,13 @@ def cmd_diag(cfg: RunConfig, out_dir, assert_monotone=False):
 
 
 def cmd_eval(cfg: RunConfig, out_dir, est_path, ref_path):
-    estimated = io.read_tum(est_path)
-    reference = io.read_tum(ref_path)
-    common = set(estimated) & set(reference)
-    estimated = {k: v for k, v in estimated.items() if k in common}
-    reference = {k: v for k, v in reference.items() if k in common}
-    report = metrics.trajectory_report(estimated, reference,
+    est, ref = io.read_tum(est_path), io.read_tum(ref_path)
+    report = metrics.trajectory_report({k: v for k, v in est.items() if k in ref},
+                                       {k: v for k, v in ref.items() if k in est},
                                        rpe_delta=cfg.rpe_delta)
+    # written once both files are read and scored, so bad input writes
+    # nothing; the manifest hashes rpe_delta, the one field eval reads
+    _write_manifest(out_dir, "eval", RunConfig(rpe_delta=cfg.rpe_delta))
     _write_report(out_dir, "report", report)
     print(f"eval: ate_rmse={report.ate_rmse:.6g} rpe_t={report.rpe_t:.6g} "
           f"rpe_r={report.rpe_r:.6g}")
@@ -227,10 +228,9 @@ def main(argv=None):
         cfg = load_config(args.config) if args.config else RunConfig()
         cfg = _apply_overrides(cfg, args)
         out_dir = cfg.resolved_out_dir()
-        os.makedirs(out_dir, exist_ok=True)
-        # eval reads only rpe_delta, so its manifest hashes nothing else
-        run = RunConfig(rpe_delta=cfg.rpe_delta) if args.command == "eval" else cfg
-        _write_manifest(out_dir, args.command, run, run.seed)
+        if args.command == "eval":
+            return cmd_eval(cfg, out_dir, args.estimated, args.reference)
+        _write_manifest(out_dir, args.command, cfg)
         if args.command == "stream":
             return cmd_stream(cfg, out_dir)
         if args.command == "offline":
@@ -239,8 +239,6 @@ def main(argv=None):
             return cmd_robust(cfg, out_dir)
         if args.command == "diag":
             return cmd_diag(cfg, out_dir, assert_monotone=args.assert_monotone)
-        if args.command == "eval":
-            return cmd_eval(cfg, out_dir, args.estimated, args.reference)
         raise ValueError(f"unknown command {args.command!r}")
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -306,9 +306,13 @@ class SyntheticScene:
         return q_noisy, t_noisy, conf_r, conf_t
 
     def emit_pairs(self, pairs) -> EdgeBatch:
-        """Edges for (src, dst) pairs, one row per pair in the order given."""
-        pairs = np.asarray(pairs).reshape(-1, 2)
-        return self.emit_edges(pairs[:, 0], pairs[:, 1])
+        """Edges for (src, dst) pairs, one row per pair in the order given.
+        Each pair holds exactly two ids, passed to emit_edges as given."""
+        try:
+            src, dst = zip(*pairs, strict=True) if len(pairs) else ((), ())
+        except (TypeError, ValueError):
+            raise ValueError("each pair must hold exactly two frame ids") from None
+        return self.emit_edges(src, dst)
 
     def emit_token(self, i) -> FrameToken:
         row = self._row(i)

@@ -32,15 +32,10 @@ class PoseEdge:
     conf_trans: float
 
     def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError("edge endpoints must differ")
-        if not (0 < self.conf_rot < math.inf and 0 < self.conf_trans < math.inf):
-            raise ValueError("confidences must be positive and finite")
-        t = np.array(self.rel_translation, dtype=float)
-        if not all(map(math.isfinite, t.ravel().tolist())):
-            raise ValueError("translation must be finite")
-        t.setflags(write=False)
-        object.__setattr__(self, "rel_translation", t)
+        # checked by EdgeBatch's rule, as the one-row batch of these fields
+        row = EdgeBatch([self.src], [self.dst], [self.rel_rotation.as_array()],
+                        [self.rel_translation], [self.conf_rot], [self.conf_trans])
+        object.__setattr__(self, "rel_translation", row.translation[0])
 
 
 class EdgeBatch:
@@ -79,8 +74,8 @@ class EdgeBatch:
         return self
 
     def _set(self, *columns):
-        """Adopt six arrays as the columns, read-only from here on; only
-        their shapes and the endpoints are checked."""
+        """Adopt six arrays as the columns, read-only from here on, and
+        return the batch; only their shapes and the endpoints are checked."""
         n = len(columns[0])
         for name, a, tail in zip(self._COLUMNS, columns,
                                  ((), (), (4,), (3,), (), ())):
@@ -91,19 +86,13 @@ class EdgeBatch:
         self._mean_conf = None
         if (self.src == self.dst).any():
             raise ValueError("edge endpoints must differ")
-
-    @classmethod
-    def _checked(cls, *columns):
-        """A batch of rows that were checked and normalized already."""
-        batch = cls.__new__(cls)
-        batch._set(*columns)
-        return batch
+        return self
 
     @classmethod
     def concat(cls, batches):
         """The rows of several batches, in order, as one batch."""
-        return cls._checked(*(np.concatenate([getattr(b, name) for b in batches])
-                              for name in cls._COLUMNS))
+        return cls.__new__(cls)._set(*(np.concatenate([getattr(b, name) for b in batches])
+                                       for name in cls._COLUMNS))
 
     def take(self, rows):
         """The batch of the given rows (a 1-D index or a slice), in that
@@ -118,8 +107,8 @@ class EdgeBatch:
 
     def relabel(self, src, dst):
         """The same edges with new endpoint ids."""
-        return self._checked(*_ids(src, dst), self.rotation, self.translation,
-                             self.conf_rot, self.conf_trans)
+        return self.__new__(type(self))._set(*_ids(src, dst), self.rotation, self.translation,
+                                             self.conf_rot, self.conf_trans)
 
     @property
     def mean_conf(self):

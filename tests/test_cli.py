@@ -418,6 +418,23 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("estimated, message", [
+        pytest.param(None, "error: [Errno 2] No such file or directory", id="missing file"),
+        pytest.param("1 x 0 0 0 0 0 1\n",
+                     "error: could not convert string to float: 'x'", id="malformed line"),
+        pytest.param("1 0 0 0 0 0 0 1\n2 1 0 0 0 0 0 1\n",
+                     "error: need at least 3 poses", id="two common poses"),
+    ])
+    def test_invalid_eval_input_writes_nothing(self, tmp_path, capsys, rng,
+                                               estimated, message):
+        ref, est, out = tmp_path / "ref.tum", tmp_path / "est.tum", tmp_path / "out"
+        io.write_tum({i: random_pose(rng) for i in range(1, 6)}, str(ref))
+        if estimated is not None:
+            est.write_text(estimated)
+        assert main(["eval", "--out", str(out), str(est), str(ref)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     def test_eval_reports_a_non_finite_timestamp(self, tmp_path, capsys):
         path = tmp_path / "t.tum"
         path.write_text("inf 0 0 0 0 0 0 1\n")

@@ -769,6 +769,34 @@ class TestEmitPairs:
         assert_same_bits(s.emit_pairs([(3, 7), (1, 7), (9, 7)]), s.emit_edges([3, 1, 9], 7))
         assert len(s.emit_pairs([])) == 0
 
+    @pytest.mark.parametrize("pairs, bad", [
+        pytest.param([(2, True)], True, id="bool dst"),
+        pytest.param([(np.True_, 2)], np.True_, id="np.bool src"),
+        pytest.param([(1, 2), (3, 4.0)], 4.0, id="float dst"),
+    ])
+    def test_ids_reach_emit_edges_as_given(self, pairs, bad):
+        # NumPy would read True as 1 and 4.0 as 4 in an array of the pairs
+        s = scene(frames=10)
+        with pytest.raises(UnknownFrame) as info:
+            s.emit_pairs(pairs)
+        assert info.value.args == (bad,) and type(info.value.args[0]) is type(bad)
+
+    def test_an_array_of_pairs_is_read_row_by_row(self):
+        s = scene(frames=10)
+        assert_same_bits(s.emit_pairs(np.array([[2, 7], [9, 4]], dtype=np.int32)),
+                         s.emit_pairs([(2, 7), (9, 4)]))
+
+    @pytest.mark.parametrize("pairs", [
+        pytest.param([1, 2, 3, 4], id="flat ids"),
+        pytest.param(np.array([1, 2, 3, 4]), id="flat id array"),
+        pytest.param([(1, 2, 3)], id="three ids"),
+        pytest.param([(1, 2), (3,)], id="one id"),
+        pytest.param(np.ones((2, 3), dtype=np.int64), id="rows of three"),
+    ])
+    def test_a_pair_holds_exactly_two_ids(self, pairs):
+        with pytest.raises(ValueError, match="^each pair must hold exactly two frame ids$"):
+            scene(frames=10).emit_pairs(pairs)
+
 
 INTEGER_FORMS = [
     pytest.param(list, id="list"),

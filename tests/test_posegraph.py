@@ -55,6 +55,36 @@ class TestPoseEdge:
             edge(1, 2, t=(0.0, 0.0, value))
 
 
+class TestPoseEdgeIsAOneRowBatch:
+    @pytest.mark.parametrize("src, dst, t, message", [
+        pytest.param(1.5, 2, (0, 0, 0), "frame id must be an integer, got 1.5", id="float src"),
+        pytest.param(True, 2, (0, 0, 0), "frame id must be an integer, got True", id="bool src"),
+        pytest.param(1, 2.0, (0, 0, 0), "frame id must be an integer, got 2.0", id="float dst"),
+        pytest.param(1, np.True_, (0, 0, 0), f"frame id must be an integer, got {np.True_!r}",
+                     id="np.bool dst"),
+        pytest.param(1, 2, (0, 0), "translation must have shape (1, 3)", id="2-vector"),
+        pytest.param(1, 2, (0, 0, 0, 0), "translation must have shape (1, 3)", id="4-vector"),
+        pytest.param(1, 2, [[0, 0, 0]], "translation must have shape (1, 3)", id="1x3 matrix"),
+    ])
+    def test_raises_what_the_edge_batch_of_its_fields_raises(self, src, dst, t, message):
+        q = UnitQuaternion.identity()
+        with pytest.raises(ValueError) as batch_error:
+            EdgeBatch([src], [dst], [q.as_array()], [t], [1.0], [1.0])
+        assert str(batch_error.value) == message
+        with pytest.raises(ValueError) as edge_error:
+            PoseEdge(src, dst, q, np.array(t, dtype=float), 1.0, 1.0)
+        assert type(edge_error.value) is type(batch_error.value)
+        assert str(edge_error.value) == message
+
+    def test_keeps_a_read_only_copy_of_the_translation(self):
+        t = np.array([1.0, 2.0, 3.0])
+        e = edge(np.int64(1), 2, t=t)
+        t[0] = 9.0
+        assert e.rel_translation.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            e.rel_translation[0] = 0.0
+
+
 def batch_columns(n=5, seed=0):
     rng = np.random.default_rng(seed)
     return (list(range(1, n + 1)), 0, rng.normal(size=(n, 4)),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -485,6 +486,21 @@ class TestSegmentReset:
         with pytest.raises(error):
             runner.stream_scene(scene, StreamConfig(), bridge_len=bridge_len)
         assert frames == []
+
+    @pytest.mark.parametrize("at", [20.0, "20", True, np.float64(20)],
+                             ids=["float", "str", "bool", "np.float64"])
+    def test_stream_scene_checks_forced_reset_at_before_the_first_frame(self, monkeypatch, at):
+        frames = []
+        monkeypatch.setattr(runner, "process_frame", lambda *args: frames.append(args))
+        scene = generate_scene(OracleConfig(family="random-walk", frames=20), 0)
+        with pytest.raises(ValueError, match=re.escape(f"frame id must be an integer, got {at!r}")):
+            runner.stream_scene(scene, StreamConfig(), forced_reset_at=at)
+        assert frames == []
+
+    def test_stream_scene_forces_a_reset_at_a_numpy_integer_id(self):
+        scene = generate_scene(OracleConfig(family="random-walk", frames=40), 0)
+        state, _ = runner.stream_scene(scene, StreamConfig(), forced_reset_at=np.int64(20))
+        assert state.segment_index == 1
 
     @pytest.mark.parametrize("bridge_len", [3, 10])
     def test_stream_scene_resets_on_a_bridge_of_3_to_10(self, monkeypatch, bridge_len):

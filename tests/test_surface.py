@@ -22,10 +22,9 @@ PACKAGE = ROOT / "src" / "relpose"
 # oracle's confidences are calibrated to, and an independent reference for
 # the oracle's noise
 TEST_REFERENCES = {"conf_loss", "noise_scales"}
-# the only fields the guard allows: PoseEdge, one row of an EdgeBatch, is
-# read whole by the tests and the benchmark's smoke test, and goes with
-# the rest of ROADMAP item 5
-UNREAD_FIELDS = {"PoseEdge.rel_rotation"}
+# no field is exempt: PoseEdge reads every one of its fields when it
+# checks them as a one-row EdgeBatch
+UNREAD_FIELDS = set()
 
 
 def definitions(path):
