@@ -212,7 +212,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     k = getattr(args, "k", None)
     if k is not None:
-        k = None if str(k).lower() == "all" else int(k)
+        # a k that is not an integer is left to StreamConfig, which names it
+        k = None if k.lower() == "all" else int(k) if k.lstrip("-").isdecimal() else k
         cfg = dataclasses.replace(cfg, stream=dataclasses.replace(cfg.stream, k=k))
     if getattr(args, "refine", None):
         cfg = dataclasses.replace(cfg, refine=dataclasses.replace(cfg.refine,

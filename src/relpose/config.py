@@ -1,8 +1,8 @@
 """Run configuration: a nested key-value file (YAML) with strict keys.
 
 CLI flags override file values; every field has a documented default in
-its dataclass.  Unknown keys, values of the wrong type and values out of
-range are rejected on load, before a command writes anything.
+its dataclass.  Unknown keys are rejected on load; the dataclasses reject
+values of the wrong type (check_fields) or out of range.
 """
 
 import dataclasses
@@ -10,18 +10,13 @@ import hashlib
 import json
 import math
 import os
-import types
-import typing
 from dataclasses import dataclass, field
 
 from .oracle import OracleConfig
+from .posegraph import ConfigError, as_int, check_fields
 from .stream import StreamConfig
 
 OUT_ROOT_ENV = "RELPOSE_OUT"
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -33,8 +28,8 @@ class RefineConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError(f"refine.max_iters must be non-negative, got {self.max_iters}")
+        check_fields(self, "refine.")
+        as_int(self.max_iters, "refine.max_iters", 0)
         for name in ("delta_rot", "delta_trans"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"refine.{name} must be positive and finite, "
@@ -52,13 +47,12 @@ class RobustConfig:
     noise_mult: float = 10.0
 
     def __post_init__(self):
-        if self.n_clean < 3:
-            raise ValueError(f"robust.n_clean must be at least 3, got {self.n_clean}")
+        check_fields(self, "robust.")
+        as_int(self.n_clean, "robust.n_clean", 3)
         if any(n < 0 for n in self.n_distract):
             raise ValueError("robust.n_distract must be non-negative, "
                              f"got {list(self.n_distract)}")
-        if self.trials < 1:
-            raise ValueError(f"robust.trials must be at least 1, got {self.trials}")
+        as_int(self.trials, "robust.trials", 1)
         if not 1 <= self.noise_mult < math.inf:
             raise ValueError("robust.noise_mult must be at least 1 and finite, "
                              f"got {self.noise_mult}")
@@ -77,11 +71,10 @@ class RunConfig:
     diag_edges: int = 10000
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_fields(self)
+        as_int(self.seed, "seed", 0)
         for name in ("bins", "rpe_delta", "diag_edges"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            as_int(getattr(self, name), name, 1)
         if self.bins > self.diag_edges:
             # every bin of `relpose diag` needs at least one of its edges
             raise ValueError(f"bins must not exceed diag_edges ({self.diag_edges}), "
@@ -97,43 +90,12 @@ _SECTIONS = {"oracle": OracleConfig, "stream": StreamConfig,
              "refine": RefineConfig, "robust": RobustConfig}
 
 
-def _fits(value, kind):
-    """Whether a loaded value has a field's declared type; an int fits a
-    float field, a bool fits only a bool field, a list fits a tuple."""
-    if typing.get_origin(kind) is types.UnionType:
-        return any(_fits(value, k) for k in typing.get_args(kind))
-    if typing.get_origin(kind) is tuple:
-        item = typing.get_args(kind)[0]
-        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
-
-
-def _type_name(kind):
-    if typing.get_origin(kind) is types.UnionType:
-        return " or ".join(_type_name(k) for k in typing.get_args(kind))
-    if typing.get_origin(kind) is tuple:
-        return f"a list of {_type_name(typing.get_args(kind)[0])}"
-    return "null" if kind is type(None) else kind.__name__
-
-
 def _build(cls, data, path):
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
+    known = {f.name for f in dataclasses.fields(cls)}
+    for key in data:
         if key not in known:
             raise ConfigError(f"unknown key {path}{key!r}")
-        kind = known[key].type
-        if not _fits(value, kind):
-            raise ConfigError(f"{path}{key} must be {_type_name(kind)}, "
-                              f"got {value!r}")
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    return cls(**kwargs)
+    return cls(**data)
 
 
 def config_from_dict(data) -> RunConfig:
@@ -145,8 +107,7 @@ def config_from_dict(data) -> RunConfig:
             if not isinstance(section, dict):
                 raise ConfigError(f"section {name!r} must be a mapping")
             kwargs[name] = _build(cls, section, f"{name}.")
-    top = _build(RunConfig, data, "")
-    cfg = dataclasses.replace(top, **kwargs)
+    cfg = _build(RunConfig, data | kwargs, "")
     frames = cfg.oracle.frames
     for name, counts in (("n_clean", (cfg.robust.n_clean,)),
                          ("n_distract", cfg.robust.n_distract)):

@@ -1,8 +1,8 @@
 """Trajectory file I/O (TUM format) and small CSV helpers.
 
 TUM lines are `timestamp tx ty tz qx qy qz qw`; timestamps are frame ids,
-so read_tum rejects a timestamp that is not a whole number and a frame id
-that appears twice.
+so read_tum reads each as a whole number by as_frame_id's rule (the int64
+range) and rejects a frame id that appears twice.
 """
 
 import csv
@@ -10,6 +10,7 @@ import csv
 import numpy as np
 
 from .geom import Pose, UnitQuaternion
+from .posegraph import as_frame_id
 
 
 def write_tum(trajectory, path):
@@ -36,7 +37,7 @@ def read_tum(path):
             stamp = float(parts[0])
             if not stamp.is_integer():
                 raise ValueError(f"timestamp must be a whole frame id, got {parts[0]!r}")
-            fid = int(stamp)
+            fid = as_frame_id(int(stamp))
             if fid in trajectory:
                 raise ValueError(f"frame {fid} appears twice")
             tx, ty, tz, qx, qy, qz, qw = (float(v) for v in parts[1:])

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import norms, quat_angle_deg, relative_poses, umeyama_sim3
+from .posegraph import as_int
 
 
 class TooFewPoses(ValueError):
@@ -108,8 +109,7 @@ def rot_rmse_deg(estimated, reference) -> float:
 def rpe(estimated, reference, delta=1):
     """RPE over frame pairs (i, i+delta): translation RMSE and rotation
     geodesic RMSE in degrees.  delta counts positions in id order."""
-    if delta < 1:
-        raise ValueError("delta must be >= 1")
+    delta = as_int(delta, "delta", 1)
     ids = _common_ids(estimated, reference)
     if len(ids) <= delta:
         raise TooFewPoses("too few poses for the requested delta")
@@ -144,6 +144,7 @@ def confidence_bins(samples, n_bins=5) -> ConfidenceBinSummary:
     """Equal-mass confidence quantile bins with per-bin error statistics,
     from (confidence, error) samples: pairs, or the rows of an (n, 2)
     array."""
+    n_bins = as_int(n_bins, "n_bins", 1)
     conf, err = np.asarray(samples, dtype=float).reshape(-1, 2).T
     if len(conf) < n_bins:
         raise TooFewSamples(f"need at least {n_bins} samples")

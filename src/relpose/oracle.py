@@ -25,9 +25,9 @@ emit_token(id) and emit_edges(context, id).
 
 Frame ids run from 1: every lookup takes id i to row i - frame_ids[0],
 checked against [0, n), and row r back to id r + frame_ids[0].  Only
-integer ids pass, by posegraph.as_frame_id's rule: a float or bool id,
-alone or in an array, raises UnknownFrame, and an unknown integer id is
-named in it as a plain int.
+integer ids pass, by posegraph.as_int's rule: a float or bool id, alone
+or in an array, raises UnknownFrame, and an unknown integer id (one past
+the int64 range too) is named in it as a plain int.
 """
 
 import copy
@@ -39,7 +39,7 @@ import numpy as np
 
 from .geom import (Pose, UnitQuaternion, quat_apply, quat_exp, quat_multiply,
                    quat_normalize, quat_product, quat_to_matrix)
-from .posegraph import EdgeBatch, as_frame_id, has_bool_id
+from .posegraph import EdgeBatch, as_int, check_fields, has_bool_id
 from .stream import FrameToken, token_rows
 
 
@@ -75,6 +75,7 @@ class OracleConfig:
     conf_jitter: float = 0.0          # lognormal sigma on confidences (0 = calibrated)
 
     def __post_init__(self):
+        check_fields(self, "oracle.")
         if self.frames < 2:
             raise InvalidConfig("need at least 2 frames")
         if self.family not in ("circle", "random-walk", "figure-eight"):
@@ -174,7 +175,7 @@ class SyntheticScene:
 
     def __init__(self, config: OracleConfig, seed: int):
         self.config = config
-        self.seed = int(seed)
+        self.seed = as_int(seed, "seed", 0)
         rng = np.random.default_rng([self.seed, 0xA11CE])
         self._quats, self._trans = _generate_trajectory(config, rng)
         self.frame_ids = list(range(1, len(self._quats) + 1))
@@ -208,7 +209,7 @@ class SyntheticScene:
     def _row(self, i):
         """One id's row by the rule of _rows, in plain Python (no NumPy trip)."""
         try:
-            i = as_frame_id(i)
+            i = as_int(i, "frame id")
         except ValueError:
             raise UnknownFrame(i) from None
         if 0 <= i - self.frame_ids[0] < len(self.frame_ids):
@@ -384,6 +385,7 @@ def make_distractor_stream(scene: SyntheticScene, other: SyntheticScene,
     positions stay clean; distractor positions are sampled uniformly
     among the rest.
     """
+    n_clean, n_distract = as_int(n_clean, "n_clean"), as_int(n_distract, "n_distract")
     if n_clean < 3:
         raise InvalidCounts("need at least 3 clean frames")
     if n_distract < 0:
@@ -392,7 +394,7 @@ def make_distractor_stream(scene: SyntheticScene, other: SyntheticScene,
         raise InvalidCounts("scene too short for the requested counts")
     if scene is other or (scene.seed == other.seed and scene.config == other.config):
         raise InvalidCounts("clean and distractor scenes must be distinct")
-    rng = np.random.default_rng([int(seed), 0xD157])
+    rng = np.random.default_rng([as_int(seed, "seed", 0), 0xD157])
     total = n_clean + n_distract
     slots = rng.choice(np.arange(3, total), size=n_distract, replace=False)
     is_distractor = np.zeros(total, dtype=bool)
@@ -459,9 +461,9 @@ class DistractorStream:
         self._first, self._table, self._columns, self._edges = 0, np.empty((0, 1)), {}, None
 
     def _position(self, stream_id):
-        """The plan row of a stream id; a non-integer id raises ValueError,
-        an integer id outside the plan KeyError."""
-        sid = as_frame_id(stream_id)
+        """The plan row of a stream id: a non-integer id raises ValueError,
+        an integer outside the plan, which int64 holds, KeyError."""
+        sid = as_int(stream_id, "frame id")
         if not 1 <= sid <= len(self._entries):
             raise KeyError(sid)
         return sid - 1
@@ -474,8 +476,8 @@ class DistractorStream:
     def emit_edges(self, context_stream_ids, stream_id) -> EdgeBatch:
         """Context edges into stream_id, one row per context id in the
         order given, gathered from the current block or a new one."""
-        sid = as_frame_id(stream_id)
-        ctx = [s if type(s) is int else as_frame_id(s) for s in context_stream_ids]
+        sid = as_int(stream_id, "frame id")
+        ctx = [s if type(s) is int else as_int(s, "frame id") for s in context_stream_ids]
         rows = self._block_rows(ctx, sid)
         if rows is None:
             self._emit_block(ctx, sid)

@@ -11,7 +11,9 @@ whole batch in one call); a frame's CandidateBatch is fused with c^2
 """
 
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -19,6 +21,10 @@ from .geom import Pose, UnitQuaternion, quat_apply, quat_normalize, quat_product
 
 
 class EmptyCandidates(ValueError):
+    pass
+
+
+class ConfigError(ValueError):
     pass
 
 
@@ -129,14 +135,48 @@ class EdgeBatch:
                         float(self.conf_trans[k]))
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+_MISFIT = object()
+_fields = cache(fields)     # a config class's fields, and a type's parts, resolved once
+_parts = cache(lambda kind: (typing.get_origin(kind), typing.get_args(kind)))
+
+
+def _fit(value, kind):
+    """value as a field of type kind holds it, or _MISFIT.  The one int rule: a
+    Python int or NumPy integer (a bool is neither) is a plain int, and fits a
+    float field too; a bool fits only a bool, a list of fitting items a tuple."""
+    if kind in (int, float) and (type(value) is int or isinstance(value, np.integer)):
+        return int(value)
+    origin, args = _parts(kind)
+    if origin is tuple:
+        items = ([_fit(v, args[0]) for v in value] if isinstance(value, (list, tuple))
+                 else [_MISFIT])
+        return _MISFIT if _MISFIT in items else tuple(items)
+    if args:        # a union: the first member that fits
+        return next((v for v in (_fit(value, k) for k in args) if v is not _MISFIT), _MISFIT)
+    return value if isinstance(value, kind) and kind is not int else _MISFIT
+
+
+def as_int(value, name, low=None, none=False) -> int:
+    """value as a plain int by _fit's int rule, of at least low; else a
+    ValueError names name.  none=True lets None pass as itself."""
+    if value is None and none:
+        return None
+    n = value if type(value) is int else _fit(value, int)
+    if n is _MISFIT:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and n < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{name} must be {'None or ' if none else ''}{bound}, got {n}")
+    return n
+
+
 def as_frame_id(i) -> int:
-    """A frame id as a plain int.  Only a Python int or a NumPy integer is
-    an id (a bool is neither); anything else raises ValueError naming it."""
-    if type(i) is int:
-        return i
-    if isinstance(i, np.integer):
-        return int(i)
-    raise ValueError(f"frame id must be an integer, got {i!r}")
+    """A frame id as a plain int, by as_int's rule, in the int64 range."""
+    i = as_int(i, "frame id")
+    if not -_INT64_MAX - 1 <= i <= _INT64_MAX:
+        raise ValueError(f"frame id {i} is outside the int64 range")
+    return i
 
 
 def has_bool_id(ids) -> bool:
@@ -145,15 +185,22 @@ def has_bool_id(ids) -> bool:
     return not isinstance(ids, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, ids))
 
 
-_INT64_MAX = np.iinfo(np.int64).max
+def _type_name(kind):
+    if typing.get_origin(kind) is tuple:
+        return f"a list of {_type_name(typing.get_args(kind)[0])}"
+    return " or ".join(map(_type_name, typing.get_args(kind))) or (
+        "null" if kind is type(None) else kind.__name__)
 
 
-def _int64_id(i) -> int:
-    """as_frame_id, and a ValueError naming an id outside the int64 range."""
-    i = as_frame_id(i)
-    if not -_INT64_MAX - 1 <= i <= _INT64_MAX:
-        raise ValueError(f"frame id {i} is outside the int64 range")
-    return i
+def check_fields(config, prefix=""):
+    """Read a config dataclass's fields by the YAML loader's rule (_fit) in
+    its __post_init__; a ConfigError names the first that does not fit."""
+    for f in _fields(type(config)):
+        value = getattr(config, f.name)
+        read = _fit(value, f.type)
+        if read is _MISFIT:
+            raise ConfigError(f"{prefix}{f.name} must be {_type_name(f.type)}, got {value!r}")
+        object.__setattr__(config, f.name, read)
 
 
 def _id_array(ids):
@@ -165,7 +212,7 @@ def _id_array(ids):
     if not a.size or ((a.dtype.kind == "i" or a.dtype.kind == "u" and a.max() <= _INT64_MAX)
                       and not has_bool_id(ids)):
         return a.astype(np.int64, copy=False)
-    return np.array([_int64_id(i) for i in ids], dtype=np.int64)
+    return np.array([as_frame_id(i) for i in ids], dtype=np.int64)
 
 
 def _ids(src, dst):
@@ -175,7 +222,7 @@ def _ids(src, dst):
     if np.ndim(dst) == 0:
         # np.full's two steps, without its wrapper
         column = np.empty(len(src), dtype=np.int64)
-        column.fill(_int64_id(dst))
+        column.fill(as_frame_id(dst))
         return src, column
     return src, _id_array(dst)
 
@@ -229,8 +276,7 @@ def fuse_candidates(candidates: CandidateBatch, k=None):
     id (the first in retained order if that repeats too).  The top-k order
     is the one sort: it fixes the summation order, and so the bits.
     """
-    if k is not None and k < 1:
-        raise ValueError(f"k must be None or at least 1, got {k}")
+    k = as_int(k, "k", 1, none=True)
     if not len(candidates):
         raise EmptyCandidates("no candidate poses to fuse")
     mean_conf = 0.5 * (candidates.conf_rot + candidates.conf_trans)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .geom import (Pose, UnitQuaternion, quat_exp, quat_product, quat_to_matrix,
                    right_jacobian, skew)
-from .posegraph import EdgeBatch, as_frame_id
+from .posegraph import EdgeBatch, as_frame_id, as_int
 
 
 class NonFiniteObjective(ValueError):
@@ -86,7 +86,7 @@ class RefinementResult:
     poses: dict
     initial_objective: float
     final_objective: float
-    iterations: int        # accepted steps
+    iterations: int        # steps taken and the ftol trial, taken or not
     stop_reason: str       # "grad_tol" | "ftol" | "max_iters" | "trivial";
                            # "ftol": a step's predicted decrease <= _RTOL
     evaluations: int       # objective evaluations: x0 and every trial step
@@ -348,15 +348,15 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
     at most _RTOL * max(|f|, 1) (the step is taken if f does not rise),
     or at "max_iters" after max_iters accepted steps; a problem without
     edges stops at "trivial".  The initialization and every accepted
-    iterate that does not stop are linearized once; evaluations counts
-    the objective at the initialization and at each trial step.  The
+    iterate that does not stop are linearized once; iterations counts the
+    steps taken and the ftol trial, taken or not, and evaluations the
+    objective at the initialization and at each trial step.  The
     damping follows the gain-ratio schedule above _LAMBDA_INIT.  Each
     trial step's residual pass is computed once: when the step is taken,
     the linearization at the new iterate starts from that pass; when it
     is rejected, the pass is dropped before the next damped solve.
     """
-    if max_iters < 0:
-        raise ValueError("max_iters must be non-negative")
+    max_iters = as_int(max_iters, "max_iters", 0)
     if not problem.edges:
         return RefinementResult(dict(problem.poses), 0.0, 0.0, 0, "trivial", 0)
     ws = _Workspace(problem)
@@ -384,13 +384,13 @@ def solve(problem: RefinementProblem, max_iters=100, grad_tol=1e-8) -> Refinemen
                 stop = "ftol"
             f_new = ws.objective(x + dx)
             evaluations += 1
+            iterations += f_new <= f or stop is not None  # ftol's trial counts either way
             if f_new <= f:
                 if stop is None:        # then predicted > 0: rho is defined
                     rho = (f - f_new) / predicted
                     lam = max(lam * max(1 / 3, 1 - (2 * rho - 1) ** 3), _LAMBDA_MIN)
                     nu = 2.0
                 x, f = x + dx, f_new
-                iterations += 1
                 break
             ws.drop_pass()
             lam, nu = lam * nu, 2 * nu

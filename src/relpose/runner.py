@@ -8,7 +8,7 @@ import numpy as np
 from . import metrics
 from .geom import Pose
 from .oracle import DistractorStream, make_distractor_stream
-from .posegraph import as_frame_id, compose_candidate, fuse_candidates
+from .posegraph import as_frame_id, as_int, compose_candidate, fuse_candidates
 from .refine import RefinementProblem, solve
 from .stream import (StreamState, check_bridge_length, process_frame,
                      segment_reset)
@@ -34,7 +34,7 @@ def stream_scene(scene, config, forced_reset_at=None, bridge_len=5):
     one (or unconditionally after frame forced_reset_at), re-anchored on a
     bridge of the bridge_len (3 to 10) most recent accepted frames.
     """
-    check_bridge_length(bridge_len)
+    check_bridge_length(as_int(bridge_len, "bridge_len"))
     forced_reset_at = None if forced_reset_at is None else as_frame_id(forced_reset_at)
     state = StreamState(config)
     events = []

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import Pose
-from .posegraph import EdgeBatch, as_frame_id, compose_candidate, fuse_candidates
+from .posegraph import (EdgeBatch, as_frame_id, as_int, check_fields, compose_candidate,
+                        fuse_candidates)
 
 
 class NonMonotoneFrameId(ValueError):
@@ -57,8 +58,8 @@ class StreamConfig:
     k: int | None = None         # fusion top-K; None = all references
 
     def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"k must be None or at least 1, got {self.k}")
+        check_fields(self, "stream.")
+        as_int(self.k, "k", 1, none=True)
         for name, low in (("m_max", 1), ("n_cal", 1), ("n_rej", 1), ("l_max", 1),
                           ("delta_max", 0)):
             if getattr(self, name) < low:

@@ -585,6 +585,27 @@ class TestLevenbergMarquardt:
         for r in results[1:]:
             assert abs(r.final_objective - f) <= 1e-12 * f
 
+    def test_iterations_count_the_ftol_trial_taken_or_not(self, monkeypatch):
+        # 30 frames, seed 21: the final ftol trial's objective rises in one
+        # edge order and not in another, by rounding alone.  It counts
+        # either way, so the count is the number of linearizations
+        problem = oracle_problem(30, 21)
+        n = len(problem.edges)
+        linearizations = [0]
+        lin = _Workspace.objective_and_gradient
+
+        def counted(self, x, hessian=False):
+            linearizations[0] += 1
+            return lin(self, x, hessian)
+
+        monkeypatch.setattr(_Workspace, "objective_and_gradient", counted)
+        for order in (np.arange(n), np.arange(n)[::-1],
+                      np.random.default_rng(7).permutation(n)):
+            linearizations[0] = 0
+            result = solve(RefinementProblem(problem.poses, problem.edges.take(order)))
+            assert (result.stop_reason, result.iterations, result.evaluations) == ("ftol", 4, 5)
+            assert linearizations[0] == result.iterations
+
     @pytest.mark.parametrize("frames, seed, final", [
         (30, 0, 18.861126259772142), (30, 1009, 18.623532780913678),
         (100, 0, 352.2568372374435), (100, 1009, 351.60200296731716)])
